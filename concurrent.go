@@ -88,7 +88,7 @@ func checkPortfolio(sys *System, k int, opts Options) Result {
 			// recovers into an indecisive Err result (which can never win
 			// the race).
 			Run: func(c *cancel.Flag) (r Result) {
-				defer containResult(&r, k)
+				defer contain(&r, failedCheck(k))
 				o := opts
 				o.Cancel = c
 				return Check(sys, k, eng, o)
@@ -119,7 +119,7 @@ func deepenPortfolio(sys *System, maxBound int, opts Options) DeepenResult {
 			// Same containment as checkPortfolio: a panicking arm loses
 			// the race instead of killing the process.
 			Run: func(c *cancel.Flag) (d DeepenResult) {
-				defer containDeepen(&d)
+				defer contain(&d, failedDeepen)
 				o := opts
 				o.Cancel = c
 				return Deepen(sys, maxBound, eng, o)
@@ -156,7 +156,7 @@ func CheckMany(jobs []Job, workers int) []Result {
 	return portfolio.Map(workers, jobs, func(_ int, j Job) (r Result) {
 		// Pool workers are shared goroutines: one panicking item must
 		// become that item's Err result, not the process's end.
-		defer containResult(&r, j.K)
+		defer contain(&r, failedCheck(j.K))
 		return Check(j.Sys, j.K, j.Engine, j.Opts)
 	})
 }
@@ -166,7 +166,7 @@ func CheckMany(jobs []Job, workers int) []Result {
 // and with the same deterministic result ordering.
 func DeepenMany(jobs []Job, workers int) []DeepenResult {
 	return portfolio.Map(workers, jobs, func(_ int, j Job) (d DeepenResult) {
-		defer containDeepen(&d)
+		defer contain(&d, failedDeepen)
 		return Deepen(j.Sys, j.K, j.Engine, j.Opts)
 	})
 }

@@ -6,8 +6,8 @@ package sebmc
 // the whole process from a portfolio or batch goroutine) and must never
 // leave a warm Session trusted (its solver state is arbitrary after an
 // unwound stack). This file defines the error type a recovered panic
-// becomes and the recover helpers the Session, portfolio arms, and
-// batch closures share.
+// becomes and the one recover helper the Session, the portfolio and
+// Prove race arms, and the batch closures share.
 
 import (
 	"errors"
@@ -44,20 +44,26 @@ func AsPanic(err error) (*PanicError, bool) {
 	return nil, false
 }
 
-// stackTrace captures the goroutine stack at a recovery point.
-func stackTrace() []byte { return debug.Stack() }
-
-// containResult is the deferred recover for code paths returning a
-// Result: a panic becomes Result{Unknown, Err: *PanicError} in place.
-func containResult(res *Result, k int) {
+// contain is the deferred recover every containment boundary in the
+// library shares — portfolio and Prove race arms, batch pool items,
+// Session requests: a panic becomes fail's indecisive result, built
+// around the *PanicError, in place of whatever the function would
+// have returned.
+func contain[R any](res *R, fail func(*PanicError) R) {
 	if v := recover(); v != nil {
-		*res = Result{Status: Unknown, K: k, Err: &PanicError{Val: v, Stack: debug.Stack()}}
+		*res = fail(&PanicError{Val: v, Stack: debug.Stack()})
 	}
 }
 
-// containDeepen is containResult for deepening runs.
-func containDeepen(res *DeepenResult) {
-	if v := recover(); v != nil {
-		*res = DeepenResult{Status: Unknown, FoundAt: -1, Err: &PanicError{Val: v, Stack: debug.Stack()}}
-	}
+// failedCheck is contain's fail for bounded checks at bound k.
+func failedCheck(k int) func(*PanicError) Result {
+	return func(pe *PanicError) Result { return Result{Status: Unknown, K: k, Err: pe} }
 }
+
+// failedDeepen is contain's fail for deepening runs.
+func failedDeepen(pe *PanicError) DeepenResult {
+	return DeepenResult{Status: Unknown, FoundAt: -1, Err: pe}
+}
+
+// failedVerdict is contain's fail for the Prove race arms.
+func failedVerdict(pe *PanicError) Verdict { return Verdict{Status: Unknown, Err: pe} }

@@ -14,78 +14,17 @@ import (
 	"strconv"
 	"sync"
 
-	sebmc "repro"
 	"repro/internal/cluster"
 	"repro/internal/faultpoint"
 )
 
-// verdictKey identifies one answerable question.
+// verdictKey identifies one answerable question: the session identity
+// (model hash, engine, semantics, schedule, CNF mode) plus the bound
+// and whether it is a deepening run.
 type verdictKey struct {
-	Hash   string
+	sessionKey
 	Bound  int
-	Engine sebmc.Engine
-	Sem    sebmc.Semantics
-	Sched  sebmc.Schedule
 	Deepen bool
-	PG     bool
-}
-
-// verdict is one cached answer. Only decided (non-UNKNOWN) results are
-// cached; UNKNOWN depends on the request's budget, not the question.
-type verdict struct {
-	Status           string
-	FoundAt          int
-	DecidedBy        string
-	Witness          string
-	WitnessValidated bool
-	// Terminal SAFE entries additionally retain the invariant
-	// certificate (validated at fill or adoption time), so a cache hit
-	// can echo the proof object without re-running anything.
-	Terminal             bool
-	Certificate          string
-	CertificateValidated bool
-	Iterations           int
-	BoundsSkipped        int
-	Conflicts            int64
-	PeakBytes            int
-	Bound                int
-}
-
-func newVerdict(res *JobResult) verdict {
-	return verdict{
-		Status:               res.Status,
-		FoundAt:              res.FoundAt,
-		DecidedBy:            res.DecidedBy,
-		Witness:              res.Witness,
-		WitnessValidated:     res.WitnessValidated,
-		Terminal:             res.Terminal,
-		Certificate:          res.Certificate,
-		CertificateValidated: res.CertificateValidated,
-		Iterations:           res.Iterations,
-		BoundsSkipped:        res.BoundsSkipped,
-		Conflicts:            res.Conflicts,
-		PeakBytes:            res.PeakBytes,
-		Bound:                res.Bound,
-	}
-}
-
-// result materializes a JobResult from the cached verdict.
-func (v verdict) result() *JobResult {
-	return &JobResult{
-		Status:               v.Status,
-		Bound:                v.Bound,
-		FoundAt:              v.FoundAt,
-		DecidedBy:            v.DecidedBy,
-		Witness:              v.Witness,
-		WitnessValidated:     v.WitnessValidated,
-		Terminal:             v.Terminal,
-		Certificate:          v.Certificate,
-		CertificateValidated: v.CertificateValidated,
-		Iterations:           v.Iterations,
-		BoundsSkipped:        v.BoundsSkipped,
-		Conflicts:            v.Conflicts,
-		PeakBytes:            v.PeakBytes,
-	}
 }
 
 // entryOverhead is the fixed per-entry cost beyond the variable-length
@@ -94,14 +33,17 @@ func (v verdict) result() *JobResult {
 const entryOverhead = 256
 
 // bytes is the honest retained size of one entry.
-func entryBytes(k verdictKey, v verdict) int {
+func entryBytes(k verdictKey, v JobResult) int {
 	return entryOverhead + len(k.Hash) + len(v.Witness) + len(v.Certificate) +
-		len(v.DecidedBy) + len(v.Status)
+		len(v.DecidedBy) + len(v.Status) + len(v.Error)
 }
 
+// cacheEntry holds the cached record itself: the JobResult that was
+// served when the verdict was computed (or adopted from a peer), minus
+// the per-request fields put clears.
 type cacheEntry struct {
 	key verdictKey
-	v   verdict
+	v   JobResult
 	sz  int
 }
 
@@ -133,7 +75,7 @@ func rangeOf(k verdictKey) int {
 // excluded — two shards that independently solved the same question
 // hold entries with different stats but the same identity, and repair
 // must see them as already converged.
-func identityHash(k verdictKey, v verdict) uint64 {
+func identityHash(k verdictKey, v JobResult) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(k.Hash))
 	buf := make([]byte, 0, 64)
@@ -179,7 +121,7 @@ func newVerdictCache(budget int) *verdictCache {
 
 // digestToggleLocked folds an entry into or out of its range digest
 // (XOR is its own inverse, so one body serves insert and remove).
-func (c *verdictCache) digestToggleLocked(k verdictKey, v verdict, insert bool) {
+func (c *verdictCache) digestToggleLocked(k verdictKey, v JobResult, insert bool) {
 	r := rangeOf(k)
 	c.digests[r].Hash ^= identityHash(k, v)
 	if insert {
@@ -225,24 +167,32 @@ func (c *verdictCache) has(k verdictKey) bool {
 	return ok
 }
 
-func (c *verdictCache) get(k verdictKey) (verdict, bool) {
+// get returns a copy of the cached record, marked Cached, for the
+// caller to serve.
+func (c *verdictCache) get(k verdictKey) (*JobResult, bool) {
 	if c.budget < 0 {
-		return verdict{}, false
+		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[k]
 	if !ok {
-		return verdict{}, false
+		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).v, true
+	res := el.Value.(*cacheEntry).v
+	res.Cached = true
+	return &res, true
 }
 
-func (c *verdictCache) put(k verdictKey, v verdict) {
+// put stores a served record under k. The fields that describe one
+// request rather than the verdict — served from cache, warm session,
+// wall clock — are cleared: a later hit ran no solver and no session.
+func (c *verdictCache) put(k verdictKey, v JobResult) {
 	if c.budget < 0 {
 		return
 	}
+	v.Cached, v.SessionHit, v.ElapsedMS = false, false, 0
 	// Fault-injection site: the cache is an accelerator, so an injected
 	// failure degrades to not caching — the verdict is still served —
 	// while an injected panic exercises the worker's containment.

@@ -278,6 +278,38 @@ func TestServiceClusterMigration(t *testing.T) {
 	}
 }
 
+// TestServiceClusterMigrateHashMismatch: the migrate receiver derives
+// the content hash from the shipped model instead of trusting the
+// sender's. A payload carrying one model under another model's hash is
+// refused, so no warm prefix is ever filed under the wrong address —
+// the later deepen of the named model still finds its counterexample.
+func TestServiceClusterMigrateHashMismatch(t *testing.T) {
+	s, url := newTestServer(t, Config{Workers: 1})
+	victim := circuits.DeepCounter(8)
+	p := migratePayload{
+		wireKey: wireKey{
+			Hash:      sebmc.ModelHash(victim),
+			Model:     aagSource(t, circuits.Johnson(6, 5)),
+			Engine:    "sat-incr",
+			Semantics: "exact",
+			Schedule:  "linear",
+		},
+		ProvenUpTo: 10,
+	}
+	if code := postJSON(t, url+"/v1/cluster/migrate", p, nil); code != http.StatusBadRequest {
+		t.Fatalf("migrate under a foreign hash: HTTP %d, want 400", code)
+	}
+	if live, _, _ := s.sessions.stats(); live != 0 {
+		t.Fatalf("a refused migration left %d sessions behind", live)
+	}
+	want := sebmc.ShortestCounterexample(victim)
+	r := checkWait(t, url, CheckRequest{Model: aagSource(t, victim), Format: "aag", Bound: 10, Engine: "sat-incr", Deepen: true})
+	if r.Status != "REACHABLE" || r.FoundAt != want || r.SessionHit {
+		t.Fatalf("deepen after the refused migration: %s found_at=%d session_hit=%v, want cold REACHABLE at %d",
+			r.Status, r.FoundAt, r.SessionHit, want)
+	}
+}
+
 // TestServiceClusterDrainStorm: a concurrent storm across both shards
 // with a mid-storm drain of one. Every response must be a correct
 // verdict, a contained failure, or a 503 — no lost jobs, no wrong

@@ -14,8 +14,10 @@ package service
 //	                        advisory and any requested bound answers
 //	                        from cache.
 //	POST   /v1/batch        submit several models at once; synchronous.
-//	                        Cached items answer immediately, the rest
-//	                        fan over CheckMany/DeepenMany.
+//	                        Every item is an ordinary queued job — same
+//	                        cache, sessions and timeouts as /v1/check —
+//	                        and the batch is admitted whole or not at
+//	                        all.
 //	GET    /v1/jobs/{id}    job status (result embedded once done)
 //	GET    /v1/results/{id} result only; 202 while still running
 //	DELETE /v1/jobs/{id}    cooperative cancel
@@ -197,8 +199,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, BatchResponse{Results: results})
 }
 
-// localBatchReqs parses a batch slice into jobs sharing one cancel
-// flag and runs it through localBatch.
+// localBatchReqs parses a batch slice into jobs and runs it through
+// localBatch. Each item's cancel flag derives from parent, the batch's
+// disconnect flag: a client going away stops every item, while an
+// item's own timeout (which answer fires on its flag) stops only that
+// item.
 func (s *Server) localBatchReqs(reqs []CheckRequest, parent *sebmc.CancelFlag) ([]*JobResult, error) {
 	items := make([]*job, len(reqs))
 	for i, jr := range reqs {
@@ -206,42 +211,55 @@ func (s *Server) localBatchReqs(reqs []CheckRequest, parent *sebmc.CancelFlag) (
 		if err != nil {
 			return nil, fmt.Errorf("service: batch job %d: %w", i, err)
 		}
-		j.cancel = parent
+		j.cancel = sebmc.DeriveCancel(parent)
 		items[i] = j
 	}
 	return s.localBatch(items)
 }
 
-// localBatch admits and runs a parsed batch on this shard. Batch items
-// run on the library's own work-stealing pool rather than queue slots,
-// but they are admitted against the same bound: queued singles plus
-// in-flight batch items must fit the queue capacity, so a flood of
-// batch posts gets 503 exactly like a flood of singles would —
-// admitted work is never unbounded. (A single batch larger than the
-// queue capacity is therefore always rejected; split it.)
+// localBatch runs a parsed batch on this shard as ordinary queued jobs
+// and waits for every answer. The batch is admitted whole or not at
+// all, against the same queue bound as single submissions: a draining
+// server or a queue without room for every item rejects it with 503,
+// so a flood of batch posts is turned away exactly like a flood of
+// singles. (A batch larger than the queue capacity is therefore always
+// rejected; split it.) Quarantined items are answered in place — the
+// rest of the batch still runs; the breaker is not re-taught, since a
+// quarantine rejection is a symptom, not a new strike.
 func (s *Server) localBatch(items []*job) ([]*JobResult, error) {
+	out := make([]*JobResult, len(items))
 	s.mu.Lock()
-	if s.draining {
+	var err error
+	switch {
+	case s.draining:
+		err = ErrDraining
+	case len(s.queue)+len(items) > s.cfg.QueueDepth:
+		err = ErrQueueFull
+	}
+	if err != nil {
 		s.mu.Unlock()
 		s.metrics.rejected.Add(int64(len(items)))
-		return nil, ErrDraining
+		return nil, err
 	}
-	if len(s.queue)+s.batchJobs+len(items) > s.cfg.QueueDepth {
-		s.mu.Unlock()
-		s.metrics.rejected.Add(int64(len(items)))
-		return nil, ErrQueueFull
-	}
-	s.batchJobs += len(items)
-	s.wg.Add(1)
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		s.batchJobs -= len(items)
-		s.mu.Unlock()
-		s.wg.Done()
-	}()
 	s.metrics.submitted.Add(int64(len(items)))
-	return s.runBatch(items), nil
+	for i, j := range items {
+		if qerr := s.quar.allow(j.quarantineKey()); qerr != nil {
+			s.metrics.quarantineRejected.Add(1)
+			s.metrics.completed.Add(1)
+			out[i] = &JobResult{Status: StatusError, Bound: j.req.Bound, FoundAt: -1, Error: qerr.Error()}
+			continue
+		}
+		s.registerLocked(j)
+		s.queue <- j // room was checked above, and every send holds s.mu
+	}
+	s.mu.Unlock()
+	for i, j := range items {
+		if out[i] == nil {
+			<-j.done
+			out[i] = j.Result()
+		}
+	}
+	return out, nil
 }
 
 // newBatchCancel returns a flag that is set when the request's client

@@ -165,15 +165,7 @@ type job struct {
 // geometric deepening agree on status and FoundAt: the cached verdict
 // also replays Iterations/BoundsSkipped, which are schedule-shaped.
 func (j *job) key() verdictKey {
-	return verdictKey{
-		Hash:   j.hash,
-		Bound:  j.req.Bound,
-		Engine: j.engine,
-		Sem:    j.sem,
-		Sched:  j.sched,
-		Deepen: j.req.Deepen,
-		PG:     j.req.PlaistedGreenbaum,
-	}
+	return verdictKey{sessionKey: j.sessionKey(), Bound: j.req.Bound, Deepen: j.req.Deepen}
 }
 
 // terminalKey is the bound-free cache identity of a terminal verdict
@@ -183,7 +175,7 @@ func (j *job) key() verdictKey {
 // a terminal SAFE answers every bound, semantics, schedule and CNF
 // mode, so none of them belong in the key.
 func terminalKey(hash string) verdictKey {
-	return verdictKey{Hash: hash, Bound: -1, Engine: sebmc.EngineInterp}
+	return verdictKey{sessionKey: sessionKey{Hash: hash, Engine: sebmc.EngineInterp}, Bound: -1}
 }
 
 func (j *job) State() JobState {
@@ -274,94 +266,40 @@ func errorResult(j *job, err error, sessionHit bool) *JobResult {
 	}
 }
 
-// fromResult converts a library Result, validating the witness by
-// replaying it against the encoded system. Results carrying an internal
-// error (a recovered panic, a poisoned session) become ERROR.
-func fromResult(r sebmc.Result, j *job, sessionHit bool) *JobResult {
-	if r.Err != nil {
-		return errorResult(j, r.Err, sessionHit)
+// fromVerdict is the one converter from a library answer to the served
+// record; every solver outcome reaches it as a sebmc.Verdict (bounded
+// checks through VerdictOf, deepening runs through VerdictOfDeepen).
+// Its rules: an internal error (a recovered panic, a poisoned session)
+// becomes ERROR; REACHABLE carries its witness, replayed before it is
+// served; SAFE is terminal and carries its replayed certificate; an
+// UNREACHABLE that proved less than the requested bound is downgraded
+// to UNKNOWN, so a bound-keyed cache entry never overclaims; and a
+// deepening run reports BoundsSkipped — of the bounds it decided
+// (0..FoundAt when REACHABLE, 0..Bound when UNREACHABLE), how many never
+// got their own solver invocation, covered by a geometric jump or a
+// warm session's proven prefix.
+func fromVerdict(v sebmc.Verdict, j *job, sessionHit bool) *JobResult {
+	if v.Err != nil {
+		return errorResult(j, v.Err, sessionHit)
 	}
 	out := &JobResult{
-		Status:     r.Status.String(),
+		Status:     v.Status.String(),
 		Bound:      j.req.Bound,
 		FoundAt:    -1,
-		DecidedBy:  r.DecidedBy,
+		DecidedBy:  v.DecidedBy,
 		SessionHit: sessionHit,
-		Conflicts:  r.Conflicts,
-		PeakBytes:  r.PeakBytes,
-	}
-	if r.Status == sebmc.Reachable {
-		out.FoundAt = r.K
-		noteWitness(out, r.Witness, r.System)
-	}
-	// A bounded check routed through the interp engine can come back
-	// terminal. No certificate rides a Result (the engine validated its
-	// invariant internally before answering Safe); prove requests go
-	// through fromVerdict and do carry it.
-	if r.Status == sebmc.Safe {
-		out.Terminal = true
-	}
-	return out
-}
-
-// fromDeepen converts a library DeepenResult the same way, computing
-// BoundsSkipped: of the bounds the run decided (0..FoundAt when
-// Reachable, 0..Bound when Unreachable), how many never got their own
-// solver invocation — covered by a geometric jump or a warm session's
-// proven prefix. Zero for a cold linear run; inconclusive runs decide
-// nothing, so they skip nothing.
-func fromDeepen(d sebmc.DeepenResult, j *job, sessionHit bool) *JobResult {
-	if d.Err != nil {
-		return errorResult(j, d.Err, sessionHit)
-	}
-	out := &JobResult{
-		Status:     d.Status.String(),
-		Bound:      j.req.Bound,
-		FoundAt:    d.FoundAt,
-		DecidedBy:  d.DecidedBy,
-		SessionHit: sessionHit,
-		Iterations: d.Iterations,
+		Iterations: v.Iterations,
+		Conflicts:  v.Conflicts,
+		PeakBytes:  v.PeakBytes,
 	}
 	covered := 0
-	switch d.Status {
-	case sebmc.Reachable:
-		covered = d.FoundAt + 1
-	case sebmc.Unreachable:
-		covered = j.req.Bound + 1
-	}
-	if skipped := covered - d.Iterations; skipped > 0 {
-		out.BoundsSkipped = skipped
-	}
-	if d.Status == sebmc.Reachable {
-		noteWitness(out, d.Witness, d.System)
-	}
-	return out
-}
-
-// fromVerdict converts a library Verdict (the Prove race / interp
-// engine), mapping its bound-independent answers onto the request:
-// SAFE is terminal and carries the replayed invariant certificate;
-// REACHABLE carries the replayed witness; UNREACHABLE that proved less
-// than the requested bound is downgraded to UNKNOWN so a bound-keyed
-// cache entry never overclaims.
-func fromVerdict(v sebmc.Verdict, j *job) *JobResult {
-	if v.Err != nil {
-		return errorResult(j, v.Err, false)
-	}
-	out := &JobResult{
-		Status:    v.Status.String(),
-		Bound:     j.req.Bound,
-		FoundAt:   -1,
-		DecidedBy: v.DecidedBy,
-		Conflicts: v.Conflicts,
-		PeakBytes: v.PeakBytes,
-	}
 	switch v.Status {
 	case sebmc.Safe:
 		out.Terminal = true
 		noteCertificate(out, v.Certificate, v.System)
 	case sebmc.Reachable:
 		out.FoundAt = v.K
+		covered = v.K + 1
 		var w *sebmc.Witness
 		if v.Certificate != nil {
 			w = v.Certificate.Witness
@@ -370,7 +308,12 @@ func fromVerdict(v sebmc.Verdict, j *job) *JobResult {
 	case sebmc.Unreachable:
 		if v.K < j.req.Bound {
 			out.Status = sebmc.Unknown.String()
+		} else {
+			covered = j.req.Bound + 1
 		}
+	}
+	if skipped := covered - v.Iterations; j.req.Deepen && skipped > 0 {
+		out.BoundsSkipped = skipped
 	}
 	return out
 }

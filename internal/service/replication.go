@@ -51,43 +51,98 @@ import (
 	"repro/internal/faultpoint"
 )
 
-// replicaEntry is the wire form of one verdict-cache entry: the full
-// question (the verdict key), the answer, and — on replicate pushes
-// only — the model source, so the receiver can check the content hash
-// and replay the witness. Repair pulls omit the model (the cache does
-// not retain it); they only carry entries whose witnesses were
-// validated at original fill or replicate time.
-type replicaEntry struct {
+// wireKey is the session identity both cluster payloads carry —
+// replicate/repair entries and drain-time migrations — in the text
+// form requests use, plus the model source when one is shipped.
+type wireKey struct {
 	Hash      string `json:"hash"`
-	Bound     int    `json:"bound"`
 	Engine    string `json:"engine"`
 	Semantics string `json:"semantics"`
 	Schedule  string `json:"schedule"`
-	Deepen    bool   `json:"deepen,omitempty"`
 	PG        bool   `json:"pg,omitempty"`
-
-	Status           string `json:"status"`
-	FoundAt          int    `json:"found_at"`
-	DecidedBy        string `json:"decided_by,omitempty"`
-	Witness          string `json:"witness,omitempty"`
-	WitnessValidated bool   `json:"witness_validated,omitempty"`
-	// Terminal SAFE entries ship their invariant certificate; the
-	// receiver replays it by substitution before adopting, exactly as
-	// witnesses are replayed today. A terminal push without a
-	// certificate is rejected — the strongest verdict in the system is
-	// never adopted on a peer's word alone.
-	Terminal             bool   `json:"terminal,omitempty"`
-	Certificate          string `json:"certificate,omitempty"`
-	CertificateValidated bool   `json:"certificate_validated,omitempty"`
-	Iterations           int    `json:"iterations,omitempty"`
-	BoundsSkipped        int    `json:"bounds_skipped,omitempty"`
-	Conflicts            int64  `json:"conflicts,omitempty"`
-	PeakBytes            int    `json:"peak_bytes,omitempty"`
-	ResultBound          int    `json:"result_bound"`
-
 	// Model is the AAG source with the bad literal as output 0 — the
-	// same wire convention /v1/check and /v1/cluster/migrate use.
+	// same wire convention /v1/check submissions use.
 	Model string `json:"model,omitempty"`
+}
+
+func newWireKey(k sessionKey, model string) wireKey {
+	return wireKey{Hash: k.Hash, Engine: k.Engine.String(), Semantics: k.Sem.String(),
+		Schedule: k.Sched.String(), PG: k.PG, Model: model}
+}
+
+// parse reads the identity back through the parsers requests use.
+func (w wireKey) parse() (sessionKey, error) {
+	if w.Hash == "" {
+		return sessionKey{}, fmt.Errorf("service: cluster payload without model hash")
+	}
+	engine, err := sebmc.ParseEngine(w.Engine)
+	if err != nil {
+		return sessionKey{}, err
+	}
+	sem, err := parseSem(w.Semantics)
+	if err != nil {
+		return sessionKey{}, err
+	}
+	sched, err := sebmc.ParseSchedule(w.Schedule)
+	if err != nil {
+		return sessionKey{}, err
+	}
+	return sessionKey{Hash: w.Hash, Engine: engine, Sem: sem, Sched: sched, PG: w.PG}, nil
+}
+
+// load parses the shipped model and re-derives its content hash: a
+// peer's claimed hash is never trusted, because state filed under the
+// wrong hash would answer another model's requests.
+func (w wireKey) load() (*sebmc.System, error) {
+	if w.Model == "" {
+		return nil, fmt.Errorf("service: cluster payload without model source")
+	}
+	sys, err := sebmc.LoadAIGER(strings.NewReader(w.Model), 0)
+	if err != nil {
+		return nil, fmt.Errorf("service: bad shipped model: %w", err)
+	}
+	if got := sebmc.ModelHash(sys); got != w.Hash {
+		return nil, fmt.Errorf("service: shipped model hash %s does not match claimed %s", got, w.Hash)
+	}
+	return sys, nil
+}
+
+// parseSem reads a semantics name ("" is exact).
+func parseSem(s string) (sebmc.Semantics, error) {
+	switch s {
+	case "", "exact":
+		return sebmc.Exact, nil
+	case "atmost":
+		return sebmc.AtMost, nil
+	}
+	return sebmc.Exact, fmt.Errorf("service: unknown semantics %q (want exact or atmost)", s)
+}
+
+// replicaEntry is the wire form of one verdict-cache entry: the full
+// question (the verdict key) and the cached JobResult itself. The
+// record's own "bound" is shadowed by the key's and travels as
+// result_bound. Replicate pushes attach the model source, so the
+// receiver can check the content hash and replay the witness or
+// certificate; repair pulls omit it (the cache does not retain it) and
+// only carry entries whose artifacts were validated at original fill
+// or replicate time.
+type replicaEntry struct {
+	wireKey
+	Bound  int  `json:"bound"`
+	Deepen bool `json:"deepen,omitempty"`
+	JobResult
+	ResultBound int `json:"result_bound"`
+}
+
+func newReplicaEntry(k verdictKey, v JobResult, model string) replicaEntry {
+	return replicaEntry{wireKey: newWireKey(k.sessionKey, model), Bound: k.Bound, Deepen: k.Deepen,
+		JobResult: v, ResultBound: v.Bound}
+}
+
+// entryKey parses the wire entry's question back into a verdict key.
+func (e replicaEntry) entryKey() (verdictKey, error) {
+	sk, err := e.parse()
+	return verdictKey{sessionKey: sk, Bound: e.Bound, Deepen: e.Deepen}, err
 }
 
 // replicatePayload is the POST /v1/cluster/replicate body.
@@ -108,104 +163,12 @@ type repairPayload struct {
 	Truncated bool           `json:"truncated,omitempty"`
 }
 
-func semString(sem sebmc.Semantics) string {
-	if sem == sebmc.AtMost {
-		return "atmost"
-	}
-	return "exact"
-}
-
-func parseSem(s string) (sebmc.Semantics, error) {
-	switch s {
-	case "", "exact":
-		return sebmc.Exact, nil
-	case "atmost":
-		return sebmc.AtMost, nil
-	default:
-		return sebmc.Exact, fmt.Errorf("service: unknown semantics %q", s)
-	}
-}
-
-// wireEntry renders a cache entry for the wire; model may be empty
-// (repair pulls).
-func wireEntry(k verdictKey, v verdict, model string) replicaEntry {
-	return replicaEntry{
-		Hash:                 k.Hash,
-		Bound:                k.Bound,
-		Engine:               k.Engine.String(),
-		Semantics:            semString(k.Sem),
-		Schedule:             k.Sched.String(),
-		Deepen:               k.Deepen,
-		PG:                   k.PG,
-		Status:               v.Status,
-		FoundAt:              v.FoundAt,
-		DecidedBy:            v.DecidedBy,
-		Witness:              v.Witness,
-		WitnessValidated:     v.WitnessValidated,
-		Terminal:             v.Terminal,
-		Certificate:          v.Certificate,
-		CertificateValidated: v.CertificateValidated,
-		Iterations:           v.Iterations,
-		BoundsSkipped:        v.BoundsSkipped,
-		Conflicts:            v.Conflicts,
-		PeakBytes:            v.PeakBytes,
-		ResultBound:          v.Bound,
-		Model:                model,
-	}
-}
-
-// entryKey parses the wire entry's question back into a verdict key.
-func (e replicaEntry) entryKey() (verdictKey, error) {
-	if e.Hash == "" {
-		return verdictKey{}, fmt.Errorf("service: replica entry without model hash")
-	}
-	engine, err := sebmc.ParseEngine(e.Engine)
-	if err != nil {
-		return verdictKey{}, err
-	}
-	sched, err := sebmc.ParseSchedule(e.Schedule)
-	if err != nil {
-		return verdictKey{}, err
-	}
-	sem, err := parseSem(e.Semantics)
-	if err != nil {
-		return verdictKey{}, err
-	}
-	return verdictKey{
-		Hash:   e.Hash,
-		Bound:  e.Bound,
-		Engine: engine,
-		Sem:    sem,
-		Sched:  sched,
-		Deepen: e.Deepen,
-		PG:     e.PG,
-	}, nil
-}
-
-func (e replicaEntry) entryVerdict() verdict {
-	return verdict{
-		Status:               e.Status,
-		FoundAt:              e.FoundAt,
-		DecidedBy:            e.DecidedBy,
-		Witness:              e.Witness,
-		WitnessValidated:     e.WitnessValidated,
-		Terminal:             e.Terminal,
-		Certificate:          e.Certificate,
-		CertificateValidated: e.CertificateValidated,
-		Iterations:           e.Iterations,
-		BoundsSkipped:        e.BoundsSkipped,
-		Conflicts:            e.Conflicts,
-		PeakBytes:            e.PeakBytes,
-		Bound:                e.ResultBound,
-	}
-}
-
 // replTask is one queued write-behind replication: the cache entry
 // plus the parsed system it answers for (serialized to AAG on the
 // worker goroutine, never on the request path).
 type replTask struct {
 	key verdictKey
-	v   verdict
+	v   JobResult
 	sys *sebmc.System
 }
 
@@ -328,7 +291,7 @@ func (r *replicator) sendBatch(batch []replTask) {
 		if err := t.sys.Reduce().Circ.WriteAAG(&aag); err != nil {
 			continue
 		}
-		groups[sh.ID] = append(groups[sh.ID], wireEntry(t.key, t.v, aag.String()))
+		groups[sh.ID] = append(groups[sh.ID], newReplicaEntry(t.key, t.v, aag.String()))
 		targets[sh.ID] = *sh
 	}
 	for id, entries := range groups {
@@ -548,7 +511,7 @@ func (s *Server) replicateFill(j *job, key verdictKey, res *JobResult) {
 	if res.Terminal && res.Certificate == "" {
 		return
 	}
-	cs.repl.enqueue(replTask{key: key, v: newVerdict(res), sys: j.sys})
+	cs.repl.enqueue(replTask{key: key, v: *res, sys: j.sys})
 }
 
 // adoptReplica validates one wire entry and adopts it into the local
@@ -561,23 +524,17 @@ func (s *Server) adoptReplica(e replicaEntry, withModel bool) error {
 	if err != nil {
 		return err
 	}
-	if e.Status != sebmc.Reachable.String() && e.Status != sebmc.Unreachable.String() &&
-		e.Status != sebmc.Safe.String() {
+	v := e.JobResult
+	v.Bound = e.ResultBound
+	if !v.decided() {
 		// Only decided answers are cacheable; UNKNOWN depends on the
 		// sender's budget and ERROR must never be replayed.
 		return fmt.Errorf("service: replica entry with undecided status %q", e.Status)
 	}
-	v := e.entryVerdict()
 	if withModel {
-		if e.Model == "" {
-			return fmt.Errorf("service: replica entry without model source")
-		}
-		sys, err := sebmc.LoadAIGER(strings.NewReader(e.Model), 0)
+		sys, err := e.load()
 		if err != nil {
-			return fmt.Errorf("service: bad replica model: %w", err)
-		}
-		if got := sebmc.ModelHash(sys); got != e.Hash {
-			return fmt.Errorf("service: replica model hash %s does not match claimed %s", got, e.Hash)
+			return err
 		}
 		if e.Status == sebmc.Safe.String() {
 			// A terminal claim short-circuits every future bound for the
@@ -700,7 +657,7 @@ func (s *Server) handleClusterRepair(w http.ResponseWriter, r *http.Request) {
 			out.Truncated = true
 			break
 		}
-		out.Entries = append(out.Entries, wireEntry(e.key, e.v, ""))
+		out.Entries = append(out.Entries, newReplicaEntry(e.key, e.v, ""))
 	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -502,16 +502,16 @@ func TestServiceReplicaAdoptRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := replicaEntry{
-		Hash:        sebmc.ModelHash(sys),
+		wireKey: wireKey{
+			Hash:      sebmc.ModelHash(sys),
+			Engine:    "sat",
+			Semantics: "exact",
+			Schedule:  "linear",
+			Model:     aagSource(t, sys),
+		},
 		Bound:       7, // a key the harvest run did not fill
-		Engine:      "sat",
-		Semantics:   "exact",
-		Schedule:    "linear",
-		Status:      "REACHABLE",
-		FoundAt:     5,
-		Witness:     res.Witness,
+		JobResult:   JobResult{Status: "REACHABLE", FoundAt: 5, Witness: res.Witness},
 		ResultBound: 7,
-		Model:       aagSource(t, sys),
 	}
 	if err := s.adoptReplica(good, true); err != nil {
 		t.Fatalf("valid entry refused: %v", err)
@@ -577,5 +577,54 @@ func TestServiceReplicaAdoptRejects(t *testing.T) {
 	atmost.Witness = am.Witness
 	if err := s.adoptReplica(atmost, true); err != nil {
 		t.Fatalf("at-most witness entry refused: %v", err)
+	}
+}
+
+// TestServiceReplicaWireCompat pins the cluster-internal JSON of a
+// replica entry, so shards of adjacent versions keep replicating to
+// each other during a rolling restart: an entry in the established
+// field layout decodes into the same key and record, and re-encodes
+// with every one of those fields and values intact.
+func TestServiceReplicaWireCompat(t *testing.T) {
+	const wire = `{"hash":"0123abcd","bound":9,"engine":"sat-incr","semantics":"atmost",
+		"schedule":"geometric","deepen":true,"pg":true,"status":"REACHABLE","found_at":7,
+		"decided_by":"sat-incr","witness":"w","witness_validated":true,"terminal":true,
+		"certificate":"c","certificate_validated":true,"iterations":4,"bounds_skipped":4,
+		"conflicts":12,"peak_bytes":345,"result_bound":9,"model":"aag 0 0 0 0 0\n"}`
+	var e replicaEntry
+	if err := json.Unmarshal([]byte(wire), &e); err != nil {
+		t.Fatal(err)
+	}
+	k, err := e.entryKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := verdictKey{sessionKey: sessionKey{Hash: "0123abcd", Engine: sebmc.EngineSATIncr, Sem: sebmc.AtMost,
+		Sched: sebmc.ScheduleGeometric, PG: true}, Bound: 9, Deepen: true}
+	if k != want {
+		t.Fatalf("decoded key %+v, want %+v", k, want)
+	}
+	if e.Status != "REACHABLE" || e.FoundAt != 7 || e.ResultBound != 9 || e.Witness != "w" || !e.WitnessValidated ||
+		e.Certificate != "c" || !e.CertificateValidated || e.Iterations != 4 || e.Conflicts != 12 {
+		t.Fatalf("decoded record %+v", e.JobResult)
+	}
+
+	rec := e.JobResult
+	rec.Bound = e.ResultBound
+	out, err := json.Marshal(newReplicaEntry(k, rec, e.Model))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, old map[string]any
+	if err := json.Unmarshal(out, &got); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(wire), &old); err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range old {
+		if got[name] != v {
+			t.Errorf("field %q: re-encoded as %v, want %v", name, got[name], v)
+		}
 	}
 }

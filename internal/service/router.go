@@ -695,13 +695,8 @@ func (s *Server) clusterBatch(w http.ResponseWriter, r *http.Request, req BatchR
 // and solver internals do not serialize; the prefix is what makes a
 // deepen on the new owner resume instead of restart.
 type migratePayload struct {
-	Hash       string `json:"hash"`
-	Model      string `json:"model"` // AAG, bad literal as output 0
-	Engine     string `json:"engine"`
-	Semantics  string `json:"semantics"` // "exact" or "atmost"
-	Schedule   string `json:"schedule"`
-	PG         bool   `json:"pg,omitempty"`
-	ProvenUpTo int    `json:"proven_up_to"`
+	wireKey
+	ProvenUpTo int `json:"proven_up_to"`
 }
 
 // migrateSessions serializes every clean warm session and hands each
@@ -742,19 +737,7 @@ func (cs *clusterState) sendMigration(ctx context.Context, target cluster.Shard,
 	if err := snap.sys.Reduce().Circ.WriteAAG(&aag); err != nil {
 		return err
 	}
-	sem := "exact"
-	if snap.key.Sem == sebmc.AtMost {
-		sem = "atmost"
-	}
-	payload, err := json.Marshal(migratePayload{
-		Hash:       snap.key.Hash,
-		Model:      aag.String(),
-		Engine:     snap.key.Engine.String(),
-		Semantics:  sem,
-		Schedule:   snap.key.Sched.String(),
-		PG:         snap.key.PG,
-		ProvenUpTo: snap.proven,
-	})
+	payload, err := json.Marshal(migratePayload{wireKey: newWireKey(snap.key, aag.String()), ProvenUpTo: snap.proven})
 	if err != nil {
 		return err
 	}
@@ -820,40 +803,25 @@ func (s *Server) handleClusterMigrate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad migration: %w", err))
 		return
 	}
-	engine, err := sebmc.ParseEngine(p.Engine)
+	key, err := p.parse()
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	sched, err := sebmc.ParseSchedule(p.Schedule)
+	if p.ProvenUpTo < 0 {
+		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: migration without proven prefix"))
+		return
+	}
+	// The session is filed under the hash of this shard's own parse of
+	// the shipped model, checked against the sender's claim: a warm
+	// prefix filed under another model's hash would answer that model's
+	// requests with this one's proofs.
+	sys, err := p.load()
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	sem := sebmc.Exact
-	switch p.Semantics {
-	case "", "exact":
-	case "atmost":
-		sem = sebmc.AtMost
-	default:
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: unknown semantics %q", p.Semantics))
-		return
-	}
-	if p.Hash == "" || p.ProvenUpTo < 0 {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: migration without hash or proven prefix"))
-		return
-	}
-	sys, err := sebmc.LoadAIGER(strings.NewReader(p.Model), 0)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad migrated model: %w", err))
-		return
-	}
-	// The key keeps the SENDER's content hash: future requests for this
-	// model hash their own submitted source, and both derive from the
-	// same parsed circuit, so the warm session must be filed under that
-	// address, not a re-serialization's.
-	key := sessionKey{Hash: p.Hash, Engine: engine, Sem: sem, Sched: sched, PG: p.PG}
-	opts := sebmc.Options{Semantics: sem, Schedule: sched, PlaistedGreenbaum: p.PG}
+	opts := sebmc.Options{Semantics: key.Sem, Schedule: key.Sched, PlaistedGreenbaum: key.PG}
 	adopted := s.sessions.adopt(key, sys, opts, p.ProvenUpTo)
 	if adopted {
 		s.metrics.clusterMigratedIn.Add(1)

@@ -3,10 +3,10 @@
 // requests. Three mechanisms make the server cheaper than re-running
 // the CLI per query:
 //
-//   - a bounded job queue fanned over a fixed worker pool (batch
-//     submissions additionally fan over the library's CheckMany /
-//     DeepenMany work-stealing pool), with cooperative cancellation on
-//     client disconnect, per-request timeout, and explicit cancel;
+//   - a bounded job queue fanned over a fixed worker pool — the one
+//     execution path: a batch submission is just several queued jobs —
+//     with cooperative cancellation on client disconnect, per-request
+//     timeout, and explicit cancel;
 //   - a verdict cache keyed by (model content hash, bound, semantics,
 //     engine, deepen, CNF mode) under an LRU byte budget, accounted the
 //     same honest way as the solvers' ClauseDBBytes/MemBytes;
@@ -15,6 +15,11 @@
 //     resumes the warm solver — learned clauses, hopeless-state cache
 //     and the proven-unreachable prefix carry over — instead of
 //     starting cold.
+//
+// Every answer takes one path from solver to wire: the library's
+// outcome arrives as a sebmc.Verdict, fromVerdict turns it into a
+// JobResult, and that same record is what the verdict cache stores and
+// what replication ships to peers.
 //
 // Shutdown is a graceful drain: new submissions are rejected with 503,
 // queued and in-flight jobs run to completion, then the server stops.
@@ -130,14 +135,13 @@ type Server struct {
 	cluster     atomic.Pointer[clusterState]
 	clusterOnce sync.Once
 
-	mu        sync.Mutex
-	draining  bool
-	queue     chan *job
-	batchJobs int // batch items admitted and not yet finished
-	jobs      map[string]*job
-	order     []string // submission order, for history eviction
-	head      int      // rolling eviction cursor into order
-	nextID    uint64
+	mu       sync.Mutex
+	draining bool
+	queue    chan *job
+	jobs     map[string]*job
+	order    []string // submission order, for history eviction
+	head     int      // rolling eviction cursor into order
+	nextID   uint64
 
 	wg sync.WaitGroup
 }
@@ -244,11 +248,11 @@ func (s *Server) enqueue(j *job) error {
 	return nil
 }
 
-// admit is the admission ladder shared by single submissions and batch
-// items: the (model, engine) circuit breaker answers known-crashy keys
-// immediately (no worker touched), then the memory watermark sheds
-// idle warm sessions LRU-first and rejects only if shedding still
-// leaves retained memory over the line.
+// admit is the admission ladder of single submissions: the (model,
+// engine) circuit breaker answers known-crashy keys immediately (no
+// worker touched), then the memory watermark sheds idle warm sessions
+// LRU-first and rejects only if shedding still leaves retained memory
+// over the line.
 func (s *Server) admit(j *job) error {
 	if err := s.quar.allow(j.quarantineKey()); err != nil {
 		s.metrics.quarantineRejected.Add(1)
@@ -302,9 +306,9 @@ func (s *Server) retryAfterSeconds() int {
 	return secs
 }
 
-// newJob parses and validates a request into a runnable job (without
-// registering it — batch items are run in place, never queued
-// individually).
+// newJob parses and validates a request into a runnable job, without
+// registering it: the cluster router parses first, for the model hash,
+// and registers only what this shard runs.
 func (s *Server) newJob(req CheckRequest) (*job, error) {
 	sys, err := loadModel(req)
 	if err != nil {
@@ -316,13 +320,9 @@ func (s *Server) newJob(req CheckRequest) (*job, error) {
 			return nil, err
 		}
 	}
-	sem := sebmc.Exact
-	switch req.Semantics {
-	case "", "exact":
-	case "atmost":
-		sem = sebmc.AtMost
-	default:
-		return nil, fmt.Errorf("service: unknown semantics %q (want exact or atmost)", req.Semantics)
+	sem, err := parseSem(req.Semantics)
+	if err != nil {
+		return nil, err
 	}
 	sched := s.cfg.DefaultSchedule
 	if req.Schedule != "" {
@@ -468,11 +468,12 @@ func (s *Server) worker() {
 func (s *Server) run(j *job) {
 	j.setState(JobRunning)
 	start := time.Now()
-	res := s.finishContained(j, func() *JobResult { return s.answer(j) })
+	res := s.finishContained(j)
 	elapsed := time.Since(start)
 	res.ElapsedMS = elapsed.Milliseconds()
 	s.metrics.noteElapsed(elapsed)
-	j.finish(res)
+	// Account before publishing: a client that sees the result and then
+	// reads /metrics must find it counted.
 	if res.Status == sebmc.Unknown.String() && j.cancel.Canceled() {
 		if j.timedOut.Load() {
 			s.metrics.timedOut.Add(1)
@@ -481,35 +482,42 @@ func (s *Server) run(j *job) {
 		}
 	}
 	s.metrics.notePeakBytes(int64(s.sessions.Bytes()))
+	j.finish(res)
 }
 
-// finishContained is the worker-side containment boundary: it runs the
-// given answer step and finishResult under a recover, converting any
-// panic that escaped the library's own containment (witness
-// validation, the verdict cache, result conversion) into an ERROR
-// result. The recovered path re-enters finishResult so the error still
-// counts toward metrics and quarantine; ERROR results never touch the
-// cache, so it cannot re-panic the same way.
-func (s *Server) finishContained(j *job, f func() *JobResult) (res *JobResult) {
+// finishContained is the worker-side containment boundary: it runs
+// answer and finishResult under a recover, converting any panic that
+// escaped the library's own containment (witness validation, the
+// verdict cache, result conversion) into an ERROR result. The
+// recovered path re-enters finishResult so the error still counts
+// toward metrics and quarantine; ERROR results never touch the cache,
+// so it cannot re-panic the same way.
+func (s *Server) finishContained(j *job) (res *JobResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			pe := &sebmc.PanicError{Val: r, Stack: debug.Stack()}
 			res = s.finishResult(j, errorResult(j, pe, false))
 		}
 	}()
-	return s.finishResult(j, f())
+	return s.finishResult(j, s.answer(j))
 }
 
 // answer produces the job's raw result, consulting the verdict cache
-// first; finishResult applies the common post-processing.
+// first; finishResult applies the common post-processing. The model's
+// bound-free terminal entry is checked before the bound-keyed one: a
+// terminal SAFE holds at any depth under either semantics, so the
+// requested bound, engine and schedule are all advisory — the answer
+// is an O(lookup) cache hit whatever was asked.
 func (s *Server) answer(j *job) *JobResult {
-	if res := s.terminalHit(j); res != nil {
-		return res
+	res, ok := s.cache.get(terminalKey(j.hash))
+	if ok {
+		s.metrics.terminalHits.Add(1)
+		res.Bound = j.req.Bound // the entry is bound-free; answer what was asked
+	} else {
+		res, ok = s.cache.get(j.key())
 	}
-	if v, ok := s.cache.get(j.key()); ok {
+	if ok {
 		s.metrics.cacheHits.Add(1)
-		res := v.result()
-		res.Cached = true
 		return res
 	}
 	s.metrics.cacheMisses.Add(1)
@@ -526,36 +534,19 @@ func (s *Server) answer(j *job) *JobResult {
 		})
 		defer t.Stop()
 	}
-	return s.solve(j)
-}
-
-// terminalHit answers a job from the model's bound-free terminal cache
-// entry, if one exists. Checked before the bound-keyed lookup on every
-// path: a terminal SAFE holds at any depth under either semantics, so
-// the requested bound, engine and schedule are all advisory — the
-// answer is an O(lookup) cache hit whatever was asked.
-func (s *Server) terminalHit(j *job) *JobResult {
-	v, ok := s.cache.get(terminalKey(j.hash))
-	if !ok {
-		return nil
-	}
-	s.metrics.cacheHits.Add(1)
-	s.metrics.terminalHits.Add(1)
-	res := v.result()
-	res.Bound = j.req.Bound // the entry is bound-free; answer what was asked
-	res.Cached = true
-	return res
+	v, hit := s.solve(j)
+	return fromVerdict(v, j, hit)
 }
 
 // finishResult is the single post-processing path every answered job —
-// single or batch item, computed or cached — goes through: count
-// internal errors and recovered panics, fill the verdict cache (clean
-// decided, freshly computed answers only; UNKNOWN depends on the
-// request's budget, not the question, and ERROR or a failed witness
-// replay must never be replayed from cache), feed the circuit breaker,
-// bump the completion metrics, and strip the witness the requester did
-// not ask for. Stripping happens after caching, so the cache keeps the
-// trace for later requesters who do want it.
+// computed or cached — goes through: count internal errors and
+// recovered panics, fill the verdict cache (clean decided, freshly
+// computed answers only; UNKNOWN depends on the request's budget, not
+// the question, and ERROR or a failed witness replay must never be
+// replayed from cache), feed the circuit breaker, bump the completion
+// metrics, and strip the witness the requester did not ask for.
+// Stripping happens after caching, so the cache keeps the trace for
+// later requesters who do want it.
 func (s *Server) finishResult(j *job, res *JobResult) *JobResult {
 	if res.errored() {
 		s.metrics.internalErrors.Add(1)
@@ -572,7 +563,7 @@ func (s *Server) finishResult(j *job, res *JobResult) *JobResult {
 			if res.Terminal {
 				key = terminalKey(j.hash)
 			}
-			s.cache.put(key, newVerdict(res))
+			s.cache.put(key, *res)
 			// Write-behind replicate the fresh fill to the key's first
 			// failover shard (no-op standalone). A non-blocking enqueue:
 			// replication must never add latency to the request path.
@@ -598,9 +589,10 @@ func (s *Server) finishResult(j *job, res *JobResult) *JobResult {
 	return res
 }
 
-// solve runs the actual check: on a warm session for the incremental
-// engines, cold otherwise.
-func (s *Server) solve(j *job) *JobResult {
+// solve runs the actual check and reports its verdict, plus whether it
+// ran on a pre-existing warm session: the incremental engines run on
+// the session pool, everything else cold.
+func (s *Server) solve(j *job) (sebmc.Verdict, bool) {
 	opts := sebmc.Options{
 		Semantics:         j.sem,
 		Schedule:          j.sched,
@@ -616,16 +608,15 @@ func (s *Server) solve(j *job) *JobResult {
 	if j.req.Prove || j.engine == sebmc.EngineInterp {
 		opts.Cancel = j.cancel
 		if j.req.Prove {
-			return fromVerdict(sebmc.Prove(j.sys, j.req.Bound, opts), j)
+			return sebmc.Prove(j.sys, j.req.Bound, opts), false
 		}
-		return fromVerdict(sebmc.ProveInterp(j.sys, j.req.Bound, opts), j)
+		return sebmc.ProveInterp(j.sys, j.req.Bound, opts), false
 	}
 	if sess, hit := s.sessions.acquire(j, opts); sess != nil {
 		// A session that recovered a panic is poisoned: its solver state
 		// is untrusted, so it is discarded from the pool — bytes
 		// released, never handed to another request — instead of being
-		// checked back in. Deferred so a panic unwinding through the
-		// conversion path still returns the checkout.
+		// checked back in.
 		defer func() {
 			if sess.Poisoned() {
 				s.sessions.discard(j)
@@ -639,79 +630,13 @@ func (s *Server) solve(j *job) *JobResult {
 			s.metrics.sessionMisses.Add(1)
 		}
 		if j.req.Deepen {
-			return fromDeepen(sess.DeepenWith(j.req.Bound, j.cancel), j, hit)
+			return sebmc.VerdictOfDeepen(sess.DeepenWith(j.req.Bound, j.cancel), j.req.Bound), hit
 		}
-		return fromResult(sess.CheckWith(j.req.Bound, j.cancel), j, hit)
+		return sebmc.VerdictOf(sess.CheckWith(j.req.Bound, j.cancel)), hit
 	}
 	opts.Cancel = j.cancel
 	if j.req.Deepen {
-		return fromDeepen(sebmc.Deepen(j.sys, j.req.Bound, j.engine, opts), j, false)
+		return sebmc.VerdictOfDeepen(sebmc.Deepen(j.sys, j.req.Bound, j.engine, opts), j.req.Bound), false
 	}
-	return fromResult(sebmc.Check(j.sys, j.req.Bound, j.engine, opts), j, false)
-}
-
-// runBatch answers a whole batch: cached items immediately, the misses
-// fanned over the library's CheckMany/DeepenMany work-stealing pool.
-// Batch items bypass the session pool — a batch is a one-shot sweep,
-// and its items would otherwise serialize on per-model session locks.
-func (s *Server) runBatch(items []*job) []*JobResult {
-	out := make([]*JobResult, len(items))
-	var missIdx []int
-	var libJobs []sebmc.Job
-	for i, j := range items {
-		// Quarantined keys are answered per item — the rest of the batch
-		// still runs. The breaker is not re-taught here: a quarantine
-		// rejection is a symptom, not a new strike.
-		if err := s.quar.allow(j.quarantineKey()); err != nil {
-			s.metrics.quarantineRejected.Add(1)
-			out[i] = &JobResult{Status: StatusError, Bound: j.req.Bound, FoundAt: -1, Error: err.Error()}
-			s.metrics.completed.Add(1)
-			continue
-		}
-		if res := s.terminalHit(j); res != nil {
-			out[i] = s.finishResult(j, res)
-			continue
-		}
-		if v, ok := s.cache.get(j.key()); ok {
-			s.metrics.cacheHits.Add(1)
-			res := v.result()
-			res.Cached = true
-			out[i] = s.finishResult(j, res)
-			continue
-		}
-		s.metrics.cacheMisses.Add(1)
-		missIdx = append(missIdx, i)
-		libJobs = append(libJobs, sebmc.Job{
-			Sys:    j.sys,
-			K:      j.req.Bound,
-			Engine: j.engine,
-			Opts: sebmc.Options{
-				Semantics:         j.sem,
-				Schedule:          j.sched,
-				PlaistedGreenbaum: j.req.PlaistedGreenbaum,
-				Timeout:           j.timeout,
-				Cancel:            j.cancel,
-			},
-		})
-	}
-	if len(libJobs) > 0 {
-		// The library pool contains solver panics itself (they come back
-		// as Result.Err); finishContained additionally guards the
-		// conversion and caching of each item, so one poisoned result
-		// cannot take down the whole batch's goroutine.
-		if items[0].req.Deepen {
-			for bi, d := range sebmc.DeepenMany(libJobs, s.cfg.Workers) {
-				i := missIdx[bi]
-				d := d
-				out[i] = s.finishContained(items[i], func() *JobResult { return fromDeepen(d, items[i], false) })
-			}
-		} else {
-			for bi, r := range sebmc.CheckMany(libJobs, s.cfg.Workers) {
-				i := missIdx[bi]
-				r := r
-				out[i] = s.finishContained(items[i], func() *JobResult { return fromResult(r, items[i], false) })
-			}
-		}
-	}
-	return out
+	return sebmc.VerdictOf(sebmc.Check(j.sys, j.req.Bound, j.engine, opts)), false
 }

@@ -475,6 +475,82 @@ func TestServiceBatch(t *testing.T) {
 	}
 }
 
+// TestServiceBatchItemTimeout: batch items are ordinary jobs, each with
+// its own cancel flag derived from the batch's, so one item running
+// out of its timeout_ms stops that item alone. The single worker runs
+// the timing-out item first; its siblings still run afterwards and
+// answer exactly as they would on their own.
+func TestServiceBatchItemTimeout(t *testing.T) {
+	_, url := newTestServer(t, Config{Workers: 1})
+	batch := BatchRequest{Jobs: []CheckRequest{
+		{Model: aagSource(t, circuits.ParityGuard(10)), Format: "aag", Bound: 8, Engine: "jsat", TimeoutMS: 50},
+		{Model: cexMSL, Bound: 5, Engine: "sat", Witness: true},
+		{Model: safeMSL, Bound: 5, Engine: "sat"},
+	}}
+	var resp BatchResponse
+	if code := postJSON(t, url+"/v1/batch", batch, &resp); code != http.StatusOK {
+		t.Fatalf("batch: HTTP %d", code)
+	}
+	want := []string{"UNKNOWN", "REACHABLE", "UNREACHABLE"}
+	for i, r := range resp.Results {
+		if r.Status != want[i] {
+			t.Fatalf("batch item %d: %s, want %s", i, r.Status, want[i])
+		}
+	}
+	if !resp.Results[1].WitnessValidated {
+		t.Fatal("sibling of the timed-out item lost its replayed witness")
+	}
+	var m MetricsSnapshot
+	getJSON(t, url+"/metrics", &m)
+	if m.TimedOut != 1 || m.Cancelled != 0 {
+		t.Fatalf("timeout accounting: timed_out=%d cancelled=%d, want 1/0", m.TimedOut, m.Cancelled)
+	}
+}
+
+// TestServiceBatchDisconnectCancels: a client going away mid-batch
+// cancels every item — the running one and those still queued behind
+// it — so the worker comes free, every item is accounted as cancelled,
+// and (through the cleanup's settle) no goroutine outlives the batch.
+func TestServiceBatchDisconnectCancels(t *testing.T) {
+	s, url := newTestServer(t, Config{Workers: 1})
+	src := aagSource(t, circuits.ParityGuard(10))
+	const items = 4
+	batch := BatchRequest{}
+	for i := 0; i < items; i++ {
+		batch.Jobs = append(batch.Jobs, CheckRequest{Model: src, Format: "aag", Bound: 8, Engine: "jsat"})
+	}
+	body, _ := json.Marshal(batch)
+	ctx, cancel := context.WithCancel(context.Background())
+	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/batch", strings.NewReader(string(body)))
+	req.Header.Set("Content-Type", "application/json")
+	errc := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		errc <- err
+	}()
+
+	waitFor(t, "the first item to start", func() bool {
+		m := s.Metrics()
+		return m.Submitted == items && m.QueueDepth == items-1
+	})
+	cancel()
+	if err := <-errc; err == nil {
+		t.Fatal("expected the aborted batch request to error")
+	}
+	waitFor(t, "every item to be cancelled", func() bool { return s.Metrics().Cancelled == items })
+	if m := s.Metrics(); m.Completed != items || m.TimedOut != 0 {
+		t.Fatalf("disconnect accounting: completed=%d timed_out=%d, want %d/0", m.Completed, m.TimedOut, items)
+	}
+
+	// The worker is free again: the next job completes.
+	if r := checkWait(t, url, CheckRequest{Model: cexMSL, Bound: 5, Engine: "sat"}); r.Status != "REACHABLE" {
+		t.Fatalf("job after the cancelled batch: %s, want REACHABLE", r.Status)
+	}
+}
+
 // TestServiceCancelRunningJob pins cooperative cancellation through the
 // HTTP layer: ParityGuard's fan-out makes jSAT effectively
 // non-terminating at this bound, so only a working DELETE -> CancelFlag

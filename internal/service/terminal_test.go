@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	sebmc "repro"
+	"repro/internal/circuits"
+	"repro/internal/faultpoint"
 	"repro/internal/interp"
 )
 
@@ -112,6 +114,36 @@ func TestServiceProveFlag(t *testing.T) {
 	}
 }
 
+// TestServiceProvePanicContained: a solver panic inside the prove race
+// — both arms panicking, so neither decides — is answered ERROR,
+// counted in panics_recovered and toward the breaker, and the process
+// keeps answering afterwards.
+func TestServiceProvePanicContained(t *testing.T) {
+	defer faultpoint.Reset()
+	s, url := newTestServer(t, Config{Workers: 1})
+	src := aagSource(t, circuits.Johnson(6, 5))
+
+	faultpoint.Arm("sat.propagate", faultpoint.Schedule{Kind: faultpoint.KindPanic, On: 1, Repeat: true})
+	r := checkWait(t, url, CheckRequest{Model: src, Format: "aag", Bound: 16, Prove: true})
+	if r.Status != StatusError || r.Error == "" {
+		t.Fatalf("prove with every propagation panicking: %s (%q), want ERROR", r.Status, r.Error)
+	}
+	m := s.Metrics()
+	if m.PanicsRecovered != 1 || m.InternalErrors != 1 {
+		t.Fatalf("panics_recovered=%d internal_errors=%d, want 1/1", m.PanicsRecovered, m.InternalErrors)
+	}
+
+	faultpoint.Reset()
+	r = checkWait(t, url, CheckRequest{Model: src, Format: "aag", Bound: 16, Prove: true})
+	want := "REACHABLE"
+	if sebmc.ShortestCounterexample(circuits.Johnson(6, 5)) < 0 {
+		want = "SAFE"
+	}
+	if r.Status != want {
+		t.Fatalf("prove after the panic: %s (%q), want %s", r.Status, r.Error, want)
+	}
+}
+
 // TestServiceTerminalAdoptGauntlet drives adoptReplica through the
 // terminal cases: a valid certificate adopts, and every flavor of
 // unverifiable terminal claim — tampered, missing, wrong-kind,
@@ -133,17 +165,16 @@ func TestServiceTerminalAdoptGauntlet(t *testing.T) {
 
 	entry := func() replicaEntry {
 		return replicaEntry{
-			Hash:        hash,
+			wireKey: wireKey{
+				Hash:      hash,
+				Engine:    "interp",
+				Schedule:  "linear",
+				Semantics: "exact",
+				Model:     aag,
+			},
 			Bound:       -1,
-			Engine:      "interp",
-			Schedule:    "linear",
-			Semantics:   "exact",
-			Status:      "SAFE",
-			FoundAt:     -1,
-			Terminal:    true,
-			Certificate: cert.String(),
+			JobResult:   JobResult{Status: "SAFE", FoundAt: -1, Terminal: true, Certificate: cert.String()},
 			ResultBound: 4,
-			Model:       aag,
 		}
 	}
 

@@ -74,7 +74,6 @@ import (
 	"repro/internal/aig"
 	"repro/internal/bmc"
 	"repro/internal/explicit"
-	"repro/internal/induction"
 	"repro/internal/interp"
 	"repro/internal/jsat"
 	"repro/internal/model"
@@ -454,36 +453,6 @@ func deepenSingle(sys *System, maxBound int, engine Engine, opts Options) Deepen
 	}
 	check := func(m *System, k int) Result { return Check(m, k, engine, opts) }
 	return bmc.DeepenLinear(sys, maxBound, check)
-}
-
-// ProveResult is the legacy k-induction result shape.
-//
-// Deprecated: Prove now returns the unified Verdict. ProveKInduction
-// keeps the old contract for callers that want the raw induction arm.
-type ProveResult = induction.Result
-
-// Unbounded proof outcomes of the legacy k-induction surface.
-//
-// / Deprecated: compare Verdict.Status against Safe / Reachable instead.
-const (
-	Proved    = induction.Proved
-	Falsified = induction.Falsified
-	// ProofUnknown is the inconclusive outcome of ProveKInduction
-	// (distinct from the bounded-check Unknown, a different type).
-	ProofUnknown = induction.Unknown
-)
-
-// ProveKInduction attempts a full safety proof by k-induction with the
-// simple-path constraint, deepening k up to maxK — the bound-sufficiency
-// technique the paper's introduction positions BMC against.
-//
-// / Deprecated: use Prove, which races k-induction against interpolation
-// and returns a Verdict with a replayable certificate.
-func ProveKInduction(sys *System, maxK int, opts Options) ProveResult {
-	return induction.Prove(sys, maxK, induction.Options{
-		Mode: opts.mode(),
-		SAT:  sat.Options{ConflictBudget: opts.ConflictBudget, Deadline: opts.deadline(), Cancel: opts.Cancel},
-	})
 }
 
 // LoadMSL elaborates a Model Specification Language source text.

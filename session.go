@@ -159,28 +159,6 @@ func (s *Session) Poisoned() bool {
 	return s.poisoned
 }
 
-// containLocked is the deferred recover of CheckWith: a panic anywhere
-// in the warm solver becomes a PanicError result and marks the session
-// poisoned. It runs before noteMemLocked and the unlock (LIFO), so the
-// mark is made while the lock is still held and the memory hint never
-// reads a half-unwound solver.
-func (s *Session) containLocked(res *Result, k int) {
-	if v := recover(); v != nil {
-		s.poisoned = true
-		*res = Result{Status: Unknown, K: k, DecidedBy: s.engine.String(),
-			Err: &PanicError{Val: v, Stack: stackTrace()}}
-	}
-}
-
-// containDeepenLocked is containLocked for DeepenWith.
-func (s *Session) containDeepenLocked(res *DeepenResult) {
-	if v := recover(); v != nil {
-		s.poisoned = true
-		*res = DeepenResult{Status: Unknown, FoundAt: -1, DecidedBy: s.engine.String(),
-			Err: &PanicError{Val: v, Stack: stackTrace()}}
-	}
-}
-
 // noteMemLocked refreshes the lock-free footprint hint. Callers hold
 // s.mu.
 func (s *Session) noteMemLocked() {
@@ -274,7 +252,14 @@ func (s *Session) CheckWith(k int, c *CancelFlag) (res Result) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.noteMemLocked()
-	defer s.containLocked(&res, k)
+	// A panic anywhere in the warm solver becomes a PanicError result
+	// and poisons the session. The recover runs before noteMemLocked and
+	// the unlock (LIFO), so the mark is made while the lock is still
+	// held and the memory hint never reads a half-unwound solver.
+	defer contain(&res, func(pe *PanicError) Result {
+		s.poisoned = true
+		return Result{Status: Unknown, K: k, DecidedBy: s.engine.String(), Err: pe}
+	})
 	if s.poisoned {
 		return Result{Status: Unknown, K: k, DecidedBy: s.engine.String(), Err: ErrSessionPoisoned}
 	}
@@ -306,7 +291,10 @@ func (s *Session) DeepenWith(maxBound int, c *CancelFlag) (out DeepenResult) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.noteMemLocked()
-	defer s.containDeepenLocked(&out)
+	defer contain(&out, func(pe *PanicError) DeepenResult {
+		s.poisoned = true
+		return DeepenResult{Status: Unknown, FoundAt: -1, DecidedBy: s.engine.String(), Err: pe}
+	})
 	if s.poisoned {
 		return DeepenResult{Status: Unknown, FoundAt: -1, DecidedBy: s.engine.String(), Err: ErrSessionPoisoned}
 	}

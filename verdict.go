@@ -3,12 +3,11 @@ package sebmc
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/bmc"
-	"repro/internal/cancel"
 	"repro/internal/induction"
 	"repro/internal/interp"
+	"repro/internal/portfolio"
 	"repro/internal/sat"
 )
 
@@ -132,9 +131,10 @@ func (c *Certificate) Validate(sys *System) error {
 
 // Verdict is the unified result shape of the redesigned API: every
 // checking surface — bounded Check, iterative Deepen, unbounded Prove —
-// reduces to one of these. Result, DeepenResult and ProveResult remain
-// as thin aliases for existing callers; new code should consume
-// Verdicts.
+// reduces to one of these. Prove returns it directly; Check and Deepen
+// still return Result and DeepenResult, which VerdictOf and
+// VerdictOfDeepen lift into this shape. The bmcd service consumes
+// nothing else.
 type Verdict struct {
 	Status Status
 	// K is the bound the status is relative to: the counterexample
@@ -157,6 +157,9 @@ type Verdict struct {
 	DecidedBy string
 	Conflicts int64
 	PeakBytes int
+	// Iterations counts the solver invocations of a deepening run (0
+	// for single checks and proofs).
+	Iterations int
 	// Err reports an internal failure; Status is Unknown when set.
 	Err error
 }
@@ -179,14 +182,20 @@ func VerdictOf(r Result) Verdict {
 	return v
 }
 
-// VerdictOfDeepen lifts a DeepenResult into the unified shape.
-func VerdictOfDeepen(d DeepenResult) Verdict {
+// VerdictOfDeepen lifts a DeepenResult of a run up to maxBound into
+// the unified shape: K is the counterexample depth when Reachable and
+// maxBound when Unreachable (every bound up to it was refuted).
+func VerdictOfDeepen(d DeepenResult, maxBound int) Verdict {
 	v := Verdict{
-		Status:    d.Status,
-		K:         d.FoundAt,
-		System:    d.System,
-		DecidedBy: d.DecidedBy,
-		Err:       d.Err,
+		Status:     d.Status,
+		K:          d.FoundAt,
+		System:     d.System,
+		DecidedBy:  d.DecidedBy,
+		Iterations: d.Iterations,
+		Err:        d.Err,
+	}
+	if d.Status == Unreachable {
+		v.K = maxBound
 	}
 	if d.Witness != nil {
 		v.Certificate = &Certificate{Kind: CertWitness, Witness: d.Witness}
@@ -196,8 +205,9 @@ func VerdictOfDeepen(d DeepenResult) Verdict {
 
 // Prove attempts to settle the model at every bound: it races the
 // interpolation engine (EngineInterp) against k-induction with the
-// simple-path constraint, first decisive answer wins. maxK caps the
-// induction depth and the interpolation window (0 means the defaults).
+// simple-path constraint on portfolio.Race, first decisive answer
+// wins. maxK caps the induction depth and the interpolation window (0
+// means the defaults).
 //
 // Outcomes:
 //   - Safe (Terminal): no bad state is reachable at any depth. From the
@@ -207,57 +217,32 @@ func VerdictOfDeepen(d DeepenResult) Verdict {
 //   - Reachable: a counterexample exists at depth K; the certificate is
 //     its witness.
 //   - Unreachable: inconclusive, but no counterexample within K steps.
-//   - Unknown: nothing established.
+//   - Unknown: nothing established. Err is set when an arm panicked
+//     and the other did not decide either.
 func Prove(sys *System, maxK int, opts Options) Verdict {
-	type outcome struct {
-		v    Verdict
-		name string
+	arms := []struct {
+		name  string
+		prove func(*System, int, Options, *CancelFlag) Verdict
+	}{{"interp", proveInterp}, {"induction", proveInduction}}
+	// Race joins every arm before it returns, so when neither decides
+	// both answers are here to pick the fallback from.
+	got := make([]Verdict, len(arms))
+	tasks := make([]portfolio.Task[Verdict], len(arms))
+	for i, a := range arms {
+		tasks[i] = portfolio.Task[Verdict]{Name: a.name, Run: func(c *CancelFlag) Verdict {
+			got[i] = a.prove(sys, maxK, opts, c)
+			got[i].DecidedBy = a.name
+			return got[i]
+		}}
 	}
-	parent := opts.Cancel
-	interpFlag := cancel.Derived(parent)
-	indFlag := cancel.Derived(parent)
-
-	run := func(f func() Verdict, name string, ch chan<- outcome) {
-		ch <- outcome{v: f(), name: name}
+	out := portfolio.Race(opts.Cancel, func(v Verdict) bool { return v.Status == Safe || v.Status == Reachable }, tasks)
+	if out.Winner >= 0 {
+		return out.Value
 	}
-	ch := make(chan outcome, 2)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		run(func() Verdict { return proveInterp(sys, maxK, opts, interpFlag) }, "interp", ch)
-	}()
-	go func() {
-		defer wg.Done()
-		run(func() Verdict { return proveInduction(sys, maxK, opts, indFlag) }, "induction", ch)
-	}()
-
-	decisive := func(v Verdict) bool {
-		return v.Status == Safe || v.Status == Reachable
+	if moreInformative(got[1], got[0]) {
+		return got[1]
 	}
-	var best Verdict
-	haveBest := false
-	for i := 0; i < 2; i++ {
-		o := <-ch
-		o.v.DecidedBy = o.name
-		if decisive(o.v) {
-			// Stop the loser and drain it so no goroutine leaks.
-			interpFlag.Set()
-			indFlag.Set()
-			go func() { wg.Wait(); close(ch) }()
-			for range ch {
-			}
-			return o.v
-		}
-		// Keep the most informative indecisive answer: Unreachable
-		// beats Unknown, deeper beats shallower.
-		if !haveBest || moreInformative(o.v, best) {
-			best = o.v
-			haveBest = true
-		}
-	}
-	close(ch)
-	return best
+	return got[0]
 }
 
 // ProveInterp runs only the interpolation arm of Prove. Unlike the
@@ -270,17 +255,25 @@ func ProveInterp(sys *System, maxK int, opts Options) Verdict {
 	return v
 }
 
-// moreInformative orders indecisive verdicts: Unreachable over Unknown,
-// then by proven depth.
+// moreInformative orders indecisive verdicts: an internal failure
+// first (a panicked arm must surface, not hide behind the other arm's
+// Unknown), then Unreachable over Unknown, then by proven depth.
 func moreInformative(a, b Verdict) bool {
+	if (a.Err != nil) != (b.Err != nil) {
+		return a.Err != nil
+	}
 	if (a.Status == Unreachable) != (b.Status == Unreachable) {
 		return a.Status == Unreachable
 	}
 	return a.K > b.K
 }
 
-// proveInterp runs the interpolation arm.
-func proveInterp(sys *System, maxK int, opts Options, flag *CancelFlag) Verdict {
+// proveInterp runs the interpolation arm. Like every race arm it is
+// contained: it runs on its own goroutine, where an escaped panic would
+// kill the process, so a panic becomes an indecisive Err verdict that
+// can never win.
+func proveInterp(sys *System, maxK int, opts Options, flag *CancelFlag) (v Verdict) {
+	defer contain(&v, failedVerdict)
 	iopts := interp.Options{
 		Mode: opts.mode(),
 		SAT:  sat.Options{ConflictBudget: opts.ConflictBudget, Deadline: opts.deadline(), Cancel: flag},
@@ -289,7 +282,7 @@ func proveInterp(sys *System, maxK int, opts Options, flag *CancelFlag) Verdict 
 		iopts.MaxWindow = maxK
 	}
 	ir := interp.Solve(sys, iopts)
-	v := Verdict{
+	v = Verdict{
 		Status:    ir.Status,
 		K:         ir.K,
 		Terminal:  ir.Status == Safe,
@@ -306,8 +299,9 @@ func proveInterp(sys *System, maxK int, opts Options, flag *CancelFlag) Verdict 
 	return v
 }
 
-// proveInduction runs the k-induction arm.
-func proveInduction(sys *System, maxK int, opts Options, flag *CancelFlag) Verdict {
+// proveInduction runs the k-induction arm, contained like proveInterp.
+func proveInduction(sys *System, maxK int, opts Options, flag *CancelFlag) (v Verdict) {
+	defer contain(&v, failedVerdict)
 	if maxK <= 0 {
 		maxK = 64
 	}
@@ -315,7 +309,7 @@ func proveInduction(sys *System, maxK int, opts Options, flag *CancelFlag) Verdi
 		Mode: opts.mode(),
 		SAT:  sat.Options{ConflictBudget: opts.ConflictBudget, Deadline: opts.deadline(), Cancel: flag},
 	})
-	v := Verdict{K: pr.K, System: pr.System}
+	v = Verdict{K: pr.K, System: pr.System}
 	switch pr.Status {
 	case induction.Proved:
 		v.Status = Safe
