@@ -10,22 +10,22 @@
 //	     [-schedule linear|geometric] [-max-timeout-ms 0]
 //	     [-mem-high-water-mb 0] [-quarantine 3] [-quarantine-ttl 30s]
 //	     [-cluster-self URL -cluster-shards URL,URL,...]
-//	     [-cluster-mode proxy|redirect] [-gossip-interval 1s]
-//	     [-replicate=true]
+//	     [-gossip-interval 1s]
 //
 // Cluster mode: give every shard the same -cluster-shards list (its own
 // advertised URL included) and its own -cluster-self. Each model then
 // has exactly one owning shard (rendezvous hashing on the model's
 // content hash); a shard receiving a request it does not own proxies it
-// to the owner (default) or answers 307 (-cluster-mode redirect), so
-// clients may talk to any shard. Shards gossip health over
-// GET /v1/cluster/health and shed traffic around draining or saturated
-// peers; a SIGTERM drain migrates warm session state to the surviving
-// shards. Fresh verdicts replicate write-behind to the key's failover
-// shard (park as hints while it is down, anti-entropy repair closes any
-// remaining gaps), so a kill -9 of the owner still gets warm answers
-// from the survivor; -replicate=false turns all of that off. See the
-// README's "Running a cluster" and "Failure and recovery" sections.
+// to the owner, so clients may talk to any shard. Shards gossip health
+// over GET /v1/cluster/health and shed traffic around draining or
+// saturated peers. Fresh verdicts replicate write-behind to the key's
+// failover shard (park as hints while it is down, anti-entropy repair
+// closes any remaining gaps), so a kill -9 of the owner still gets warm
+// answers from the survivor. Replication is also how a SIGTERM drain
+// hands warm state over: the drain flushes the replication queue, and
+// the next owner resumes each key's proven prefix from the replicated
+// deepen verdicts. See the README's "Running a cluster" and "Failure
+// and recovery" sections.
 //
 // The BMCD_FAULTPOINTS environment variable arms fault-injection sites
 // for chaos drills (e.g. "sat.propagate=panic@3"); see
@@ -87,9 +87,7 @@ func main() {
 
 		clusterSelf   = flag.String("cluster-self", "", "this shard's advertised base URL (must appear in -cluster-shards); empty = standalone")
 		clusterShards = flag.String("cluster-shards", "", "comma-separated shard base URLs, this shard included; identical on every shard")
-		clusterMode   = flag.String("cluster-mode", "proxy", "how non-owned requests reach their owner: proxy or redirect")
 		gossipEvery   = flag.Duration("gossip-interval", time.Second, "peer health poll period")
-		replicate     = flag.Bool("replicate", true, "replicate fresh verdicts to the failover shard (hinted handoff + anti-entropy repair)")
 	)
 	flag.Parse()
 
@@ -139,16 +137,14 @@ func main() {
 			log.Fatal("bmcd: -cluster-shards requires -cluster-self")
 		}
 		cc := service.ClusterConfig{
-			Self:               *clusterSelf,
-			Shards:             strings.Split(*clusterShards, ","),
-			Mode:               *clusterMode,
-			GossipInterval:     *gossipEvery,
-			DisableReplication: !*replicate,
+			Self:           *clusterSelf,
+			Shards:         strings.Split(*clusterShards, ","),
+			GossipInterval: *gossipEvery,
 		}
 		if err := srv.JoinCluster(cc); err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("bmcd: cluster shard %s of %d (%s mode)", *clusterSelf, len(cc.Shards), *clusterMode)
+		log.Printf("bmcd: cluster shard %s of %d", *clusterSelf, len(cc.Shards))
 	} else if *clusterSelf != "" {
 		log.Fatal("bmcd: -cluster-self requires -cluster-shards")
 	}

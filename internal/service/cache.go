@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"sync"
 
+	sebmc "repro"
 	"repro/internal/cluster"
 	"repro/internal/faultpoint"
 )
@@ -165,6 +166,32 @@ func (c *verdictCache) has(k verdictKey) bool {
 	defer c.mu.Unlock()
 	_, ok := c.entries[k]
 	return ok
+}
+
+// provenBelow returns the largest bound b below bound at which the
+// cache holds a deepen UNREACHABLE under the session key sk — bounds
+// 0..b all proven unreachable for that session identity — or -1. A
+// plain check never counts: under exact semantics its UNREACHABLE
+// proves its own bound, not a prefix. The walk takes one lookup per
+// bound, each under its own lock hold because the client chooses the
+// walk's length, and promotes nothing: seeding a session is not a use
+// of the entry. A cancelled job stops the walk, so a hostile bound
+// cannot outlive its budget here either.
+func (c *verdictCache) provenBelow(sk sessionKey, bound int, cancel *sebmc.CancelFlag) int {
+	if c.budget < 0 {
+		return -1
+	}
+	unreachable := sebmc.Unreachable.String()
+	for b := bound - 1; b >= 0 && !cancel.Canceled(); b-- {
+		c.mu.Lock()
+		el, ok := c.entries[verdictKey{sessionKey: sk, Bound: b, Deepen: true}]
+		proven := ok && el.Value.(*cacheEntry).v.Status == unreachable
+		c.mu.Unlock()
+		if proven {
+			return b
+		}
+	}
+	return -1
 }
 
 // get returns a copy of the cached record, marked Cached, for the

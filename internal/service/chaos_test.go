@@ -124,9 +124,9 @@ func chaosVerify(t *testing.T, req CheckRequest, code int, res *JobResult, exact
 // rejections now happen on both sides of a proxy hop — and a bounced
 // forward must shed to a shard that still answers correctly, never
 // relay a corrupt verdict. A mid-storm drain of one shard rides along
-// (warm sessions migrate while faults are still armed), and the
-// cluster cleanup asserts the usual zero-leak settle across gossip
-// loops, proxy transports, and migration.
+// (its replication queue flushes while faults are still armed), and
+// the cluster cleanup asserts the usual zero-leak settle across gossip
+// loops, proxy transports, and the replication worker.
 func TestServiceChaosClustered(t *testing.T) {
 	defer faultpoint.Reset()
 	seed := time.Now().UnixNano()
@@ -151,7 +151,7 @@ func TestServiceChaosClustered(t *testing.T) {
 		}
 	}
 
-	servers, urls := newTestCluster(t, 2, ModeProxy, Config{
+	servers, urls := newTestCluster(t, 2, Config{
 		Workers:             2,
 		QueueDepth:          128,
 		QuarantineThreshold: 4,
@@ -237,9 +237,9 @@ func TestServiceChaosClustered(t *testing.T) {
 	if code := getJSON(t, urls[0]+"/healthz", &hb); code != http.StatusOK || hb.Status != "ok" {
 		t.Errorf("survivor healthz after clustered chaos: HTTP %d %q", code, hb.Status)
 	}
-	t.Logf("clustered chaos: shard0 completed=%d panics=%d owned=%d shed=%d fwd_in=%d; shard1 completed=%d panics=%d migrated_out=%d",
+	t.Logf("clustered chaos: shard0 completed=%d panics=%d owned=%d shed=%d fwd_in=%d; shard1 completed=%d panics=%d",
 		m0.Completed, m0.PanicsRecovered, m0.Cluster.OwnedServed, m0.Cluster.ShedServed, m0.Cluster.ForwardedIn,
-		m1.Completed, m1.PanicsRecovered, m1.Cluster.MigratedOut)
+		m1.Completed, m1.PanicsRecovered)
 	t.Logf("clustered chaos replication: shard0 %+v; shard1 %+v", m0.Cluster.Replication, m1.Cluster.Replication)
 }
 

@@ -5,8 +5,8 @@ package service
 // draining, a full queue, an open quarantine, the memory watermark, or
 // a 429/502/504 minted by an intermediary — is retried with jittered
 // exponential backoff, and the server's live Retry-After header (queue
-// depth × job wall-clock EMA) is honored as the floor for each sleep.
-// Everything else is final on the first answer.
+// depth × mean recent job wall-clock) is honored as the floor for each
+// sleep. Everything else is final on the first answer.
 //
 // Connection hygiene matters here because this client is what bmcload
 // measures the service through: every response body is drained to EOF
@@ -34,10 +34,8 @@ import (
 )
 
 // Client talks to one bmcd base URL (in a cluster: any shard — the
-// routing layer proxies or redirects to the owner; redirects are
-// followed transparently by net/http since requests carry GetBody).
-// The zero value plus a BaseURL is usable; all fields are optional
-// tuning.
+// routing layer proxies to the owner). The zero value plus a BaseURL
+// is usable; all fields are optional tuning.
 type Client struct {
 	BaseURL string
 	// HTTP is the underlying transport (nil = http.DefaultClient).

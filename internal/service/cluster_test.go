@@ -2,10 +2,13 @@ package service
 
 // Cluster-mode tests, named TestServiceCluster* so CI's stress loop
 // (-run TestService -count=3, under -race) covers them. The invariants:
-// a routed request answers byte-identically to a direct one, redirect
-// mode really 307s to the owner, batches fan out and merge in order, a
-// drained shard's warm sessions re-home to the survivor, and a storm
-// with a mid-storm drain loses no jobs and leaks no goroutines.
+// a routed request answers byte-identically to a direct one, batches
+// fan out and merge in order, a malformed batch item is the client's
+// 400 and never demotes a healthy owner, a drained shard's proven
+// prefixes reach the survivor through replication and a new session
+// there resumes from them, a replicated entry is filed only under the
+// hash of the model it ships, and a storm with a mid-storm drain loses
+// no jobs and leaks no goroutines.
 
 import (
 	"bytes"
@@ -22,6 +25,7 @@ import (
 	sebmc "repro"
 	"repro/internal/circuits"
 	"repro/internal/explicit"
+	"repro/internal/faultpoint"
 )
 
 func jsonBody(t *testing.T, v any) io.Reader {
@@ -38,8 +42,9 @@ func jsonBody(t *testing.T, v any) io.Reader {
 // as shard IDs — JoinCluster happens after the listeners exist, same
 // as bmcd's flag-driven startup). Cleanup drains every shard in order
 // and asserts the goroutine count settles: the zero-leak discipline,
-// now including gossip loops, proxy transports and migration.
-func newTestCluster(t *testing.T, n int, mode string, cfg Config) ([]*Server, []string) {
+// now including gossip loops, proxy transports and the replication
+// worker.
+func newTestCluster(t *testing.T, n int, cfg Config) ([]*Server, []string) {
 	t.Helper()
 	before := runtime.NumGoroutine()
 	servers := make([]*Server, n)
@@ -54,7 +59,6 @@ func newTestCluster(t *testing.T, n int, mode string, cfg Config) ([]*Server, []
 		if err := s.JoinCluster(ClusterConfig{
 			Self:           urls[i],
 			Shards:         urls,
-			Mode:           mode,
 			GossipInterval: 50 * time.Millisecond,
 		}); err != nil {
 			t.Fatal(err)
@@ -113,7 +117,7 @@ func normalized(r *JobResult) JobResult {
 func TestServiceClusterRoutedEquivalence(t *testing.T) {
 	cfg := Config{Workers: 2, QueueDepth: 32}
 	_, direct := newTestServer(t, cfg)
-	_, urls := newTestCluster(t, 2, ModeProxy, cfg)
+	_, urls := newTestCluster(t, 2, cfg)
 
 	models := []string{
 		cexMSL,
@@ -144,42 +148,15 @@ func TestServiceClusterRoutedEquivalence(t *testing.T) {
 	}
 }
 
-// TestServiceClusterRedirect pins redirect mode's contract: a
-// non-owner shard answers 307 with the owner in Location, and a stock
-// net/http client follows it to a real result served by the owner.
-func TestServiceClusterRedirect(t *testing.T) {
-	servers, urls := newTestCluster(t, 2, ModeRedirect, Config{Workers: 1, QueueDepth: 8})
-	owner := ownerIndex(t, servers, urls, cexMSL)
-	entry := 1 - owner
-
-	// Raw: the redirect itself.
-	noFollow := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
-		return http.ErrUseLastResponse
-	}}
-	req := CheckRequest{Model: cexMSL, Bound: 5, Engine: "sat", Wait: true}
-	resp, err := noFollow.Post(urls[entry]+"/v1/check", "application/json", jsonBody(t, req))
-	if err != nil {
-		t.Fatal(err)
+// TestServiceClusterModeProxyOnly: proxy is the only routing mode, and
+// JoinCluster refuses any other.
+func TestServiceClusterModeProxyOnly(t *testing.T) {
+	s, url := newTestServer(t, Config{Workers: 1})
+	if err := s.JoinCluster(ClusterConfig{Self: url, Shards: []string{url}, Mode: "redirect"}); err == nil {
+		t.Fatal("JoinCluster accepted mode redirect")
 	}
-	drainClose(resp.Body)
-	if resp.StatusCode != http.StatusTemporaryRedirect {
-		t.Fatalf("non-owner answered %d, want 307", resp.StatusCode)
-	}
-	if loc := resp.Header.Get("Location"); loc != urls[owner]+"/v1/check" {
-		t.Fatalf("Location = %q, want %q", loc, urls[owner]+"/v1/check")
-	}
-
-	// Followed: POST bodies built from byte readers carry GetBody, so
-	// net/http replays the 307 transparently and the owner answers.
-	res := checkWait(t, urls[entry], req)
-	if res.Status != "REACHABLE" {
-		t.Fatalf("followed redirect answered %s, want REACHABLE", res.Status)
-	}
-	if m := servers[entry].Metrics(); m.Cluster == nil || m.Cluster.Redirected < 1 {
-		t.Fatalf("entry shard counted no redirects: %+v", m.Cluster)
-	}
-	if m := servers[owner].Metrics(); m.Cluster == nil || m.Cluster.OwnedServed < 1 {
-		t.Fatalf("owner shard counted no owned serves: %+v", m.Cluster)
+	if s.clusterView() != nil {
+		t.Fatal("a refused JoinCluster left the server clustered")
 	}
 }
 
@@ -187,7 +164,10 @@ func TestServiceClusterRedirect(t *testing.T) {
 // shard is partitioned by owner, proxied, and merged back in
 // submission order with correct verdicts.
 func TestServiceClusterBatchFanout(t *testing.T) {
-	servers, urls := newTestCluster(t, 2, ModeProxy, Config{Workers: 2, QueueDepth: 64})
+	servers, urls := newTestCluster(t, 2, Config{Workers: 2, QueueDepth: 64})
+	// The first six models always ride; shard IDs are random ports, so
+	// the rest are added only while every model so far hashes to one
+	// shard.
 	systems := []*sebmc.System{
 		circuits.Counter(3, 5),
 		circuits.CounterEnable(2, 2),
@@ -195,11 +175,20 @@ func TestServiceClusterBatchFanout(t *testing.T) {
 		circuits.TrafficLight(2),
 		circuits.Counter(2, 3),
 		circuits.TokenRing(3),
+		circuits.TokenRing(5),
+		circuits.TokenRing(6),
+		circuits.TokenRing(7),
+		circuits.Counter(3, 6),
+		circuits.Counter(4, 9),
+		circuits.Counter(2, 2),
 	}
 	var jobs []CheckRequest
 	var want []bool
 	owners := make(map[int]bool)
-	for _, sys := range systems {
+	for i, sys := range systems {
+		if i >= 6 && len(owners) == 2 {
+			break
+		}
 		src := aagSource(t, sys)
 		jobs = append(jobs, CheckRequest{Model: src, Format: "aag", Bound: 6, Engine: "sat", Semantics: "atmost"})
 		sc := explicit.New(sys).ShortestCounterexample()
@@ -207,7 +196,7 @@ func TestServiceClusterBatchFanout(t *testing.T) {
 		owners[ownerIndex(t, servers, urls, src)] = true
 	}
 	if len(owners) != 2 {
-		t.Skip("all six models hash to one shard; adjust the model set")
+		t.Skip("all twelve models hash to one shard; adjust the model set")
 	}
 	var br BatchResponse
 	if code := postJSON(t, urls[0]+"/v1/batch", BatchRequest{Jobs: jobs}, &br); code != http.StatusOK {
@@ -234,59 +223,124 @@ func TestServiceClusterBatchFanout(t *testing.T) {
 	}
 }
 
-// TestServiceClusterMigration: drain a shard holding a warm session
-// with a proven prefix and prove the prefix re-homes — the survivor
-// reports sessions_migrated_in, and a deeper request routed to it
-// resumes on the adopted session (session_hit, bounds skipped) instead
-// of starting cold.
-func TestServiceClusterMigration(t *testing.T) {
-	servers, urls := newTestCluster(t, 2, ModeProxy, Config{Workers: 2, QueueDepth: 16})
+// TestServiceClusterBatchBadItemKeepsOwner: a batch item the owner
+// would refuse (an unknown engine) is answered 400 by the entry shard
+// before any fan-out, and the owner stays healthy in the entry's
+// tracker — the next valid check for the owner's model is proxied to
+// it, not shed to the entry. Gossip is slow here, so a wrongful
+// demotion would still be in force when that check arrives.
+func TestServiceClusterBatchBadItemKeepsOwner(t *testing.T) {
+	servers, urls, _ := newFailoverCluster(t, 2, Config{Workers: 2, QueueDepth: 16}, ClusterConfig{GossipInterval: 5 * time.Second})
+	owner := ownerIndex(t, servers, urls, cexMSL)
+	entry := 1 - owner
+	cs := servers[entry].clusterView()
+	// The first poll round must have landed, or it could re-promote the
+	// owner after the batch and hide a demotion.
+	waitUntil(t, 5*time.Second, "the entry shard to hear the owner", func() bool {
+		_, ok := cs.tracker.Status(urls[owner])
+		return ok
+	})
+
+	bad := BatchRequest{Jobs: []CheckRequest{
+		{Model: aagSource(t, circuits.Counter(3, 5)), Format: "aag", Bound: 6, Engine: "sat"},
+		{Model: cexMSL, Bound: 5, Engine: "bogus"},
+	}}
+	if code := postJSON(t, urls[entry]+"/v1/batch", bad, nil); code != http.StatusBadRequest {
+		t.Fatalf("batch with an unknown engine: HTTP %d, want 400", code)
+	}
+	if !cs.tracker.Healthy(urls[owner]) {
+		t.Fatal("a malformed batch item marked the healthy owner down")
+	}
+	shed := servers[entry].Metrics().Cluster.ShedServed
+	res, shard := checkWaitShard(t, urls[entry], CheckRequest{Model: cexMSL, Bound: 5, Engine: "sat"})
+	if res.Status != "REACHABLE" {
+		t.Fatalf("check after the bad batch: %s, want REACHABLE", res.Status)
+	}
+	if shard != urls[owner] {
+		t.Fatalf("check answered by %q, want the owner %q", shard, urls[owner])
+	}
+	if got := servers[entry].Metrics().Cluster.ShedServed; got != shed {
+		t.Fatalf("entry shard shed %d requests past a healthy owner", got-shed)
+	}
+}
+
+// TestServiceClusterDrainHandover: draining a shard hands its proven
+// prefixes over through replication. The survivor holds the owner's
+// deepen verdict once the drain returns, and a deeper request for the
+// key, now served there, builds a new session seeded from it: only the
+// two new bounds are solved.
+func TestServiceClusterDrainHandover(t *testing.T) {
+	servers, urls := newTestCluster(t, 2, Config{Workers: 2, QueueDepth: 16})
 	safeSrc := aagSource(t, circuits.Counter(3, 7)) // reaches 7 only at step 7, beyond every bound used here
 	owner := ownerIndex(t, servers, urls, safeSrc)
 	survivor := 1 - owner
 
-	// Warm the owner: a deepen builds a sat-incr session with a proven
-	// prefix 0..4.
+	// Warm the owner: a deepen proves bounds 0..4 and fills the cache.
 	first := checkWait(t, urls[owner], CheckRequest{Model: safeSrc, Format: "aag", Bound: 4, Engine: "sat-incr", Deepen: true})
 	if first.Status != "UNREACHABLE" {
 		t.Fatalf("warmup deepen: %s, want UNREACHABLE", first.Status)
 	}
 
-	// Drain the owner: its warm session must hand over to the survivor.
+	// Drain the owner: by the time Drain returns, its replication queue
+	// has been flushed to the survivor.
 	drain(t, servers[owner])
-	mo := servers[owner].Metrics()
-	if mo.Cluster.MigratedOut < 1 {
-		t.Fatalf("drained owner migrated nothing out: %+v", mo.Cluster)
-	}
-	ms := servers[survivor].Metrics()
-	if ms.Cluster.MigratedIn < 1 {
-		t.Fatalf("survivor adopted nothing: %+v", ms.Cluster)
+	if in := replSnap(t, servers[survivor]).ReplicatedIn; in < 1 {
+		t.Fatalf("survivor adopted %d replicated entries, want >= 1", in)
 	}
 
 	// A deeper request for the key now lands on the survivor (the owner
 	// is draining: either gossip has noticed or the proxy bounce sheds
-	// it) and resumes on the adopted session.
+	// it) and resumes from the replicated prefix 0..4.
 	deeper := checkWait(t, urls[survivor], CheckRequest{Model: safeSrc, Format: "aag", Bound: 6, Engine: "sat-incr", Deepen: true})
-	if deeper.Status != "UNREACHABLE" {
-		t.Fatalf("post-migration deepen: %s, want UNREACHABLE", deeper.Status)
+	if deeper.Status != "UNREACHABLE" || deeper.Cached {
+		t.Fatalf("post-drain deepen: %s cached=%v, want a fresh UNREACHABLE", deeper.Status, deeper.Cached)
 	}
-	if !deeper.SessionHit {
-		t.Fatal("post-migration deepen started cold: the migrated session was not resumed")
-	}
-	if deeper.BoundsSkipped < 5 {
-		t.Fatalf("post-migration deepen skipped %d bounds, want >= 5 (the migrated proven prefix 0..4)", deeper.BoundsSkipped)
+	if deeper.Iterations != 2 || deeper.BoundsSkipped != 5 {
+		t.Fatalf("post-drain deepen: iterations=%d bounds_skipped=%d, want 2/5 (resumed from the replicated prefix 0..4)",
+			deeper.Iterations, deeper.BoundsSkipped)
 	}
 }
 
-// TestServiceClusterMigrateHashMismatch: the migrate receiver derives
-// the content hash from the shipped model instead of trusting the
-// sender's. A payload carrying one model under another model's hash is
-// refused, so no warm prefix is ever filed under the wrong address —
-// the later deepen of the named model still finds its counterexample.
-func TestServiceClusterMigrateHashMismatch(t *testing.T) {
+// TestServiceClusterDrainFlushesReplication: whatever the write-behind
+// queue still holds when a shard drains is sent before Drain returns.
+// An injected delay holds the worker in its first send, so later fills
+// are still queued when the drain begins, and slow gossip keeps
+// anti-entropy from pulling them instead.
+func TestServiceClusterDrainFlushesReplication(t *testing.T) {
+	defer faultpoint.Reset()
+	servers, urls, _ := newFailoverCluster(t, 2, Config{Workers: 1, QueueDepth: 16}, ClusterConfig{GossipInterval: 5 * time.Second})
+	owner := ownerIndex(t, servers, urls, cexMSL)
+	survivor := 1 - owner
+	// The survivor's first poll round must see the owner's cache empty,
+	// or its repair pull would fetch the fills before replication does.
+	waitUntil(t, 5*time.Second, "the survivor to hear the owner", func() bool {
+		_, ok := servers[survivor].clusterView().tracker.Status(urls[owner])
+		return ok
+	})
+	faultpoint.Arm("service.replicate.send", faultpoint.Schedule{Kind: faultpoint.KindDelay, Delay: 300 * time.Millisecond})
+
+	const fills = 4 // bounds 1..4, each its own cache entry
+	for k := 1; k <= fills; k++ {
+		if r := checkWait(t, urls[owner], CheckRequest{Model: cexMSL, Bound: k, Engine: "sat"}); r.Status != "UNREACHABLE" {
+			t.Fatalf("bound %d: %s, want UNREACHABLE", k, r.Status)
+		}
+	}
+	drain(t, servers[owner])
+	if in := replSnap(t, servers[survivor]).ReplicatedIn; in != fills {
+		t.Fatalf("survivor adopted %d of the %d verdicts the drained shard decided", in, fills)
+	}
+}
+
+// TestServiceClusterReplicateHashMismatch: the replicate receiver
+// derives the content hash from the shipped model instead of trusting
+// the sender's. A deepen UNREACHABLE shipping one model under another
+// model's hash is refused, so no proven prefix is ever filed under the
+// wrong address — the later deepen of the named model still finds its
+// counterexample instead of resuming past it.
+func TestServiceClusterReplicateHashMismatch(t *testing.T) {
 	s, url := newTestServer(t, Config{Workers: 1})
 	victim := circuits.DeepCounter(8)
-	p := migratePayload{
+	p := replicatePayload{Entries: []replicaEntry{{
 		wireKey: wireKey{
 			Hash:      sebmc.ModelHash(victim),
 			Model:     aagSource(t, circuits.Johnson(6, 5)),
@@ -294,19 +348,22 @@ func TestServiceClusterMigrateHashMismatch(t *testing.T) {
 			Semantics: "exact",
 			Schedule:  "linear",
 		},
-		ProvenUpTo: 10,
+		Bound:       10,
+		Deepen:      true,
+		JobResult:   JobResult{Status: "UNREACHABLE", FoundAt: -1},
+		ResultBound: 10,
+	}}}
+	var rr replicateResponse
+	if code := postJSON(t, url+"/v1/cluster/replicate", p, &rr); code != http.StatusOK || rr.Accepted != 0 {
+		t.Fatalf("replicate under a foreign hash: HTTP %d accepted=%d, want 200/0", code, rr.Accepted)
 	}
-	if code := postJSON(t, url+"/v1/cluster/migrate", p, nil); code != http.StatusBadRequest {
-		t.Fatalf("migrate under a foreign hash: HTTP %d, want 400", code)
-	}
-	if live, _, _ := s.sessions.stats(); live != 0 {
-		t.Fatalf("a refused migration left %d sessions behind", live)
+	if got := s.metrics.replicateRejected.Load(); got != 1 {
+		t.Fatalf("replicate_rejected = %d, want 1", got)
 	}
 	want := sebmc.ShortestCounterexample(victim)
-	r := checkWait(t, url, CheckRequest{Model: aagSource(t, victim), Format: "aag", Bound: 10, Engine: "sat-incr", Deepen: true})
-	if r.Status != "REACHABLE" || r.FoundAt != want || r.SessionHit {
-		t.Fatalf("deepen after the refused migration: %s found_at=%d session_hit=%v, want cold REACHABLE at %d",
-			r.Status, r.FoundAt, r.SessionHit, want)
+	r := checkWait(t, url, CheckRequest{Model: aagSource(t, victim), Format: "aag", Bound: 12, Engine: "sat-incr", Deepen: true})
+	if r.Status != "REACHABLE" || r.FoundAt != want {
+		t.Fatalf("deepen after the refused replica: %s found_at=%d, want REACHABLE at %d", r.Status, r.FoundAt, want)
 	}
 }
 
@@ -317,7 +374,7 @@ func TestServiceClusterMigrateHashMismatch(t *testing.T) {
 func TestServiceClusterDrainStorm(t *testing.T) {
 	seed := time.Now().UnixNano()
 	t.Logf("cluster storm seed %d", seed)
-	servers, urls := newTestCluster(t, 2, ModeProxy, Config{Workers: 2, QueueDepth: 64, MaxTimeout: 2 * time.Second})
+	servers, urls := newTestCluster(t, 2, Config{Workers: 2, QueueDepth: 64, MaxTimeout: 2 * time.Second})
 
 	systems := []*sebmc.System{
 		circuits.Counter(3, 5),
@@ -396,7 +453,7 @@ func TestServiceClusterDrainStorm(t *testing.T) {
 	if code := getJSON(t, urls[0]+"/healthz", &hb); code != http.StatusOK {
 		t.Errorf("survivor healthz: HTTP %d", code)
 	}
-	t.Logf("storm: shard0 owned=%d shed=%d fwd_in=%d proxied=%d; shard1 migrated_out=%d",
+	t.Logf("storm: shard0 owned=%d shed=%d fwd_in=%d proxied=%d; shard1 replicated_out=%d",
 		m0.Cluster.OwnedServed, m0.Cluster.ShedServed, m0.Cluster.ForwardedIn, m0.Cluster.Proxied,
-		servers[1].Metrics().Cluster.MigratedOut)
+		replSnap(t, servers[1]).ReplicatedOut)
 }

@@ -16,8 +16,9 @@ package service
 //	POST   /v1/batch        submit several models at once; synchronous.
 //	                        Every item is an ordinary queued job — same
 //	                        cache, sessions and timeouts as /v1/check —
-//	                        and the batch is admitted whole or not at
-//	                        all.
+//	                        every item is validated before any runs
+//	                        (one bad item is a 400 for the batch), and
+//	                        the batch is admitted whole or not at all.
 //	GET    /v1/jobs/{id}    job status (result embedded once done)
 //	GET    /v1/results/{id} result only; 202 while still running
 //	DELETE /v1/jobs/{id}    cooperative cancel
@@ -25,9 +26,9 @@ package service
 //	GET    /healthz         200 ok / 503 draining
 //
 // Clustered shards additionally expose the peer-to-peer endpoints
-// GET /v1/cluster/health (gossip), POST /v1/cluster/migrate (drain-time
-// session handoff), POST /v1/cluster/replicate (verdict write-behind)
-// and GET /v1/cluster/repair (anti-entropy pulls); see router.go and
+// GET /v1/cluster/health (gossip), POST /v1/cluster/replicate (verdict
+// write-behind, also what carries warm state off a draining shard) and
+// GET /v1/cluster/repair (anti-entropy pulls); see router.go and
 // replication.go.
 //
 // Submissions during a drain get 503 with Retry-After, which is what a
@@ -57,7 +58,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/cluster/health", s.handleClusterHealth)
-	mux.HandleFunc("POST /v1/cluster/migrate", s.handleClusterMigrate)
 	mux.HandleFunc("POST /v1/cluster/replicate", s.handleClusterReplicate)
 	mux.HandleFunc("GET /v1/cluster/repair", s.handleClusterRepair)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -84,9 +84,9 @@ type errorBody struct {
 }
 
 // writeError writes the JSON error body; every 503 carries a live
-// Retry-After computed from queue depth and the job wall-clock EMA,
-// not a hardcoded constant — a backing-off client waits about as long
-// as the queue actually needs to drain.
+// Retry-After computed from queue depth and the mean recent job
+// wall-clock, not a hardcoded constant — a backing-off client waits
+// about as long as the queue actually needs to drain.
 func (s *Server) writeError(w http.ResponseWriter, code int, err error) {
 	if code == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSeconds()))
@@ -128,7 +128,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// Clustered: the model hash decides which shard runs this. routeCheck
-	// answers true when the request was proxied or redirected away.
+	// answers true when the request was proxied away.
 	if s.routeCheck(w, r, j) {
 		return
 	}
@@ -180,41 +180,40 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// Every item is parsed once, here: a bad item answers 400 before
+	// anything runs or fans out. Each item's cancel flag derives from the
+	// batch's disconnect flag: a client going away stops every item,
+	// while an item's own timeout (which answer fires on its flag) stops
+	// only that item.
+	items := make([]*job, len(req.Jobs))
+	for i, jr := range req.Jobs {
+		j, err := s.newJob(jr)
+		if err != nil {
+			s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: batch job %d: %w", i, err))
+			return
+		}
+		items[i] = j
+	}
+	parent := newBatchCancel(r)
+	for _, j := range items {
+		j.cancel = sebmc.DeriveCancel(parent)
+	}
 	// Clustered: fan the batch out by owning shard, unless a peer
 	// already routed it here — a forwarded partition always runs
 	// locally, whatever this shard's ring says.
 	if cs := s.clusterView(); cs != nil {
 		if r.Header.Get(forwardHeader) == "" {
-			s.clusterBatch(w, r, req)
+			s.clusterBatch(w, r, items)
 			return
 		}
-		s.metrics.clusterForwardedIn.Add(int64(len(req.Jobs)))
+		s.metrics.clusterForwardedIn.Add(int64(len(items)))
 	}
-	parent := newBatchCancel(r)
-	results, err := s.localBatchReqs(req.Jobs, parent)
+	results, err := s.localBatch(items)
 	if err != nil {
 		s.writeError(w, submitCode(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, BatchResponse{Results: results})
-}
-
-// localBatchReqs parses a batch slice into jobs and runs it through
-// localBatch. Each item's cancel flag derives from parent, the batch's
-// disconnect flag: a client going away stops every item, while an
-// item's own timeout (which answer fires on its flag) stops only that
-// item.
-func (s *Server) localBatchReqs(reqs []CheckRequest, parent *sebmc.CancelFlag) ([]*JobResult, error) {
-	items := make([]*job, len(reqs))
-	for i, jr := range reqs {
-		j, err := s.newJob(jr)
-		if err != nil {
-			return nil, fmt.Errorf("service: batch job %d: %w", i, err)
-		}
-		j.cancel = sebmc.DeriveCancel(parent)
-		items[i] = j
-	}
-	return s.localBatch(items)
 }
 
 // localBatch runs a parsed batch on this shard as ordinary queued jobs

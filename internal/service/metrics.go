@@ -43,10 +43,6 @@ type metrics struct {
 	sessionsShed     atomic.Int64
 	overloadRejected atomic.Int64
 
-	// avgJobMicros is an EMA of job wall-clock, feeding the live
-	// Retry-After estimate (depth x avg / workers).
-	avgJobMicros atomic.Int64
-
 	cacheHits     atomic.Int64
 	cacheMisses   atomic.Int64
 	sessionHits   atomic.Int64
@@ -66,17 +62,13 @@ type metrics struct {
 
 	// Cluster routing locality: where requests landed relative to the
 	// rendezvous ring. OwnedServed are requests this shard ran as the
-	// key's owner; Proxied/Redirected went to their owner elsewhere;
-	// ForwardedIn arrived pre-routed from a peer; ShedServed ran here
-	// although a preferred shard exists (it was unhealthy or bounced).
-	clusterOwnedServed   atomic.Int64
-	clusterProxied       atomic.Int64
-	clusterRedirected    atomic.Int64
-	clusterForwardedIn   atomic.Int64
-	clusterShedServed    atomic.Int64
-	clusterMigratedOut   atomic.Int64
-	clusterMigratedIn    atomic.Int64
-	clusterMigrateFailed atomic.Int64
+	// key's owner; Proxied went to their owner elsewhere; ForwardedIn
+	// arrived pre-routed from a peer; ShedServed ran here although a
+	// preferred shard exists (it was unhealthy or bounced).
+	clusterOwnedServed atomic.Int64
+	clusterProxied     atomic.Int64
+	clusterForwardedIn atomic.Int64
+	clusterShedServed  atomic.Int64
 
 	// Warm-failover accounting: the verdict replication write-behind
 	// (out = entries accepted by a failover peer, in = entries adopted
@@ -94,8 +86,10 @@ type metrics struct {
 	hedgesFired       atomic.Int64
 	hedgesWon         atomic.Int64
 
-	// latRing holds recent job wall-clocks (microseconds) for the p99
-	// gossip advertises; peers size hedge delays from it. Lock-free:
+	// latRing holds recent job wall-clocks (microseconds): the one job
+	// latency estimator. Its p99 is what gossip advertises (peers size
+	// hedge delays from it), its mean what Retry-After and /metrics
+	// avg_job_ms report. Lock-free:
 	// writers claim slots round-robin, readers take a racy snapshot —
 	// a quantile over slightly torn samples is still a quantile.
 	latRing [latRingSize]atomic.Int64
@@ -120,36 +114,44 @@ func (m *metrics) noteDecided(engine string) {
 	m.mu.Unlock()
 }
 
-// noteElapsed folds one finished job's wall-clock into the EMA
-// (alpha = 1/8, integer arithmetic; first sample seeds it) and the p99
-// sample ring.
+// noteElapsed records one finished job's wall-clock in the sample ring.
 func (m *metrics) noteElapsed(d time.Duration) {
 	us := d.Microseconds()
 	if us < 1 {
 		us = 1 // zero marks an empty ring slot
 	}
 	m.latRing[m.latIdx.Add(1)%latRingSize].Store(us)
-	for {
-		cur := m.avgJobMicros.Load()
-		next := us
-		if cur > 0 {
-			next = cur + (us-cur)/8
-		}
-		if m.avgJobMicros.CompareAndSwap(cur, next) {
-			return
-		}
-	}
 }
 
-// p99JobMicros computes the 99th percentile of the recent-job ring
-// (nearest-rank over the filled slots; 0 when no job has finished).
-func (m *metrics) p99JobMicros() int64 {
+// jobSamples returns the filled slots of the recent-job ring.
+func (m *metrics) jobSamples() []int64 {
 	var samples []int64
 	for i := range m.latRing {
 		if v := m.latRing[i].Load(); v > 0 {
 			samples = append(samples, v)
 		}
 	}
+	return samples
+}
+
+// meanJobMicros is the mean of the recent-job ring (0 when no job has
+// finished).
+func (m *metrics) meanJobMicros() int64 {
+	samples := m.jobSamples()
+	if len(samples) == 0 {
+		return 0
+	}
+	var sum int64
+	for _, v := range samples {
+		sum += v
+	}
+	return sum / int64(len(samples))
+}
+
+// p99JobMicros computes the 99th percentile of the recent-job ring
+// (nearest-rank over the filled slots; 0 when no job has finished).
+func (m *metrics) p99JobMicros() int64 {
+	samples := m.jobSamples()
 	if len(samples) == 0 {
 		return 0
 	}
@@ -258,18 +260,12 @@ type MetricsSnapshot struct {
 type ClusterSnapshot struct {
 	Self    string `json:"self"`
 	Shards  int    `json:"shards"`
-	Mode    string `json:"mode"`
 	PeersUp int    `json:"peers_up"`
 
 	OwnedServed int64 `json:"owned_served"`
 	Proxied     int64 `json:"proxied_out"`
-	Redirected  int64 `json:"redirected"`
 	ForwardedIn int64 `json:"forwarded_in"`
 	ShedServed  int64 `json:"shed_served"`
-
-	MigratedOut   int64 `json:"sessions_migrated_out"`
-	MigratedIn    int64 `json:"sessions_migrated_in"`
-	MigrateFailed int64 `json:"sessions_migrate_failed"`
 
 	// Replication is the warm-failover machinery's accounting.
 	Replication ReplicationSnapshot `json:"replication"`
@@ -336,7 +332,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 	out.Overload.SessionsShed = m.sessionsShed.Load()
 	out.Overload.Rejected = m.overloadRejected.Load()
 	out.Overload.RetryAfterS = s.retryAfterSeconds()
-	out.Overload.AvgJobMS = m.avgJobMicros.Load() / 1000
+	out.Overload.AvgJobMS = m.meanJobMicros() / 1000
 	out.Overload.MaxTimeoutMS = s.cfg.MaxTimeout.Milliseconds()
 	out.Overload.RetainedBytesNow = s.retainedBytes()
 
@@ -360,18 +356,13 @@ func (s *Server) Metrics() MetricsSnapshot {
 			peerIDs[i] = p.ID
 		}
 		out.Cluster = &ClusterSnapshot{
-			Self:          cs.self.ID,
-			Shards:        len(cs.peers) + 1,
-			Mode:          cs.mode,
-			PeersUp:       cs.tracker.Up(peerIDs),
-			OwnedServed:   m.clusterOwnedServed.Load(),
-			Proxied:       m.clusterProxied.Load(),
-			Redirected:    m.clusterRedirected.Load(),
-			ForwardedIn:   m.clusterForwardedIn.Load(),
-			ShedServed:    m.clusterShedServed.Load(),
-			MigratedOut:   m.clusterMigratedOut.Load(),
-			MigratedIn:    m.clusterMigratedIn.Load(),
-			MigrateFailed: m.clusterMigrateFailed.Load(),
+			Self:        cs.self.ID,
+			Shards:      len(cs.peers) + 1,
+			PeersUp:     cs.tracker.Up(peerIDs),
+			OwnedServed: m.clusterOwnedServed.Load(),
+			Proxied:     m.clusterProxied.Load(),
+			ForwardedIn: m.clusterForwardedIn.Load(),
+			ShedServed:  m.clusterShedServed.Load(),
 			Replication: ReplicationSnapshot{
 				ReplicatedOut:     m.replicatedOut.Load(),
 				ReplicatedIn:      m.replicatedIn.Load(),

@@ -1,7 +1,8 @@
 package service
 
 // Warm failover for the sharded cluster: the machinery that makes a
-// verdict survive the death of the shard that computed it.
+// verdict survive the death of the shard that computed it, and the one
+// way warm state leaves a shard.
 //
 //   - Replication: every fresh verdict-cache fill is write-behind
 //     replicated to the key's first failover shard (the next entry in
@@ -12,7 +13,11 @@ package service
 //     receiver re-derives the model hash from the shipped AAG and
 //     replay-validates witness-bearing REACHABLE entries before
 //     adopting them, exactly like served verdicts: a corrupt or
-//     dishonest replica is dropped, not cached.
+//     dishonest replica is dropped, not cached. A drain flushes what
+//     the queue still holds before the shard stops. Replicated deepen
+//     verdicts are also what carries a proven prefix to the key's next
+//     owner: a session built there seeds itself from them (solve,
+//     verdictCache.provenBelow).
 //
 //   - Hinted handoff: when the replica target is down per the gossip
 //     tracker (or a send bounces), entries park in a per-peer bounded
@@ -51,9 +56,9 @@ import (
 	"repro/internal/faultpoint"
 )
 
-// wireKey is the session identity both cluster payloads carry —
-// replicate/repair entries and drain-time migrations — in the text
-// form requests use, plus the model source when one is shipped.
+// wireKey is the session identity a replicate or repair entry carries,
+// in the text form requests use, plus the model source when one is
+// shipped.
 type wireKey struct {
 	Hash      string `json:"hash"`
 	Engine    string `json:"engine"`
@@ -175,6 +180,14 @@ type replTask struct {
 // replBatchMax bounds how many queued entries one send coalesces.
 const replBatchMax = 32
 
+// replQueueDepth bounds the write-behind queue: a full queue drops
+// entries (counted) instead of blocking the request path.
+const replQueueDepth = 1024
+
+// hintLimit bounds each peer's hinted-handoff log: hints beyond it drop
+// oldest-first, and anti-entropy repairs what drops.
+const hintLimit = 512
+
 // replSendTimeout bounds every replicate/hint/repair exchange.
 const replSendTimeout = 10 * time.Second
 
@@ -191,32 +204,20 @@ type replicator struct {
 	hints      map[string][]replicaEntry // peer ID -> parked entries
 	hintsTotal int
 	lastPulled map[string]map[int]uint64 // peer ID -> range -> digest hash pulled
-
-	hintLimit int // per-peer park bound
 }
 
-func newReplicator(s *Server, cs *clusterState, queueDepth, hintLimit int) *replicator {
-	if queueDepth == 0 {
-		queueDepth = 1024
-	}
-	if hintLimit <= 0 {
-		hintLimit = 512
-	}
+func newReplicator(s *Server, cs *clusterState) *replicator {
 	return &replicator{
 		s:          s,
 		cs:         cs,
-		queue:      make(chan replTask, queueDepth),
+		queue:      make(chan replTask, replQueueDepth),
 		hints:      make(map[string][]replicaEntry),
 		lastPulled: make(map[string]map[int]uint64),
-		hintLimit:  hintLimit,
 	}
 }
 
 // parked is the current hint-log occupancy, for /metrics.
 func (r *replicator) parked() int {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.hintsTotal
@@ -236,27 +237,45 @@ func (r *replicator) enqueue(t replTask) {
 
 // loop is the write-behind worker: it drains the queue in batches,
 // groups entries by their failover target, and sends. Runs under the
-// cluster's WaitGroup; exits when the cluster stops.
+// cluster's WaitGroup; exits when the cluster stops, leaving whatever
+// is still queued to flush.
 func (r *replicator) loop() {
 	defer r.cs.wg.Done()
 	for {
-		var first replTask
 		select {
 		case <-r.cs.stop:
 			return
-		case first = <-r.queue:
+		case t := <-r.queue:
+			r.sendBatch(context.Background(), r.collect(t))
 		}
-		batch := []replTask{first}
-		for len(batch) < replBatchMax {
-			select {
-			case t := <-r.queue:
-				batch = append(batch, t)
-			default:
-				goto send
-			}
+	}
+}
+
+// collect appends queued tasks to batch, up to replBatchMax, without
+// waiting for more to arrive.
+func (r *replicator) collect(batch ...replTask) []replTask {
+	for len(batch) < replBatchMax {
+		select {
+		case t := <-r.queue:
+			batch = append(batch, t)
+		default:
+			return batch
 		}
-	send:
-		r.sendBatch(batch)
+	}
+	return batch
+}
+
+// flush sends whatever the queue still holds, batch by batch, until it
+// is empty or ctx ends. Drain calls it after the workers have exited,
+// so no new fill arrives while it runs; a send that fails parks its
+// entries as hints, which leave with the draining shard.
+func (r *replicator) flush(ctx context.Context) {
+	for ctx.Err() == nil {
+		batch := r.collect()
+		if len(batch) == 0 {
+			return
+		}
+		r.sendBatch(ctx, batch)
 	}
 }
 
@@ -278,7 +297,7 @@ func (r *replicator) target(hash string) *cluster.Shard {
 // Contained: a panic injected at the send faultpoint (or a bug in the
 // serialization path) is swallowed here — the replicator is an
 // accelerator, and its worker must survive anything.
-func (r *replicator) sendBatch(batch []replTask) {
+func (r *replicator) sendBatch(ctx context.Context, batch []replTask) {
 	defer func() { _ = recover() }()
 	groups := make(map[string][]replicaEntry)
 	targets := make(map[string]cluster.Shard)
@@ -300,7 +319,7 @@ func (r *replicator) sendBatch(batch []replTask) {
 			r.park(id, entries)
 			continue
 		}
-		accepted, err := r.push(sh, entries)
+		accepted, err := r.push(ctx, sh, entries)
 		if err != nil {
 			// The target looked healthy but the send bounced: demote it
 			// now (direct refusal evidence, no hysteresis) and park the
@@ -314,7 +333,7 @@ func (r *replicator) sendBatch(batch []replTask) {
 }
 
 // push POSTs one batch of entries to a peer's replicate endpoint.
-func (r *replicator) push(target cluster.Shard, entries []replicaEntry) (int, error) {
+func (r *replicator) push(ctx context.Context, target cluster.Shard, entries []replicaEntry) (int, error) {
 	// Fault-injection site: an injected error simulates the network
 	// eating the send (entries park as hints); an injected delay
 	// simulates a slow peer stream.
@@ -325,7 +344,7 @@ func (r *replicator) push(target cluster.Shard, entries []replicaEntry) (int, er
 	if err != nil {
 		return 0, err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), replSendTimeout)
+	ctx, cancel := context.WithTimeout(ctx, replSendTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target.URL+"/v1/cluster/replicate", bytes.NewReader(payload))
 	if err != nil {
@@ -357,7 +376,7 @@ func (r *replicator) park(id string, entries []replicaEntry) {
 	before := len(r.hints[id])
 	log := append(r.hints[id], entries...)
 	r.s.metrics.hintsQueued.Add(int64(len(entries)))
-	if over := len(log) - r.hintLimit; over > 0 {
+	if over := len(log) - hintLimit; over > 0 {
 		log = append([]replicaEntry(nil), log[over:]...)
 		r.s.metrics.hintsDropped.Add(int64(over))
 	}
@@ -391,7 +410,7 @@ func (r *replicator) drainHints(target cluster.Shard) {
 		if n > replBatchMax {
 			n = replBatchMax
 		}
-		accepted, err := r.push(target, log[:n])
+		accepted, err := r.push(context.Background(), target, log[:n])
 		if err != nil {
 			r.cs.tracker.NoteDown(target.ID)
 			r.park(target.ID, log)
@@ -505,7 +524,7 @@ func (r *replicator) pull(target cluster.Shard, ranges []int) ([]replicaEntry, b
 // after replaying a certificate, so the send would just bounce.
 func (s *Server) replicateFill(j *job, key verdictKey, res *JobResult) {
 	cs := s.clusterView()
-	if cs == nil || cs.repl == nil {
+	if cs == nil {
 		return
 	}
 	if res.Terminal && res.Certificate == "" {

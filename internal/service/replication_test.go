@@ -28,8 +28,8 @@ import (
 
 // newFailoverCluster is newTestCluster with the listeners exposed, so
 // failover tests can kill a shard's listener abruptly — the HTTP-layer
-// equivalent of kill -9: no drain, no migration, connections die
-// mid-flight. Cleanup still drains every Server (the process objects
+// equivalent of kill -9: no drain, no replication flush, connections
+// die mid-flight. Cleanup still drains every Server (the process objects
 // survive their listeners) and asserts the goroutine count settles;
 // httptest.Server.Close is idempotent, so a shard killed mid-test is
 // fine to close again.
@@ -48,9 +48,6 @@ func newFailoverCluster(t *testing.T, n int, cfg Config, cc ClusterConfig) ([]*S
 		c := cc
 		c.Self = urls[i]
 		c.Shards = urls
-		if c.Mode == "" {
-			c.Mode = ModeProxy
-		}
 		if c.GossipInterval == 0 {
 			c.GossipInterval = 50 * time.Millisecond
 		}
@@ -131,7 +128,7 @@ func checkWaitShard(t *testing.T, base string, req CheckRequest) (*JobResult, st
 
 // TestServiceClusterWarmFailover is the cold-failover regression the
 // replication layer exists to fix: decide a verdict on its owner, kill
-// the owner with no drain and no migration, and the survivor must
+// the owner with no drain, and the survivor must
 // answer the same request warm — as a cache hit fed by write-behind
 // replication, with no new solver invocation. Before replication this
 // answered cold (Cached=false after a full re-solve).
@@ -152,7 +149,7 @@ func TestServiceClusterWarmFailover(t *testing.T) {
 	})
 
 	// kill -9: the owner's listener dies mid-cluster, taking its live
-	// connections with it. No drain, no migration runs.
+	// connections with it. No drain runs.
 	tss[owner].CloseClientConnections()
 	tss[owner].Close()
 
@@ -284,7 +281,6 @@ func TestServiceClusterAntiEntropyRepair(t *testing.T) {
 		if err := s.JoinCluster(ClusterConfig{
 			Self:           urls[i],
 			Shards:         urls,
-			Mode:           ModeProxy,
 			GossipInterval: interval,
 		}); err != nil {
 			t.Fatal(err)
@@ -345,7 +341,6 @@ func TestServiceClusterHedgedFailover(t *testing.T) {
 		if err := s.JoinCluster(ClusterConfig{
 			Self:           urls[i],
 			Shards:         urls,
-			Mode:           ModeProxy,
 			GossipInterval: 50 * time.Millisecond,
 		}); err != nil {
 			t.Fatal(err)
@@ -533,6 +528,7 @@ func TestServiceReplicaAdoptRejects(t *testing.T) {
 		with bool
 	}{
 		{"hash mismatch", func(e *replicaEntry) { e.Hash = strings.Repeat("0", len(e.Hash)) }, true},
+		{"foreign model under the hash", func(e *replicaEntry) { e.Model = aagSource(t, circuits.Johnson(6, 5)) }, true},
 		{"corrupt witness", func(e *replicaEntry) { e.Witness = "frame  0: state=111 inputs=\n" }, true},
 		// Widths that match neither the plain system nor its self-loop
 		// transform must come back as a rejection, not an evaluator

@@ -8,10 +8,10 @@ package service
 // happened to hit:
 //
 //   - a request for a model this shard owns is served locally;
-//   - a request for a model another shard owns is proxied there (the
-//     default) or answered with a 307 redirect (-cluster-mode
-//     redirect), so the client re-posts straight to the owner;
-//   - /v1/batch is fanned out shard-aware: items are partitioned by
+//   - a request for a model another shard owns is proxied there, so
+//     clients may talk to any shard;
+//   - /v1/batch is fanned out shard-aware: every item is parsed and
+//     validated once on the entry shard, items are partitioned by
 //     owner, each partition is proxied to its shard, and the merged
 //     results come back in submission order;
 //   - shards poll each other's GET /v1/cluster/health on a gossip
@@ -19,10 +19,11 @@ package service
 //     skipped and its keys shed to the next rendezvous preference —
 //     the PR-7 "degrade, don't fail" ladder generalized from "back
 //     off" to "go somewhere that can take the work";
-//   - on drain, a shard serializes each warm session's proven-prefix
-//     state and hands it to the key's next owner (POST
-//     /v1/cluster/migrate), so a rolling restart re-homes warm state
-//     instead of going cold.
+//   - warm state leaves a shard one way: write-behind verdict
+//     replication (replication.go). A drain flushes the replication
+//     queue, and the key's next owner seeds each new session from the
+//     deepen verdicts it holds for that key, so a rolling restart
+//     resumes proven prefixes instead of re-solving them.
 //
 // Loop safety: a forwarded request carries X-Bmcd-Forward and is
 // always served locally by the receiving shard, so disagreeing shard
@@ -32,6 +33,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -40,7 +42,6 @@ import (
 	"sync"
 	"time"
 
-	sebmc "repro"
 	"repro/internal/cluster"
 )
 
@@ -69,43 +70,25 @@ type ClusterConfig struct {
 	Self string
 	// Shards is the full shard list, Self included.
 	Shards []string
-	// Mode is "proxy" (default: non-owned requests are forwarded
-	// server-side) or "redirect" (non-owned /v1/check gets a 307 to the
-	// owner; batches are always proxied — their items have many
-	// owners).
+	// Mode is how a non-owned request reaches its owner: "proxy" (also
+	// the meaning of "") forwards it server-side. It is the only mode.
 	Mode string
 	// GossipInterval is the peer health poll period (0 = 1s).
 	GossipInterval time.Duration
-	// DisableReplication turns off the verdict write-behind (and with
-	// it hinted handoff and anti-entropy repair) — failover degrades to
-	// local-cold, the pre-replication behavior. For A/B benchmarks.
-	DisableReplication bool
-	// ReplicaQueue bounds the write-behind replication queue (0 = 1024).
-	// A full queue drops entries (counted) instead of blocking the
-	// request path.
-	ReplicaQueue int
-	// HintLimit bounds each peer's hinted-handoff log (0 = 512). Hints
-	// beyond it drop oldest-first; anti-entropy repairs what drops.
-	HintLimit int
 }
 
-const (
-	// ModeProxy forwards non-owned requests server-side.
-	ModeProxy = "proxy"
-	// ModeRedirect answers non-owned checks with 307 to the owner.
-	ModeRedirect = "redirect"
-)
+// ModeProxy forwards non-owned requests server-side.
+const ModeProxy = "proxy"
 
 // clusterState is the live routing state of a joined shard.
 type clusterState struct {
 	self     cluster.Shard
 	ring     *cluster.Ring
 	peers    []cluster.Shard // ring minus self
-	mode     string
 	interval time.Duration
 	tracker  *cluster.Tracker
-	client   *http.Client // gossip, proxy and migration transport
-	repl     *replicator  // warm-failover machinery; nil when disabled
+	client   *http.Client // gossip, proxy and replication transport
+	repl     *replicator  // warm-failover machinery
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -113,8 +96,8 @@ type clusterState struct {
 }
 
 // JoinCluster joins the server to a sharded deployment and starts the
-// gossip loop. Call once, before serving traffic; Drain stops the
-// gossip and migrates warm sessions to the surviving shards.
+// gossip loop. Call once, before serving traffic; Drain flushes the
+// replication queue to the surviving shards and stops the gossip.
 func (s *Server) JoinCluster(cc ClusterConfig) error {
 	if len(cc.Shards) == 0 {
 		return fmt.Errorf("service: cluster with no shards")
@@ -141,12 +124,8 @@ func (s *Server) JoinCluster(cc ClusterConfig) error {
 	if selfShard == nil {
 		return fmt.Errorf("service: self %q is not in the shard list %v", cc.Self, cc.Shards)
 	}
-	mode := cc.Mode
-	if mode == "" {
-		mode = ModeProxy
-	}
-	if mode != ModeProxy && mode != ModeRedirect {
-		return fmt.Errorf("service: unknown cluster mode %q (want proxy or redirect)", cc.Mode)
+	if cc.Mode != "" && cc.Mode != ModeProxy {
+		return fmt.Errorf("service: unknown cluster mode %q (want proxy)", cc.Mode)
 	}
 	interval := cc.GossipInterval
 	if interval <= 0 {
@@ -156,7 +135,6 @@ func (s *Server) JoinCluster(cc ClusterConfig) error {
 		self:     *selfShard,
 		ring:     ring,
 		peers:    peers,
-		mode:     mode,
 		interval: interval,
 		// Statuses stale after three missed polls; a failed poll or a
 		// bounced proxy demotes immediately, without waiting for TTL.
@@ -164,18 +142,13 @@ func (s *Server) JoinCluster(cc ClusterConfig) error {
 		client:  &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 16}},
 		stop:    make(chan struct{}),
 	}
-	if !cc.DisableReplication {
-		cs.repl = newReplicator(s, cs, cc.ReplicaQueue, cc.HintLimit)
-	}
+	cs.repl = newReplicator(s, cs)
 	if !s.cluster.CompareAndSwap(nil, cs) {
 		return fmt.Errorf("service: already joined a cluster")
 	}
-	cs.wg.Add(1)
+	cs.wg.Add(2)
 	go cs.gossipLoop(s)
-	if cs.repl != nil {
-		cs.wg.Add(1)
-		go cs.repl.loop()
-	}
+	go cs.repl.loop()
 	return nil
 }
 
@@ -199,15 +172,12 @@ func (cs *clusterState) gossipLoop(s *Server) {
 	t := time.NewTicker(cs.interval)
 	defer t.Stop()
 	for {
-		polled := cs.pollPeers()
-		if cs.repl != nil {
-			for _, p := range polled {
-				if !p.ok {
-					continue
-				}
-				cs.repl.drainHints(p.shard)
-				cs.repl.antiEntropy(p.shard, p.st)
+		for _, p := range cs.pollPeers() {
+			if !p.ok {
+				continue
 			}
+			cs.repl.drainHints(p.shard)
+			cs.repl.antiEntropy(p.shard, p.st)
 		}
 		select {
 		case <-cs.stop:
@@ -317,8 +287,8 @@ func (cs *clusterState) routeTarget(hash string, selfDraining bool) (*cluster.Sh
 const proxyGrace = 2 * time.Second
 
 // routeCheck handles /v1/check routing for a clustered server. Returns
-// true when the request was fully handled remotely (proxied or
-// redirected); false when the caller should serve it locally.
+// true when the request was fully handled remotely (proxied); false
+// when the caller should serve it locally.
 func (s *Server) routeCheck(w http.ResponseWriter, r *http.Request, j *job) bool {
 	cs := s.clusterView()
 	if cs == nil {
@@ -337,23 +307,11 @@ func (s *Server) routeCheck(w http.ResponseWriter, r *http.Request, j *job) bool
 		}
 		return false
 	}
-	if cs.mode == ModeRedirect {
-		loc := target.URL + r.URL.Path
-		if r.URL.RawQuery != "" {
-			loc += "?" + r.URL.RawQuery
-		}
-		w.Header().Set("Location", loc)
-		w.Header().Set(shardHeader, cs.self.ID)
-		w.WriteHeader(http.StatusTemporaryRedirect)
-		s.metrics.clusterRedirected.Add(1)
-		return true
-	}
-	// Proxy mode: walk the preference order from the chosen target on,
-	// falling back past shards that bounce; a bounced shard is demoted
-	// in the tracker immediately so the next request skips it without
-	// waiting for a gossip tick. The walk is bounded by the request's
-	// own deadline and hedges a slow primary to the next preference
-	// (proxyHedged).
+	// Walk the preference order from the chosen target on, falling back
+	// past shards that bounce; a bounced shard is demoted in the tracker
+	// immediately so the next request skips it without waiting for a
+	// gossip tick. The walk is bounded by the request's own deadline and
+	// hedges a slow primary to the next preference (proxyHedged).
 	payload, err := json.Marshal(j.req)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
@@ -576,7 +534,11 @@ func relayResponse(w http.ResponseWriter, resp *http.Response) {
 
 // proxyBatch forwards a whole batch partition to its owning shard and
 // decodes the merged results.
-func (cs *clusterState) proxyBatch(ctx context.Context, target cluster.Shard, reqs []CheckRequest) ([]*JobResult, error) {
+func (cs *clusterState) proxyBatch(ctx context.Context, target cluster.Shard, items []*job) ([]*JobResult, error) {
+	reqs := make([]CheckRequest, len(items))
+	for i, j := range items {
+		reqs[i] = j.req
+	}
 	payload, err := json.Marshal(BatchRequest{Jobs: reqs})
 	if err != nil {
 		return nil, err
@@ -605,31 +567,36 @@ func (cs *clusterState) proxyBatch(ctx context.Context, target cluster.Shard, re
 	return br.Results, nil
 }
 
+// bounced reports whether a failed proxyBatch means the owner could not
+// take the work — a transport error or a 503, the same two signals
+// proxyHedged treats as a bounce. Any other answer is the owner's
+// verdict on the request itself and goes back to the client; it says
+// nothing about the owner's health.
+func bounced(err error) bool {
+	var ae *APIError
+	return !errors.As(err, &ae) || ae.StatusCode == http.StatusServiceUnavailable
+}
+
 // batchGroup is one owner's slice of a fanned-out batch.
 type batchGroup struct {
 	target *cluster.Shard // nil = this shard
 	idx    []int          // positions in the original batch
-	reqs   []CheckRequest
+	items  []*job
 }
 
-// clusterBatch partitions a batch by owning shard, runs the local
-// partition through the normal admission path, proxies each remote
-// partition to its owner concurrently, and merges results in
+// clusterBatch partitions a parsed batch by owning shard, runs the
+// local partition through the normal admission path, proxies each
+// remote partition to its owner concurrently, and merges results in
 // submission order. Any partition failing hard fails the whole batch
 // with that error (the all-or-nothing contract single-shard batches
 // already have), after one local-fallback attempt for remote
 // partitions whose owner bounced.
-func (s *Server) clusterBatch(w http.ResponseWriter, r *http.Request, req BatchRequest) {
+func (s *Server) clusterBatch(w http.ResponseWriter, r *http.Request, items []*job) {
 	cs := s.clusterView()
 	groups := make(map[string]*batchGroup)
 	order := make([]string, 0, 4) // deterministic fan-out order
-	for i, jr := range req.Jobs {
-		sys, err := loadModel(jr)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: batch job %d: %w", i, err))
-			return
-		}
-		target, _ := cs.routeTarget(sebmc.ModelHash(sys), s.Draining())
+	for i, j := range items {
+		target, _ := cs.routeTarget(j.hash, s.Draining())
 		id := ""
 		if target != nil {
 			id = target.ID
@@ -641,13 +608,12 @@ func (s *Server) clusterBatch(w http.ResponseWriter, r *http.Request, req BatchR
 			order = append(order, id)
 		}
 		g.idx = append(g.idx, i)
-		g.reqs = append(g.reqs, jr)
+		g.items = append(g.items, j)
 	}
 
-	out := make([]*JobResult, len(req.Jobs))
+	out := make([]*JobResult, len(items))
 	errs := make([]error, len(order))
 	var wg sync.WaitGroup
-	parent := newBatchCancel(r)
 	for gi, id := range order {
 		g := groups[id]
 		wg.Add(1)
@@ -656,19 +622,19 @@ func (s *Server) clusterBatch(w http.ResponseWriter, r *http.Request, req BatchR
 			var results []*JobResult
 			var err error
 			if g.target != nil {
-				s.metrics.clusterProxied.Add(int64(len(g.reqs)))
-				results, err = cs.proxyBatch(r.Context(), *g.target, g.reqs)
-				if err != nil {
+				s.metrics.clusterProxied.Add(int64(len(g.items)))
+				results, err = cs.proxyBatch(r.Context(), *g.target, g.items)
+				if err != nil && bounced(err) {
 					// The owner bounced: demote it and run the partition
 					// here — locality is an optimization, the answer is
 					// the contract.
 					cs.tracker.NoteDown(g.target.ID)
-					s.metrics.clusterShedServed.Add(int64(len(g.reqs)))
-					results, err = s.localBatchReqs(g.reqs, parent)
+					s.metrics.clusterShedServed.Add(int64(len(g.items)))
+					results, err = s.localBatch(g.items)
 				}
 			} else {
-				s.metrics.clusterOwnedServed.Add(int64(len(g.reqs)))
-				results, err = s.localBatchReqs(g.reqs, parent)
+				s.metrics.clusterOwnedServed.Add(int64(len(g.items)))
+				results, err = s.localBatch(g.items)
 			}
 			if err != nil {
 				errs[gi] = err
@@ -682,88 +648,16 @@ func (s *Server) clusterBatch(w http.ResponseWriter, r *http.Request, req BatchR
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			s.writeError(w, submitCode(err), err)
+			code := submitCode(err)
+			var ae *APIError
+			if errors.As(err, &ae) {
+				code = ae.StatusCode // the owner's own answer, relayed
+			}
+			s.writeError(w, code, err)
 			return
 		}
 	}
 	writeJSON(w, http.StatusOK, BatchResponse{Results: out})
-}
-
-// migratePayload is the POST /v1/cluster/migrate body: everything a
-// peer needs to rebuild a warm session's cheap half — the model, the
-// session identity, and the proven-unreachable prefix. Learned clauses
-// and solver internals do not serialize; the prefix is what makes a
-// deepen on the new owner resume instead of restart.
-type migratePayload struct {
-	wireKey
-	ProvenUpTo int `json:"proven_up_to"`
-}
-
-// migrateSessions serializes every clean warm session and hands each
-// to its key's next owner. Runs at the tail of Drain, after the
-// workers have exited — no session is in use. Best effort: a peer that
-// refuses (draining itself, down) just costs that session its warmth.
-func (s *Server) migrateSessions(ctx context.Context) {
-	cs := s.clusterView()
-	if cs == nil {
-		return
-	}
-	for _, snap := range s.sessions.snapshot() {
-		var target *cluster.Shard
-		for _, sh := range cs.ring.Prefs(snap.key.Hash) {
-			if sh.ID == cs.self.ID || !cs.tracker.Healthy(sh.ID) {
-				continue
-			}
-			sh := sh
-			target = &sh
-			break
-		}
-		if target == nil {
-			s.metrics.clusterMigrateFailed.Add(1)
-			continue
-		}
-		if err := cs.sendMigration(ctx, *target, snap); err != nil {
-			s.metrics.clusterMigrateFailed.Add(1)
-			continue
-		}
-		s.metrics.clusterMigratedOut.Add(1)
-	}
-}
-
-func (cs *clusterState) sendMigration(ctx context.Context, target cluster.Shard, snap sessionSnapshot) error {
-	var aag strings.Builder
-	// Reduce puts the bad predicate at output 0 — the service's wire
-	// convention, the same one /v1/check submissions use.
-	if err := snap.sys.Reduce().Circ.WriteAAG(&aag); err != nil {
-		return err
-	}
-	payload, err := json.Marshal(migratePayload{wireKey: newWireKey(snap.key, aag.String()), ProvenUpTo: snap.proven})
-	if err != nil {
-		return err
-	}
-	sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(sctx, http.MethodPost, target.URL+"/v1/cluster/migrate", bytes.NewReader(payload))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := cs.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return &APIError{StatusCode: resp.StatusCode, Message: readMessage(resp.Body)}
-	}
-	return nil
-}
-
-// migrateResponse is the POST /v1/cluster/migrate answer.
-type migrateResponse struct {
-	// Adopted is false when the receiver already had a warm session for
-	// the key (the resident one wins) or does not pool sessions.
-	Adopted bool `json:"adopted"`
 }
 
 func (s *Server) handleClusterHealth(w http.ResponseWriter, r *http.Request) {
@@ -789,42 +683,4 @@ func (s *Server) guardClusterBody(w http.ResponseWriter, r *http.Request) func()
 		return func() {}
 	}
 	return func() { _ = rc.SetReadDeadline(time.Time{}) }
-}
-
-func (s *Server) handleClusterMigrate(w http.ResponseWriter, r *http.Request) {
-	if s.Draining() {
-		s.writeError(w, http.StatusServiceUnavailable, ErrDraining)
-		return
-	}
-	release := s.guardClusterBody(w, r)
-	defer release()
-	var p migratePayload
-	if err := json.NewDecoder(r.Body).Decode(&p); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad migration: %w", err))
-		return
-	}
-	key, err := p.parse()
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if p.ProvenUpTo < 0 {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: migration without proven prefix"))
-		return
-	}
-	// The session is filed under the hash of this shard's own parse of
-	// the shipped model, checked against the sender's claim: a warm
-	// prefix filed under another model's hash would answer that model's
-	// requests with this one's proofs.
-	sys, err := p.load()
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	opts := sebmc.Options{Semantics: key.Sem, Schedule: key.Sched, PlaistedGreenbaum: key.PG}
-	adopted := s.sessions.adopt(key, sys, opts, p.ProvenUpTo)
-	if adopted {
-		s.metrics.clusterMigratedIn.Add(1)
-	}
-	writeJSON(w, http.StatusOK, migrateResponse{Adopted: adopted})
 }

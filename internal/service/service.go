@@ -14,7 +14,9 @@
 //     (sebmc.Session), so a repeated model submitted at a deeper bound
 //     resumes the warm solver — learned clauses, hopeless-state cache
 //     and the proven-unreachable prefix carry over — instead of
-//     starting cold.
+//     starting cold. A session built for a key the cache already holds
+//     deepen verdicts for (its own earlier, evicted session's, or a
+//     peer's, replicated) starts from the longest prefix they prove.
 //
 // Every answer takes one path from solver to wire: the library's
 // outcome arrives as a sebmc.Verdict, fromVerdict turns it into a
@@ -171,11 +173,13 @@ func New(cfg Config) *Server {
 // expires first; the workers keep finishing in the background in that
 // case. Idempotent.
 //
-// On a clustered server the tail of a successful drain re-homes warm
-// state: every clean session's proven prefix is handed to its key's
-// next owner (best effort), then the gossip loop stops. Peers shed new
-// requests for this shard's keys as soon as gossip (or a bounced
-// proxy) notices the drain, so traffic and warm state move together.
+// On a clustered server the tail of a successful drain hands warm state
+// over: whatever the replication queue still holds is sent to the
+// failover shards (best effort, within ctx), then the gossip loop
+// stops. The earlier fills were replicated as they happened, so a
+// deeper request for one of this shard's keys resumes from its proven
+// prefix there. Peers shed new requests for this shard's keys as soon
+// as gossip (or a bounced proxy) notices the drain.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
@@ -192,7 +196,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-done:
 		s.clusterOnce.Do(func() {
 			if cs := s.clusterView(); cs != nil {
-				s.migrateSessions(ctx) // workers are done; sessions are idle
+				cs.repl.flush(ctx) // workers are done; no fill arrives now
 				cs.clusterStop()
 			}
 		})
@@ -287,12 +291,12 @@ func (s *Server) retainedBytes() int {
 }
 
 // retryAfterSeconds estimates how long a rejected client should back
-// off, from live queue depth and the job wall-clock EMA: about
+// off, from live queue depth and the mean recent job wall-clock: about
 // depth/workers jobs drain ahead of a retry, each taking ~avg. Clamped
 // to [1, 60].
 func (s *Server) retryAfterSeconds() int {
 	depth := int64(len(s.queue)) + 1 // the retry itself needs a slot
-	avg := s.metrics.avgJobMicros.Load()
+	avg := s.metrics.meanJobMicros()
 	if avg <= 0 {
 		avg = 50_000 // no history yet; assume 50ms jobs
 	}
@@ -591,7 +595,10 @@ func (s *Server) finishResult(j *job, res *JobResult) *JobResult {
 
 // solve runs the actual check and reports its verdict, plus whether it
 // ran on a pre-existing warm session: the incremental engines run on
-// the session pool, everything else cold.
+// the session pool, everything else cold. A new session is first
+// seeded with the longest prefix the verdict cache proves for its key,
+// so a session evicted here, or one whose key moved here from a
+// drained or dead peer, resumes instead of re-solving that prefix.
 func (s *Server) solve(j *job) (sebmc.Verdict, bool) {
 	opts := sebmc.Options{
 		Semantics:         j.sem,
@@ -628,6 +635,7 @@ func (s *Server) solve(j *job) (sebmc.Verdict, bool) {
 			s.metrics.sessionHits.Add(1)
 		} else {
 			s.metrics.sessionMisses.Add(1)
+			sess.SeedProven(s.cache.provenBelow(j.sessionKey(), j.req.Bound, j.cancel))
 		}
 		if j.req.Deepen {
 			return sebmc.VerdictOfDeepen(sess.DeepenWith(j.req.Bound, j.cancel), j.req.Bound), hit

@@ -782,6 +782,73 @@ func TestServiceSessionPoolEviction(t *testing.T) {
 	}
 }
 
+// TestServiceSessionSeedFromCache: a session built for a key whose
+// earlier session was evicted resumes from the longest prefix the
+// verdict cache proves for it. The second deepen reports session_hit
+// false (the session is new) but solves only the two bounds past the
+// cached deepen's prefix 0..4.
+func TestServiceSessionSeedFromCache(t *testing.T) {
+	// 1-byte budget: every session is evicted as soon as it is released.
+	_, url := newTestServer(t, Config{Workers: 1, SessionBytes: 1})
+	src := aagSource(t, circuits.Counter(3, 7)) // reaches 7 only at step 7
+	req := CheckRequest{Model: src, Format: "aag", Bound: 4, Engine: "sat-incr", Deepen: true}
+	if r := checkWait(t, url, req); r.Status != "UNREACHABLE" {
+		t.Fatalf("first deepen: %s, want UNREACHABLE", r.Status)
+	}
+	req.Bound = 6
+	r := checkWait(t, url, req)
+	if r.Status != "UNREACHABLE" || r.Cached || r.SessionHit {
+		t.Fatalf("second deepen: %s cached=%v session_hit=%v, want a fresh UNREACHABLE on a new session",
+			r.Status, r.Cached, r.SessionHit)
+	}
+	if r.Iterations != 2 || r.BoundsSkipped != 5 {
+		t.Fatalf("second deepen: iterations=%d bounds_skipped=%d, want 2/5 (seeded with the cached prefix 0..4)",
+			r.Iterations, r.BoundsSkipped)
+	}
+}
+
+// TestServiceSessionSeedIgnoresPlainChecks: only a deepen UNREACHABLE
+// seeds a session. Under exact semantics a plain check's UNREACHABLE
+// proves its own bound, not the bounds below it: TokenRing(5) is
+// reachable at exactly 4 and 9, so a cached plain check at 8 answers
+// UNREACHABLE, and a deepen seeded from it would skip 4 and report 9.
+func TestServiceSessionSeedIgnoresPlainChecks(t *testing.T) {
+	_, url := newTestServer(t, Config{Workers: 1, SessionBytes: 1})
+	sys := circuits.TokenRing(5)
+	oracle := explicit.New(sys)
+	for k := 0; k <= 10; k++ {
+		if got, want := oracle.ReachableExact(k), k == 4 || k == 9; got != want {
+			t.Fatalf("oracle: TokenRing(5) reachable at exactly %d = %v, want %v", k, got, want)
+		}
+	}
+	src := aagSource(t, sys)
+	if r := checkWait(t, url, CheckRequest{Model: src, Format: "aag", Bound: 8, Engine: "sat-incr"}); r.Status != "UNREACHABLE" {
+		t.Fatalf("plain check at 8: %s, want UNREACHABLE", r.Status)
+	}
+	r := checkWait(t, url, CheckRequest{Model: src, Format: "aag", Bound: 10, Engine: "sat-incr", Deepen: true})
+	if r.Status != "REACHABLE" || r.FoundAt != 4 || r.SessionHit {
+		t.Fatalf("deepen to 10 on a fresh session: %s found_at=%d session_hit=%v, want REACHABLE at 4",
+			r.Status, r.FoundAt, r.SessionHit)
+	}
+}
+
+// TestServiceSessionSeedWalkStopsOnTimeout: the seed walk takes one
+// cache lookup per bound below the request, so its length is the
+// client's choice; the job's own budget must stop it like it stops the
+// solver. A deepen to a huge bound on a new session answers UNKNOWN
+// within its timeout instead of pinning the worker in the walk.
+func TestServiceSessionSeedWalkStopsOnTimeout(t *testing.T) {
+	_, url := newTestServer(t, Config{Workers: 1})
+	start := time.Now()
+	r := checkWait(t, url, CheckRequest{Model: safeMSL, Bound: 1 << 40, Engine: "sat-incr", Deepen: true, TimeoutMS: 100})
+	if r.Status != "UNKNOWN" {
+		t.Fatalf("deepen to 2^40 under a 100ms budget: %s, want UNKNOWN", r.Status)
+	}
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Fatalf("deepen to 2^40 under a 100ms budget took %v", elapsed)
+	}
+}
+
 func TestServiceBadRequests(t *testing.T) {
 	_, url := newTestServer(t, Config{Workers: 1})
 

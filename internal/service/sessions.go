@@ -225,78 +225,6 @@ func (p *sessionPool) shedIdle(want int) (shed, freed int) {
 	return shed, freed
 }
 
-// sessionSnapshot is one warm session's migratable state: the session
-// identity, the model, and the proven-unreachable prefix. Solver
-// internals (learned clauses, hopeless-state cache) do not serialize.
-type sessionSnapshot struct {
-	key    sessionKey
-	sys    *sebmc.System
-	proven int
-}
-
-// snapshot captures every clean, idle, worth-migrating session. Meant
-// for the tail of a drain — after the workers have exited, every entry
-// is built and idle, so Stats() never blocks behind a live solve.
-func (p *sessionPool) snapshot() []sessionSnapshot {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out []sessionSnapshot
-	for el := p.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*sessionEntry)
-		if e.sess == nil || e.inUse > 0 || e.sess.Poisoned() {
-			continue
-		}
-		st := e.sess.Stats()
-		if st.ProvenUpTo < 0 {
-			continue // no proven prefix: a migrated copy would start cold anyway
-		}
-		out = append(out, sessionSnapshot{key: e.key, sys: e.sess.System(), proven: st.ProvenUpTo})
-	}
-	return out
-}
-
-// adopt installs a session migrated from a draining peer: a fresh
-// Session on the transferred model, pre-seeded with the sender's
-// proven-unreachable prefix, filed under the sender's key. An existing
-// entry for the key wins — it may hold richer solver state than the
-// prefix-only transfer. Returns whether the session was installed.
-func (p *sessionPool) adopt(key sessionKey, sys *sebmc.System, opts sebmc.Options, proven int) bool {
-	if p.budget < 0 || !sessionable(key.Engine) || proven < 0 {
-		return false
-	}
-	p.mu.Lock()
-	if _, ok := p.entries[key]; ok {
-		p.mu.Unlock()
-		return false
-	}
-	// Same placeholder discipline as acquire: reserve the key, build
-	// outside the lock, and never leave a dead placeholder behind.
-	e := &sessionEntry{key: key, ready: make(chan struct{}), inUse: 1}
-	p.entries[key] = p.ll.PushFront(e)
-	p.mu.Unlock()
-
-	sess, err := sebmc.NewSession(sys, key.Engine, opts)
-	if err != nil {
-		p.mu.Lock()
-		if el, ok := p.entries[key]; ok && el.Value.(*sessionEntry) == e {
-			p.ll.Remove(el)
-			delete(p.entries, key)
-		}
-		p.mu.Unlock()
-		close(e.ready)
-		return false
-	}
-	sess.SeedProven(proven)
-	e.sess = sess
-	close(e.ready)
-	p.mu.Lock()
-	e.inUse--
-	// Accounted bytes stay 0 until the first release refreshes the
-	// MemBytesHint — the adopted session has done no solving yet.
-	p.mu.Unlock()
-	return true
-}
-
 // Bytes returns the pool's accounted retained solver memory.
 func (p *sessionPool) Bytes() int {
 	p.mu.Lock()

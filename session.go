@@ -345,12 +345,14 @@ func (s *Session) DeepenWith(maxBound int, c *CancelFlag) (out DeepenResult) {
 
 // SeedProven extends the session's proven-unreachable prefix to k
 // without solving anything: the caller asserts that bounds 0..k are
-// Unreachable for this system under the session's semantics. This is
-// the session-migration handoff — a draining shard serializes its
-// session's ProvenUpTo and the new owner resumes from it instead of
-// re-solving the prefix cold. The assertion is trusted: seed only from
-// a prefix some session of the same (system, semantics) actually
-// proved. Values at or below the current prefix are no-ops.
+// Unreachable for this system under the session's semantics. bmcd
+// seeds each new session this way from a deepen UNREACHABLE at bound k
+// in its verdict cache — computed there or replicated from the key's
+// previous owner — so the session resumes instead of re-solving the
+// prefix cold. The assertion is trusted: seed only from a deepening run
+// over the same (system, semantics, schedule), never from a single
+// bounded check, which under Exact proves its own bound and not the
+// bounds below it. Values at or below the current prefix are no-ops.
 func (s *Session) SeedProven(k int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
