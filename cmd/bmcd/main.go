@@ -2,6 +2,9 @@
 // front end that keeps the sebmc engines warm — a bounded job queue
 // over a worker pool, a verdict cache, and persistent solver sessions
 // so repeated models at deeper bounds resume instead of starting cold.
+// A fixed-capacity model memo maps each model text the server has
+// parsed to its content hash, so a verdict-cache hit costs a digest and
+// a lookup, not a parse; the model is parsed only on a cache miss.
 //
 // Usage:
 //

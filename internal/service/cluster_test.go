@@ -360,6 +360,20 @@ func TestServiceClusterReplicateHashMismatch(t *testing.T) {
 	if got := s.metrics.replicateRejected.Load(); got != 1 {
 		t.Fatalf("replicate_rejected = %d, want 1", got)
 	}
+	// The model memo vouches for the text it parsed, not for a claimed
+	// hash: with the shipped text memoized by an ordinary check, the same
+	// push is answered from the memo and still refused.
+	checkWait(t, url, CheckRequest{Model: p.Entries[0].Model, Format: "aag", Bound: 2, Engine: "sat"})
+	hits, _, _ := s.models.stats()
+	if code := postJSON(t, url+"/v1/cluster/replicate", p, &rr); code != http.StatusOK || rr.Accepted != 0 {
+		t.Fatalf("replicate of memoized text under a foreign hash: HTTP %d accepted=%d, want 200/0", code, rr.Accepted)
+	}
+	if got := s.metrics.replicateRejected.Load(); got != 2 {
+		t.Fatalf("replicate_rejected = %d, want 2", got)
+	}
+	if h, _, _ := s.models.stats(); h != hits+1 {
+		t.Fatalf("the push did not consult the memo: hits %d->%d", hits, h)
+	}
 	want := sebmc.ShortestCounterexample(victim)
 	r := checkWait(t, url, CheckRequest{Model: aagSource(t, victim), Format: "aag", Bound: 12, Engine: "sat-incr", Deepen: true})
 	if r.Status != "REACHABLE" || r.FoundAt != want {

@@ -243,6 +243,15 @@ type MetricsSnapshot struct {
 		Budget int   `json:"budget_bytes"`
 	} `json:"sessions"`
 
+	// ModelMemo is the model text → content hash memo that /v1/check,
+	// /v1/batch items and replica adoption consult before parsing: a hit
+	// cost a digest and a lookup instead of a parse and a ModelHash.
+	ModelMemo struct {
+		Hits    int64 `json:"hits"`
+		Misses  int64 `json:"misses"`
+		Entries int   `json:"entries"`
+	} `json:"model_memo"`
+
 	// Cluster is present only on a clustered shard: topology plus the
 	// per-shard locality counters the smoke test and bmcload read to
 	// prove hash routing actually concentrates each model's traffic.
@@ -349,6 +358,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 	out.Sessions.Hits = m.sessionHits.Load()
 	out.Sessions.Misses = m.sessionMisses.Load()
 	out.Sessions.Live, out.Sessions.Bytes, out.Sessions.Budget = s.sessions.stats()
+	out.ModelMemo.Hits, out.ModelMemo.Misses, out.ModelMemo.Entries = s.models.stats()
 
 	if cs := s.clusterView(); cs != nil {
 		peerIDs := make([]string, len(cs.peers))

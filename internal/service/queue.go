@@ -135,8 +135,10 @@ func (r *JobResult) decided() bool {
 
 // job is one queue entry.
 type job struct {
-	id     string
-	req    CheckRequest
+	id  string
+	req CheckRequest
+	// sys is nil when the model memo supplied the hash; answer parses the
+	// model on a verdict-cache miss.
 	sys    *sebmc.System
 	hash   string
 	engine sebmc.Engine
@@ -190,10 +192,15 @@ func (j *job) setState(s JobState) {
 	j.mu.Unlock()
 }
 
+// finish publishes the result and drops the model text and its parse:
+// nothing reads them once the answer is out, and the job history keeps
+// up to MaxJobs finished jobs.
 func (j *job) finish(res *JobResult) {
 	j.mu.Lock()
 	j.state = JobDone
 	j.result = res
+	j.sys = nil
+	j.req.Model = ""
 	j.mu.Unlock()
 	close(j.done)
 }
@@ -232,24 +239,38 @@ func (j *job) status() jobStatus {
 
 // loadModel parses the inline model source.
 func loadModel(req CheckRequest) (*sebmc.System, error) {
+	format, err := modelFormat(req)
+	if err != nil {
+		return nil, err
+	}
+	return parseModel(format, req.Model)
+}
+
+// modelFormat is the request's effective model format: the one it names,
+// or "aag" when the text starts with an "aag " header and "msl"
+// otherwise.
+func modelFormat(req CheckRequest) (string, error) {
 	if strings.TrimSpace(req.Model) == "" {
-		return nil, fmt.Errorf("service: empty model")
+		return "", fmt.Errorf("service: empty model")
 	}
-	format := req.Format
-	if format == "" {
+	switch req.Format {
+	case "msl", "aag":
+		return req.Format, nil
+	case "":
 		if strings.HasPrefix(strings.TrimSpace(req.Model), "aag ") {
-			format = "aag"
-		} else {
-			format = "msl"
+			return "aag", nil
 		}
+		return "msl", nil
 	}
-	switch format {
-	case "msl":
-		return sebmc.LoadMSL(req.Model)
-	case "aag":
-		return sebmc.LoadAIGER(strings.NewReader(req.Model), 0)
+	return "", fmt.Errorf("service: unknown model format %q (want msl or aag)", req.Format)
+}
+
+// parseModel parses model text in an effective format.
+func parseModel(format, text string) (*sebmc.System, error) {
+	if format == "aag" {
+		return sebmc.LoadAIGER(strings.NewReader(text), 0)
 	}
-	return nil, fmt.Errorf("service: unknown model format %q (want msl or aag)", format)
+	return sebmc.LoadMSL(text)
 }
 
 // errorResult builds the ERROR JobResult for an internal failure,

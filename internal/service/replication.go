@@ -10,14 +10,14 @@ package service
 //     channel send — a full queue drops the entry and counts it, it
 //     never delays the request path — and a background worker batches
 //     queued entries per target into POST /v1/cluster/replicate. The
-//     receiver re-derives the model hash from the shipped AAG and
-//     replay-validates witness-bearing REACHABLE entries before
-//     adopting them, exactly like served verdicts: a corrupt or
-//     dishonest replica is dropped, not cached. A drain flushes what
-//     the queue still holds before the shard stops. Replicated deepen
-//     verdicts are also what carries a proven prefix to the key's next
-//     owner: a session built there seeds itself from them (solve,
-//     verdictCache.provenBelow).
+//     receiver re-derives the model hash from the shipped AAG (through
+//     its model memo, memo.go) and replay-validates witness-bearing
+//     REACHABLE entries before adopting them, exactly like served
+//     verdicts: a corrupt or dishonest replica is dropped, not cached.
+//     A drain flushes what the queue still holds before the shard
+//     stops. Replicated deepen verdicts are also what carries a proven
+//     prefix to the key's next owner: a session built there seeds
+//     itself from them (solve, verdictCache.provenBelow).
 //
 //   - Hinted handoff: when the replica target is down per the gossip
 //     tracker (or a send bounces), entries park in a per-peer bounded
@@ -93,23 +93,6 @@ func (w wireKey) parse() (sessionKey, error) {
 		return sessionKey{}, err
 	}
 	return sessionKey{Hash: w.Hash, Engine: engine, Sem: sem, Sched: sched, PG: w.PG}, nil
-}
-
-// load parses the shipped model and re-derives its content hash: a
-// peer's claimed hash is never trusted, because state filed under the
-// wrong hash would answer another model's requests.
-func (w wireKey) load() (*sebmc.System, error) {
-	if w.Model == "" {
-		return nil, fmt.Errorf("service: cluster payload without model source")
-	}
-	sys, err := sebmc.LoadAIGER(strings.NewReader(w.Model), 0)
-	if err != nil {
-		return nil, fmt.Errorf("service: bad shipped model: %w", err)
-	}
-	if got := sebmc.ModelHash(sys); got != w.Hash {
-		return nil, fmt.Errorf("service: shipped model hash %s does not match claimed %s", got, w.Hash)
-	}
-	return sys, nil
 }
 
 // parseSem reads a semantics name ("" is exact).
@@ -551,7 +534,7 @@ func (s *Server) adoptReplica(e replicaEntry, withModel bool) error {
 		return fmt.Errorf("service: replica entry with undecided status %q", e.Status)
 	}
 	if withModel {
-		sys, err := e.load()
+		sys, err := s.shippedModel(e)
 		if err != nil {
 			return err
 		}
@@ -614,6 +597,32 @@ func (s *Server) adoptReplica(e replicaEntry, withModel bool) error {
 	}
 	s.cache.put(k, v)
 	return nil
+}
+
+// shippedModel re-derives the content hash of a replicate entry's
+// shipped model, through the model memo: a peer's claimed hash is never
+// trusted, because state filed under the wrong hash would answer another
+// model's requests. The memo vouches only for the hash, so an entry
+// whose witness or certificate must be replayed still gets a parse of
+// its own; every other entry returns a nil System.
+func (s *Server) shippedModel(e replicaEntry) (*sebmc.System, error) {
+	if e.Model == "" {
+		return nil, fmt.Errorf("service: cluster payload without model source")
+	}
+	hash, sys, err := s.models.hash("aag", e.Model)
+	if err != nil {
+		return nil, fmt.Errorf("service: bad shipped model: %w", err)
+	}
+	if hash != e.Hash {
+		return nil, fmt.Errorf("service: shipped model hash %s does not match claimed %s", hash, e.Hash)
+	}
+	replay := e.Status == sebmc.Safe.String() || (e.Status == sebmc.Reachable.String() && e.Witness != "")
+	if replay && sys == nil {
+		if sys, err = parseModel("aag", e.Model); err != nil {
+			return nil, fmt.Errorf("service: bad shipped model: %w", err)
+		}
+	}
+	return sys, nil
 }
 
 // handleClusterReplicate is POST /v1/cluster/replicate: a failover

@@ -548,6 +548,24 @@ func TestServiceReplicaAdoptRejects(t *testing.T) {
 		}
 	}
 
+	// The memo vouches only for a shipped model's hash. The good entry's
+	// adoption memoized its text, and a witness tampered to keep its
+	// widths must still be replayed against a fresh parse, and refused.
+	lines := strings.Split(strings.TrimSpace(res.Witness), "\n")
+	last := lines[len(lines)-1]
+	i := strings.Index(last, "state=") + len("state=")
+	lines[len(lines)-1] = last[:i] + map[byte]string{'0': "1", '1': "0"}[last[i]] + last[i+1:]
+	tampered := good
+	tampered.Bound = 15
+	tampered.Witness = strings.Join(lines, "\n") + "\n"
+	hits, _, _ := s.models.stats()
+	if err := s.adoptReplica(tampered, true); err == nil {
+		t.Error("tampered witness on memoized text: entry adopted, want rejection")
+	}
+	if h, _, _ := s.models.stats(); h != hits+1 {
+		t.Errorf("tampered witness: memo hits %d->%d, want a memo hit", hits, h)
+	}
+
 	// The repair path's positive case: no model attached, but the
 	// witness was validated by the shard it came from — adoptable.
 	repair := good

@@ -1,8 +1,12 @@
 // Package service implements bmcd, the long-running checking service:
 // an HTTP/JSON front end that keeps the sebmc engines warm across
-// requests. Three mechanisms make the server cheaper than re-running
+// requests. Four mechanisms make the server cheaper than re-running
 // the CLI per query:
 //
+//   - a model memo from a digest of (format, model text) to the model's
+//     content hash (memo.go), so a repeated model costs a digest and a
+//     lookup on every shard it crosses; the model is parsed only on a
+//     verdict-cache miss;
 //   - a bounded job queue fanned over a fixed worker pool — the one
 //     execution path: a batch submission is just several queued jobs —
 //     with cooperative cancellation on client disconnect, per-request
@@ -131,6 +135,7 @@ type Server struct {
 	cache    *verdictCache
 	sessions *sessionPool
 	quar     *quarantine
+	models   *modelMemo
 
 	// cluster is non-nil once JoinCluster succeeds (router.go); nil on a
 	// standalone server, which skips every routing branch.
@@ -157,6 +162,7 @@ func New(cfg Config) *Server {
 		cache:    newVerdictCache(cfg.CacheBytes),
 		sessions: newSessionPool(cfg.SessionBytes),
 		quar:     newQuarantine(cfg.QuarantineThreshold, cfg.QuarantineTTL),
+		models:   newModelMemo(modelMemoCap),
 		queue:    make(chan *job, cfg.QueueDepth),
 		jobs:     make(map[string]*job),
 	}
@@ -310,11 +316,16 @@ func (s *Server) retryAfterSeconds() int {
 	return secs
 }
 
-// newJob parses and validates a request into a runnable job, without
-// registering it: the cluster router parses first, for the model hash,
-// and registers only what this shard runs.
+// newJob validates a request into a runnable job, without registering
+// it: the cluster router needs the model hash first, and registers only
+// what this shard runs. The hash comes from the model memo; the model is
+// parsed here only when the memo does not know its text.
 func (s *Server) newJob(req CheckRequest) (*job, error) {
-	sys, err := loadModel(req)
+	format, err := modelFormat(req)
+	if err != nil {
+		return nil, err
+	}
+	hash, sys, err := s.models.hash(format, req.Model)
 	if err != nil {
 		return nil, err
 	}
@@ -375,7 +386,7 @@ func (s *Server) newJob(req CheckRequest) (*job, error) {
 	return &job{
 		req:     req,
 		sys:     sys,
-		hash:    sebmc.ModelHash(sys),
+		hash:    hash,
 		engine:  engine,
 		sem:     sem,
 		sched:   sched,
@@ -511,7 +522,8 @@ func (s *Server) finishContained(j *job) (res *JobResult) {
 // bound-free terminal entry is checked before the bound-keyed one: a
 // terminal SAFE holds at any depth under either semantics, so the
 // requested bound, engine and schedule are all advisory — the answer
-// is an O(lookup) cache hit whatever was asked.
+// is an O(lookup) cache hit whatever was asked. A job whose hash came
+// from the model memo is parsed here, once both lookups have missed.
 func (s *Server) answer(j *job) *JobResult {
 	res, ok := s.cache.get(terminalKey(j.hash))
 	if ok {
@@ -525,6 +537,16 @@ func (s *Server) answer(j *job) *JobResult {
 		return res
 	}
 	s.metrics.cacheMisses.Add(1)
+	if j.sys == nil {
+		// The memo supplied the hash; this miss is the first use of the
+		// parse. The same text parsed when it was memoized, so a failure
+		// here is the server's fault, not the request's.
+		sys, err := loadModel(j.req)
+		if err != nil {
+			return errorResult(j, fmt.Errorf("service: memoized model failed to parse: %w", err), false)
+		}
+		j.sys = sys
+	}
 
 	// Per-request timeout rides the cancellation flag, so timeout,
 	// client disconnect and explicit cancel all stop the solver the
