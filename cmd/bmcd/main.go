@@ -21,10 +21,13 @@
 // content hash); a shard receiving a request it does not own proxies it
 // to the owner, so clients may talk to any shard. Shards gossip health
 // over GET /v1/cluster/health and shed traffic around draining or
-// saturated peers. Fresh verdicts replicate write-behind to the key's
-// failover shard (park as hints while it is down, anti-entropy repair
-// closes any remaining gaps), so a kill -9 of the owner still gets warm
-// answers from the survivor. Replication is also how a SIGTERM drain
+// saturated peers; a proxied request that its owner bounces walks on to
+// the next preference, and one its owner holds past the request's
+// deadline is served by the shard that received it. Fresh verdicts
+// replicate write-behind to the key's failover shard, and anti-entropy
+// repair pulls whatever a shard missed — a push dropped while it was
+// down included — so a kill -9 of the owner still gets warm answers
+// from the survivor. Replication is also how a SIGTERM drain
 // hands warm state over: the drain flushes the replication queue, and
 // the next owner resumes each key's proven prefix from the replicated
 // deepen verdicts. See the README's "Running a cluster" and "Failure

@@ -113,8 +113,6 @@ type shardStats struct {
 	ShedServed     int64   `json:"shed_served,omitempty"`
 	ReplicatedOut  int64   `json:"replicated_out,omitempty"`
 	ReplicatedIn   int64   `json:"replicated_in,omitempty"`
-	HintsDrained   int64   `json:"hints_drained,omitempty"`
-	HedgesFired    int64   `json:"hedges_fired,omitempty"`
 	Unreachable    bool    `json:"unreachable,omitempty"`
 }
 
@@ -355,8 +353,6 @@ func main() {
 				st.ShedServed = m.Cluster.ShedServed
 				st.ReplicatedOut = m.Cluster.Replication.ReplicatedOut
 				st.ReplicatedIn = m.Cluster.Replication.ReplicatedIn
-				st.HintsDrained = m.Cluster.Replication.HintsDrained
-				st.HedgesFired = m.Cluster.Replication.HedgesFired
 			}
 		} else {
 			// A killed shard answers nothing; the row should say so

@@ -12,9 +12,9 @@ package cluster
 // cluster routes by hash immediately instead of funneling everything
 // to self until the first gossip round completes. Poll failures are
 // damped with hysteresis: TWO consecutive failed polls demote a peer
-// (NoteFailedPoll), so one poll lost under load does not trigger a
-// shed-and-hint storm — but direct evidence of refusal (a bounced
-// proxy or replication send, NoteDown) demotes immediately.
+// (NoteFailedPoll), so one poll lost under load does not shed the
+// peer's keys to the next preference — but direct evidence of refusal
+// (a bounced proxy or replication send, NoteDown) demotes immediately.
 
 import (
 	"sync"
@@ -40,11 +40,6 @@ type Status struct {
 	// Sessions is the live warm-session count, for operators reading
 	// locality off the gossip view.
 	Sessions int `json:"sessions"`
-	// P99JobMicros is this shard's self-reported p99 job wall-clock,
-	// the signal peers use to size hedged-failover delays: a proxy
-	// hedges when its primary has been quiet longer than the primary's
-	// own advertised tail.
-	P99JobMicros int64 `json:"p99_job_micros,omitempty"`
 	// CacheDigest summarizes the shard's verdict cache per key range
 	// for anti-entropy: a peer whose range digest disagrees pulls the
 	// difference via /v1/cluster/repair.
@@ -122,7 +117,7 @@ const pollStrikes = 2
 // NoteFailedPoll records one failed gossip poll of peer id. Unlike
 // NoteDown, a single failure is damped: the peer stays healthy until
 // pollStrikes consecutive polls fail, so a momentary stall does not
-// flap the peer through down-and-back and trigger a hint storm.
+// flap the peer through down-and-back.
 func (t *Tracker) NoteFailedPoll(id string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -231,7 +231,7 @@ func TestTracker(t *testing.T) {
 
 // TestTrackerPollHysteresis pins the two-strike demotion contract: one
 // lost gossip poll must NOT demote a peer (that is exactly the flap
-// that triggers a shed-and-hint storm under load), two consecutive
+// that sheds a peer's keys under load), two consecutive
 // failures must, and any successful poll resets the strike count.
 func TestTrackerPollHysteresis(t *testing.T) {
 	tr := NewTracker(time.Minute)

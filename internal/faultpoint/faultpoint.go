@@ -40,9 +40,10 @@
 //	service.cache.put        verdict-cache fill
 //	service.queue.admit      job admission, before queueing
 //	service.witness.validate witness replay before serving
+//	service.certificate.validate
+//	                         invariant-certificate replay before serving
 //	service.replicate.send   verdict write-behind push to the failover
 //	                         peer (fires on the worker goroutine)
-//	service.hint.drain       hinted-handoff drain to a recovered peer
 //	service.repair.pull      anti-entropy repair pull
 package faultpoint
 

@@ -212,23 +212,25 @@ func (c *verdictCache) get(k verdictKey) (*JobResult, bool) {
 	return &res, true
 }
 
-// put stores a served record under k. The fields that describe one
-// request rather than the verdict — served from cache, warm session,
-// wall clock — are cleared: a later hit ran no solver and no session.
-func (c *verdictCache) put(k verdictKey, v JobResult) {
+// put stores a served record under k and reports whether it did: a
+// disabled cache, an injected fault or an oversized record stores
+// nothing. The fields that describe one request rather than the
+// verdict — served from cache, warm session, wall clock — are cleared:
+// a later hit ran no solver and no session.
+func (c *verdictCache) put(k verdictKey, v JobResult) bool {
 	if c.budget < 0 {
-		return
+		return false
 	}
 	v.Cached, v.SessionHit, v.ElapsedMS = false, false, 0
 	// Fault-injection site: the cache is an accelerator, so an injected
 	// failure degrades to not caching — the verdict is still served —
 	// while an injected panic exercises the worker's containment.
 	if err := faultpoint.Hit("service.cache.put"); err != nil {
-		return
+		return false
 	}
 	sz := entryBytes(k, v)
 	if sz > c.budget {
-		return // a single oversized verdict would evict everything
+		return false // a single oversized verdict would evict everything
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -256,6 +258,7 @@ func (c *verdictCache) put(k verdictKey, v JobResult) {
 		c.bytes -= e.sz
 		c.digestToggleLocked(e.key, e.v, false)
 	}
+	return true
 }
 
 // stats returns (entries, bytes, budget).

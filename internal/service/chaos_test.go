@@ -163,10 +163,10 @@ func TestServiceChaosClustered(t *testing.T) {
 	// Faultpoints are process-global, so each fires on whichever shard
 	// hits the site first — entry or owner side of the proxy hop. The
 	// warm-failover sites ride along: a panic in the replication worker
-	// must be contained there (the worker survives), a failed hint drain
-	// must re-park and retry, and a blackholed repair pull must leave
-	// the divergence for a later tick — none of them may corrupt an
-	// answer or kill a goroutine the cleanup's settle would catch.
+	// must be contained there (the worker survives), and a blackholed
+	// repair pull must leave the divergence for a later tick — neither
+	// may corrupt an answer or kill a goroutine the cleanup's settle
+	// would catch.
 	faultpoint.Arm("sat.propagate", faultpoint.Schedule{Kind: faultpoint.KindPanic, On: 41})
 	faultpoint.Arm("sat.analyze", faultpoint.Schedule{Kind: faultpoint.KindPanic, On: 7})
 	faultpoint.Arm("service.cache.put", faultpoint.Schedule{Kind: faultpoint.KindPanic, On: 5})
@@ -174,7 +174,6 @@ func TestServiceChaosClustered(t *testing.T) {
 	faultpoint.Arm("service.witness.validate", faultpoint.Schedule{Kind: faultpoint.KindError, On: 9})
 	faultpoint.Arm("service.queue.admit", faultpoint.Schedule{Kind: faultpoint.KindError, On: 17})
 	faultpoint.Arm("service.replicate.send", faultpoint.Schedule{Kind: faultpoint.KindPanic, On: 2})
-	faultpoint.Arm("service.hint.drain", faultpoint.Schedule{Kind: faultpoint.KindError, On: 1})
 	faultpoint.Arm("service.repair.pull", faultpoint.Schedule{Kind: faultpoint.KindError, On: 1})
 
 	engines := []string{"", "sat", "sat-incr"}

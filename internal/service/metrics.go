@@ -9,7 +9,6 @@ package service
 // the E3 experiments track.
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,27 +70,20 @@ type metrics struct {
 	clusterShedServed  atomic.Int64
 
 	// Warm-failover accounting: the verdict replication write-behind
-	// (out = entries accepted by a failover peer, in = entries adopted
-	// from one), the hinted-handoff log, anti-entropy repair, and
-	// hedged proxying.
+	// (out = entries a failover peer stored, in = entries stored from
+	// peers) and anti-entropy repair.
 	replicatedOut     atomic.Int64
 	replicatedIn      atomic.Int64
 	replicateRejected atomic.Int64 // receiver dropped an invalid entry
-	replicateDropped  atomic.Int64 // sender queue overflow
-	hintsQueued       atomic.Int64
-	hintsDrained      atomic.Int64
-	hintsDropped      atomic.Int64
+	replicateDropped  atomic.Int64 // sender did not deliver an entry
 	repairPulls       atomic.Int64
 	repairedEntries   atomic.Int64
-	hedgesFired       atomic.Int64
-	hedgesWon         atomic.Int64
 
 	// latRing holds recent job wall-clocks (microseconds): the one job
-	// latency estimator. Its p99 is what gossip advertises (peers size
-	// hedge delays from it), its mean what Retry-After and /metrics
-	// avg_job_ms report. Lock-free:
-	// writers claim slots round-robin, readers take a racy snapshot —
-	// a quantile over slightly torn samples is still a quantile.
+	// latency estimator. Its mean is what Retry-After and /metrics
+	// avg_job_ms report. Lock-free: writers claim slots round-robin,
+	// readers take a racy snapshot — a mean over slightly torn samples
+	// is still a mean.
 	latRing [latRingSize]atomic.Int64
 	latIdx  atomic.Uint64
 
@@ -123,47 +115,20 @@ func (m *metrics) noteElapsed(d time.Duration) {
 	m.latRing[m.latIdx.Add(1)%latRingSize].Store(us)
 }
 
-// jobSamples returns the filled slots of the recent-job ring.
-func (m *metrics) jobSamples() []int64 {
-	var samples []int64
+// meanJobMicros is the mean over the filled slots of the recent-job
+// ring (0 when no job has finished).
+func (m *metrics) meanJobMicros() int64 {
+	var sum, n int64
 	for i := range m.latRing {
 		if v := m.latRing[i].Load(); v > 0 {
-			samples = append(samples, v)
+			sum += v
+			n++
 		}
 	}
-	return samples
-}
-
-// meanJobMicros is the mean of the recent-job ring (0 when no job has
-// finished).
-func (m *metrics) meanJobMicros() int64 {
-	samples := m.jobSamples()
-	if len(samples) == 0 {
+	if n == 0 {
 		return 0
 	}
-	var sum int64
-	for _, v := range samples {
-		sum += v
-	}
-	return sum / int64(len(samples))
-}
-
-// p99JobMicros computes the 99th percentile of the recent-job ring
-// (nearest-rank over the filled slots; 0 when no job has finished).
-func (m *metrics) p99JobMicros() int64 {
-	samples := m.jobSamples()
-	if len(samples) == 0 {
-		return 0
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	idx := (len(samples)*99 + 99) / 100
-	if idx < 1 {
-		idx = 1
-	}
-	if idx > len(samples) {
-		idx = len(samples)
-	}
-	return samples[idx-1]
+	return sum / n
 }
 
 func (m *metrics) notePeakBytes(b int64) {
@@ -281,38 +246,29 @@ type ClusterSnapshot struct {
 }
 
 // ReplicationSnapshot is the /metrics replication section: the verdict
-// write-behind, the hinted-handoff log, anti-entropy repair, and
-// hedged proxying.
+// write-behind and anti-entropy repair.
 type ReplicationSnapshot struct {
-	// ReplicatedOut counts entries a failover peer accepted from this
-	// shard; ReplicatedIn counts entries this shard adopted from peers
-	// (replicate pushes and repair pulls both land here).
+	// ReplicatedOut counts entries a failover peer stored from this
+	// shard's pushes; ReplicatedIn counts entries this shard stored from
+	// peers (replicate pushes and repair pulls both land here). An entry
+	// the receiver already held counts in neither.
 	ReplicatedOut int64 `json:"replicated_out"`
 	ReplicatedIn  int64 `json:"replicated_in"`
-	// ReplicateDropped: sender-side queue overflow (the write-behind
-	// queue is bounded; a storm drops rather than blocks).
+	// ReplicateDropped: entries the push did not deliver: queue
+	// overflow, target down or failed send; repair delivers them.
 	// ReplicateRejected: receiver-side entries dropped for failing
 	// validation (hash mismatch, witness that does not replay).
 	ReplicateDropped  int64 `json:"replicate_dropped"`
 	ReplicateRejected int64 `json:"replicate_rejected"`
 
-	HintsQueued  int64 `json:"hints_queued"`
-	HintsDrained int64 `json:"hints_drained"`
-	HintsDropped int64 `json:"hints_dropped"`
-
-	// RepairPulls counts anti-entropy pull requests issued; Repaired
-	// counts entries adopted through them.
+	// RepairPulls counts anti-entropy pull requests issued;
+	// RepairedEntries counts entries stored through them.
 	RepairPulls     int64 `json:"repair_pulls"`
 	RepairedEntries int64 `json:"repaired_entries"`
 
-	// HedgesFired counts proxied checks duplicated to the failover
-	// owner after the primary exceeded its advertised p99; HedgesWon
-	// counts races the hedge answered first.
-	HedgesFired int64 `json:"hedges_fired"`
-	HedgesWon   int64 `json:"hedges_won"`
-
-	// HintsParked is the current hint-log occupancy across peers.
-	HintsParked int `json:"hints_parked"`
+	// HedgesFired is always 0 and never serialized: this shard proxies
+	// without hedging. It stays because bmcbench still reads it.
+	HedgesFired int64 `json:"-"`
 }
 
 // Metrics snapshots the server's counters.
@@ -378,14 +334,8 @@ func (s *Server) Metrics() MetricsSnapshot {
 				ReplicatedIn:      m.replicatedIn.Load(),
 				ReplicateDropped:  m.replicateDropped.Load(),
 				ReplicateRejected: m.replicateRejected.Load(),
-				HintsQueued:       m.hintsQueued.Load(),
-				HintsDrained:      m.hintsDrained.Load(),
-				HintsDropped:      m.hintsDropped.Load(),
 				RepairPulls:       m.repairPulls.Load(),
 				RepairedEntries:   m.repairedEntries.Load(),
-				HedgesFired:       m.hedgesFired.Load(),
-				HedgesWon:         m.hedgesWon.Load(),
-				HintsParked:       cs.repl.parked(),
 			},
 		}
 	}

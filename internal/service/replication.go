@@ -17,28 +17,26 @@ package service
 //     A drain flushes what the queue still holds before the shard
 //     stops. Replicated deepen verdicts are also what carries a proven
 //     prefix to the key's next owner: a session built there seeds
-//     itself from them (solve, verdictCache.provenBelow).
-//
-//   - Hinted handoff: when the replica target is down per the gossip
-//     tracker (or a send bounces), entries park in a per-peer bounded
-//     hint log. The gossip loop drains a peer's hints the moment a
-//     poll sees it healthy again, so a rebooted shard gets the
-//     verdicts it missed without waiting for anti-entropy.
+//     itself from them (solve, verdictCache.provenBelow). An entry
+//     the push cannot deliver — queue overflow, a target the gossip
+//     tracker calls unhealthy, a failed send — is dropped and counted;
+//     anti-entropy delivers it.
 //
 //   - Anti-entropy: each shard piggybacks a per-range verdict-cache
 //     digest (count + XOR identity hash, cache.go) on its gossip
 //     status. A shard whose view of a peer's range disagrees with its
 //     own issues GET /v1/cluster/repair?ranges=... and merges the
 //     difference — union merge, so repeated exchange converges after
-//     partitions, kill -9 crashes, and rolling restarts. A per-(peer,
-//     range) memo of the last digest pulled keeps the exchange
-//     quiescent once the caches stop changing: divergence a pull
-//     cannot close (entries past the LRU budget, run-stat-only
+//     partitions, kill -9 crashes, and rolling restarts, and it is the
+//     one way a restarted shard catches up on what it missed. A
+//     per-(peer, range) memo of the last digest pulled keeps the
+//     exchange quiescent once the caches stop changing: divergence a
+//     pull cannot close (entries past the LRU budget, run-stat-only
 //     differences) is pulled once, not every tick.
 //
-// All three paths run under the replicate/hint/repair faultpoints, so
-// the PR-7 chaos storm exercises them; a panic injected into the
-// background worker is contained, never process-fatal.
+// Both paths run under the replicate/repair faultpoints, so the chaos
+// storm exercises them; a panic injected into the background worker is
+// contained, never process-fatal.
 
 import (
 	"bytes"
@@ -138,7 +136,8 @@ type replicatePayload struct {
 	Entries []replicaEntry `json:"entries"`
 }
 
-// replicateResponse reports how many entries the receiver adopted.
+// replicateResponse reports how many entries the receiver stored:
+// entries it already held are not counted.
 type replicateResponse struct {
 	Accepted int `json:"accepted"`
 }
@@ -167,16 +166,12 @@ const replBatchMax = 32
 // entries (counted) instead of blocking the request path.
 const replQueueDepth = 1024
 
-// hintLimit bounds each peer's hinted-handoff log: hints beyond it drop
-// oldest-first, and anti-entropy repairs what drops.
-const hintLimit = 512
-
-// replSendTimeout bounds every replicate/hint/repair exchange.
+// replSendTimeout bounds every replicate/repair exchange.
 const replSendTimeout = 10 * time.Second
 
 // replicator is the warm-failover engine of one clustered shard: the
-// bounded write-behind queue and its worker, the per-peer hint logs,
-// and the anti-entropy pull memos.
+// bounded write-behind queue and its worker, and the anti-entropy pull
+// memos.
 type replicator struct {
 	s  *Server
 	cs *clusterState
@@ -184,8 +179,6 @@ type replicator struct {
 	queue chan replTask
 
 	mu         sync.Mutex
-	hints      map[string][]replicaEntry // peer ID -> parked entries
-	hintsTotal int
 	lastPulled map[string]map[int]uint64 // peer ID -> range -> digest hash pulled
 }
 
@@ -194,16 +187,8 @@ func newReplicator(s *Server, cs *clusterState) *replicator {
 		s:          s,
 		cs:         cs,
 		queue:      make(chan replTask, replQueueDepth),
-		hints:      make(map[string][]replicaEntry),
 		lastPulled: make(map[string]map[int]uint64),
 	}
-}
-
-// parked is the current hint-log occupancy, for /metrics.
-func (r *replicator) parked() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.hintsTotal
 }
 
 // enqueue hands one fresh cache fill to the write-behind worker. Non-
@@ -250,8 +235,9 @@ func (r *replicator) collect(batch ...replTask) []replTask {
 
 // flush sends whatever the queue still holds, batch by batch, until it
 // is empty or ctx ends. Drain calls it after the workers have exited,
-// so no new fill arrives while it runs; a send that fails parks its
-// entries as hints, which leave with the draining shard.
+// so no new fill arrives while it runs; a send that fails drops its
+// entries (counted), and they leave with the draining shard unless a
+// peer's repair pull fetches them first.
 func (r *replicator) flush(ctx context.Context) {
 	for ctx.Err() == nil {
 		batch := r.collect()
@@ -276,14 +262,14 @@ func (r *replicator) target(hash string) *cluster.Shard {
 }
 
 // sendBatch groups one drained batch by failover target and pushes
-// each group, parking entries for unreachable targets in the hint log.
-// Contained: a panic injected at the send faultpoint (or a bug in the
-// serialization path) is swallowed here — the replicator is an
-// accelerator, and its worker must survive anything.
+// each group, dropping (and counting) the entries for a target that is
+// unhealthy or refuses the send. Contained: a panic injected at the
+// send faultpoint (or a bug in the serialization path) is swallowed
+// here — the replicator is an accelerator, and its worker must survive
+// anything.
 func (r *replicator) sendBatch(ctx context.Context, batch []replTask) {
 	defer func() { _ = recover() }()
-	groups := make(map[string][]replicaEntry)
-	targets := make(map[string]cluster.Shard)
+	groups := make(map[cluster.Shard][]replicaEntry)
 	for _, t := range batch {
 		sh := r.target(t.key.Hash)
 		if sh == nil {
@@ -293,22 +279,19 @@ func (r *replicator) sendBatch(ctx context.Context, batch []replTask) {
 		if err := t.sys.Reduce().Circ.WriteAAG(&aag); err != nil {
 			continue
 		}
-		groups[sh.ID] = append(groups[sh.ID], newReplicaEntry(t.key, t.v, aag.String()))
-		targets[sh.ID] = *sh
+		groups[*sh] = append(groups[*sh], newReplicaEntry(t.key, t.v, aag.String()))
 	}
-	for id, entries := range groups {
-		sh := targets[id]
-		if !r.cs.tracker.Healthy(id) {
-			r.park(id, entries)
+	for sh, entries := range groups {
+		if !r.cs.tracker.Healthy(sh.ID) {
+			r.s.metrics.replicateDropped.Add(int64(len(entries)))
 			continue
 		}
 		accepted, err := r.push(ctx, sh, entries)
 		if err != nil {
 			// The target looked healthy but the send bounced: demote it
-			// now (direct refusal evidence, no hysteresis) and park the
-			// entries for handoff when gossip sees it back.
-			r.cs.tracker.NoteDown(id)
-			r.park(id, entries)
+			// now (direct refusal evidence, no hysteresis).
+			r.cs.tracker.NoteDown(sh.ID)
+			r.s.metrics.replicateDropped.Add(int64(len(entries)))
 			continue
 		}
 		r.s.metrics.replicatedOut.Add(int64(accepted))
@@ -318,8 +301,8 @@ func (r *replicator) sendBatch(ctx context.Context, batch []replTask) {
 // push POSTs one batch of entries to a peer's replicate endpoint.
 func (r *replicator) push(ctx context.Context, target cluster.Shard, entries []replicaEntry) (int, error) {
 	// Fault-injection site: an injected error simulates the network
-	// eating the send (entries park as hints); an injected delay
-	// simulates a slow peer stream.
+	// eating the send (the entries drop); an injected delay simulates a
+	// slow peer stream.
 	if err := faultpoint.Hit("service.replicate.send"); err != nil {
 		return 0, err
 	}
@@ -347,62 +330,6 @@ func (r *replicator) push(ctx context.Context, target cluster.Shard, entries []r
 		return 0, err
 	}
 	return rr.Accepted, nil
-}
-
-// park appends entries to a peer's hint log, dropping the oldest hints
-// beyond the per-peer bound — the log is a buffer for a reboot-sized
-// outage, not an unbounded journal; what it drops, anti-entropy
-// repairs later.
-func (r *replicator) park(id string, entries []replicaEntry) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	before := len(r.hints[id])
-	log := append(r.hints[id], entries...)
-	r.s.metrics.hintsQueued.Add(int64(len(entries)))
-	if over := len(log) - hintLimit; over > 0 {
-		log = append([]replicaEntry(nil), log[over:]...)
-		r.s.metrics.hintsDropped.Add(int64(over))
-	}
-	r.hints[id] = log
-	r.hintsTotal += len(log) - before
-}
-
-// drainHints pushes a recovered peer's parked hints. Called from the
-// gossip loop right after a successful poll of the peer; on failure
-// the hints re-park (bounded) for the next attempt.
-func (r *replicator) drainHints(target cluster.Shard) {
-	defer func() { _ = recover() }()
-	r.mu.Lock()
-	log := r.hints[target.ID]
-	if len(log) == 0 {
-		r.mu.Unlock()
-		return
-	}
-	delete(r.hints, target.ID)
-	r.hintsTotal -= len(log)
-	r.mu.Unlock()
-
-	// Fault-injection site: an injected error aborts the drain and
-	// re-parks the hints, exercising the retry-next-tick path.
-	if err := faultpoint.Hit("service.hint.drain"); err != nil {
-		r.park(target.ID, log)
-		return
-	}
-	for len(log) > 0 {
-		n := len(log)
-		if n > replBatchMax {
-			n = replBatchMax
-		}
-		accepted, err := r.push(context.Background(), target, log[:n])
-		if err != nil {
-			r.cs.tracker.NoteDown(target.ID)
-			r.park(target.ID, log)
-			return
-		}
-		r.s.metrics.replicatedOut.Add(int64(accepted))
-		r.s.metrics.hintsDrained.Add(int64(n))
-		log = log[n:]
-	}
 }
 
 // antiEntropy compares a freshly-heard peer digest against the local
@@ -449,11 +376,12 @@ func (r *replicator) antiEntropy(target cluster.Shard, st cluster.Status) {
 	}
 	adopted := 0
 	for _, e := range pulled {
-		if err := r.s.adoptReplica(e, false); err != nil {
+		stored, err := r.s.adoptReplica(e, false)
+		if err != nil {
 			r.s.metrics.replicateRejected.Add(1)
-			continue
+		} else if stored {
+			adopted++
 		}
-		adopted++
 	}
 	r.s.metrics.repairedEntries.Add(int64(adopted))
 	r.s.metrics.replicatedIn.Add(int64(adopted))
@@ -517,26 +445,27 @@ func (s *Server) replicateFill(j *job, key verdictKey, res *JobResult) {
 }
 
 // adoptReplica validates one wire entry and adopts it into the local
-// verdict cache. withModel distinguishes replicate pushes (model
-// attached: check the content hash, replay the witness) from repair
-// pulls (no model: only entries validated at original fill time are
-// accepted).
-func (s *Server) adoptReplica(e replicaEntry, withModel bool) error {
+// verdict cache, reporting whether it stored the entry: a valid entry
+// whose key is already resident is not stored, and not an error.
+// withModel distinguishes replicate pushes (model attached: check the
+// content hash, replay the witness) from repair pulls (no model: only
+// entries validated at original fill time are accepted).
+func (s *Server) adoptReplica(e replicaEntry, withModel bool) (bool, error) {
 	k, err := e.entryKey()
 	if err != nil {
-		return err
+		return false, err
 	}
 	v := e.JobResult
 	v.Bound = e.ResultBound
 	if !v.decided() {
 		// Only decided answers are cacheable; UNKNOWN depends on the
 		// sender's budget and ERROR must never be replayed.
-		return fmt.Errorf("service: replica entry with undecided status %q", e.Status)
+		return false, fmt.Errorf("service: replica entry with undecided status %q", e.Status)
 	}
 	if withModel {
 		sys, err := s.shippedModel(e)
 		if err != nil {
-			return err
+			return false, err
 		}
 		if e.Status == sebmc.Safe.String() {
 			// A terminal claim short-circuits every future bound for the
@@ -545,17 +474,17 @@ func (s *Server) adoptReplica(e replicaEntry, withModel bool) error {
 			// substitution against this receiver's own parse of the
 			// model. No certificate, no adoption.
 			if e.Certificate == "" {
-				return fmt.Errorf("service: terminal replica entry without certificate")
+				return false, fmt.Errorf("service: terminal replica entry without certificate")
 			}
 			cert, err := sebmc.ParseCertificate(e.Certificate)
 			if err != nil {
-				return fmt.Errorf("service: bad replica certificate: %w", err)
+				return false, fmt.Errorf("service: bad replica certificate: %w", err)
 			}
 			if cert.Kind != sebmc.CertInvariant {
-				return fmt.Errorf("service: terminal replica entry with %s certificate", cert.Kind)
+				return false, fmt.Errorf("service: terminal replica entry with %s certificate", cert.Kind)
 			}
 			if err := cert.Validate(sys.Reduce()); err != nil {
-				return fmt.Errorf("service: replica certificate does not replay: %w", err)
+				return false, fmt.Errorf("service: replica certificate does not replay: %w", err)
 			}
 			v.CertificateValidated = true
 		}
@@ -572,11 +501,11 @@ func (s *Server) adoptReplica(e replicaEntry, withModel bool) error {
 			// anti-entropy repair, which trusts the fill-time validation.
 			wit, err := sebmc.ParseWitness(e.Witness)
 			if err != nil {
-				return fmt.Errorf("service: bad replica witness: %w", err)
+				return false, fmt.Errorf("service: bad replica witness: %w", err)
 			}
 			if err := wit.Validate(sys); err != nil {
 				if err2 := wit.Validate(sebmc.AddSelfLoop(sys)); err2 != nil {
-					return fmt.Errorf("service: replica witness does not replay: %w", err)
+					return false, fmt.Errorf("service: replica witness does not replay: %w", err)
 				}
 			}
 			v.WitnessValidated = true
@@ -585,18 +514,17 @@ func (s *Server) adoptReplica(e replicaEntry, withModel bool) error {
 		// Repair entries carry no model to replay against; only
 		// witnesses already validated by the shard that computed or
 		// received them are trusted.
-		return fmt.Errorf("service: repair entry carries an unvalidated witness")
+		return false, fmt.Errorf("service: repair entry carries an unvalidated witness")
 	} else if e.Status == sebmc.Safe.String() && !e.CertificateValidated {
 		// The same bar for terminal claims: without a model to replay
 		// against, only certificates already validated by the shard
 		// that computed or adopted them cross on repair.
-		return fmt.Errorf("service: repair entry carries an unvalidated terminal claim")
+		return false, fmt.Errorf("service: repair entry carries an unvalidated terminal claim")
 	}
 	if s.cache.has(k) {
-		return nil // idempotent: the resident entry wins
+		return false, nil // idempotent: the resident entry wins
 	}
-	s.cache.put(k, v)
-	return nil
+	return s.cache.put(k, v), nil
 }
 
 // shippedModel re-derives the content hash of a replicate entry's
@@ -641,11 +569,12 @@ func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) 
 	}
 	accepted := 0
 	for _, e := range p.Entries {
-		if err := s.adoptReplica(e, true); err != nil {
+		stored, err := s.adoptReplica(e, true)
+		if err != nil {
 			s.metrics.replicateRejected.Add(1)
-			continue
+		} else if stored {
+			accepted++
 		}
-		accepted++
 	}
 	s.metrics.replicatedIn.Add(int64(accepted))
 	writeJSON(w, http.StatusOK, replicateResponse{Accepted: accepted})

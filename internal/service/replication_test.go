@@ -3,12 +3,13 @@ package service
 // Warm-failover tests, named TestServiceCluster* so CI's race loop
 // covers them. The invariants: a verdict decided on one shard survives
 // a kill -9 of that shard (the failover owner answers it warm, from
-// replication, without a new solver invocation); a verdict bound for a
-// dead peer parks as a hint and drains the moment gossip sees the peer
-// back; divergent verdict caches converge through anti-entropy within
-// two gossip intervals of the heal; a slow primary is hedged to the
-// next preference; and a proxied deadline clamps the receiver's
-// solving budget.
+// replication, without a new solver invocation); a verdict the push
+// could not deliver to a stopped peer reaches the restarted peer
+// through anti-entropy repair; divergent verdict caches converge
+// through anti-entropy within two gossip intervals of the heal; an
+// owner that stalls holds a proxied check no longer than the request's
+// deadline; and a proxied deadline clamps the receiver's solving
+// budget.
 
 import (
 	"encoding/json"
@@ -170,54 +171,60 @@ func TestServiceClusterWarmFailover(t *testing.T) {
 	}
 }
 
-// TestServiceClusterHintedHandoff: a replica bound for a dead peer
-// parks in the hint log instead of vanishing, and drains the moment a
-// gossip poll sees the peer back — the rebooted shard receives the
-// verdicts it missed without waiting for anti-entropy.
-func TestServiceClusterHintedHandoff(t *testing.T) {
-	servers, urls, tss := newFailoverCluster(t, 2, Config{Workers: 2, QueueDepth: 16}, ClusterConfig{})
+// TestServiceClusterRestartedShardCatchesUp: a verdict decided while
+// its failover shard is stopped is dropped by the push (counted in
+// replicate_dropped), and a fresh process restarted at the stopped
+// shard's address pulls it through anti-entropy repair — repair is the
+// one way a shard catches up on what it missed.
+func TestServiceClusterRestartedShardCatchesUp(t *testing.T) {
+	cfg := Config{Workers: 2, QueueDepth: 16}
+	servers, urls, tss := newFailoverCluster(t, 2, cfg, ClusterConfig{})
 	owner := ownerIndex(t, servers, urls, cexMSL)
 	dead := 1 - owner
 
-	// Kill the failover target first, then decide the verdict on the
-	// owner: the replica has nowhere to go and must park.
+	// Stop the failover shard completely before the verdict exists: its
+	// listener dies and its Server drains, so it cannot pull anything
+	// while it is down.
 	tss[dead].CloseClientConnections()
 	tss[dead].Close()
-	res := checkWait(t, urls[owner], CheckRequest{Model: cexMSL, Bound: 5, Engine: "sat", Witness: true})
-	if res.Status != "REACHABLE" {
-		t.Fatalf("owner verdict: %s, want REACHABLE", res.Status)
+	drain(t, servers[dead])
+	req := CheckRequest{Model: cexMSL, Bound: 5, Engine: "sat", Witness: true}
+	res := checkWait(t, urls[owner], req)
+	if res.Status != "REACHABLE" || !res.WitnessValidated {
+		t.Fatalf("owner verdict: %s validated=%v, want REACHABLE/true", res.Status, res.WitnessValidated)
 	}
-	waitUntil(t, 5*time.Second, "replica to park as a hint", func() bool {
-		return replSnap(t, servers[owner]).HintsQueued >= 1
+	waitUntil(t, 5*time.Second, "the push to drop the replica", func() bool {
+		return replSnap(t, servers[owner]).ReplicateDropped >= 1
 	})
 
-	// Revive the peer on the SAME address (Go listeners set
-	// SO_REUSEADDR, so the port rebinds through TIME_WAIT): the next
-	// gossip poll succeeds and the hints must drain to it.
+	// Restart: a fresh process at the SAME address (Go listeners set
+	// SO_REUSEADDR, so the port rebinds through TIME_WAIT), joined
+	// before it serves, as bmcd does.
 	addr := strings.TrimPrefix(urls[dead], "http://")
 	var l net.Listener
-	waitUntil(t, 5*time.Second, "the dead shard's port to rebind", func() bool {
+	waitUntil(t, 5*time.Second, "the stopped shard's port to rebind", func() bool {
 		var err error
 		l, err = net.Listen("tcp", addr)
 		return err == nil
 	})
-	revived := &httptest.Server{Listener: l, Config: &http.Server{Handler: servers[dead].Handler()}}
-	revived.Start()
-	t.Cleanup(revived.Close)
-
-	waitUntil(t, 5*time.Second, "hints to drain to the revived peer", func() bool {
-		return replSnap(t, servers[owner]).HintsDrained >= 1
+	fresh := New(cfg)
+	if err := fresh.JoinCluster(ClusterConfig{Self: urls[dead], Shards: urls, GossipInterval: 50 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	restarted := &httptest.Server{Listener: l, Config: &http.Server{Handler: fresh.Handler()}}
+	restarted.Start()
+	t.Cleanup(func() {
+		drain(t, fresh)
+		restarted.Close()
 	})
-	if in := replSnap(t, servers[dead]).ReplicatedIn; in < 1 {
-		t.Fatalf("revived peer adopted %d entries, want >= 1", in)
-	}
-	if parked := servers[owner].clusterView().repl.parked(); parked != 0 {
-		t.Fatalf("%d hints still parked after the drain", parked)
-	}
 
-	// The handed-off verdict is really resident: a forwarded request
-	// (served locally by contract) answers it as a cache hit.
-	req := CheckRequest{Model: cexMSL, Bound: 5, Engine: "sat", Witness: true, Wait: true}
+	waitUntil(t, 5*time.Second, "the restarted shard to repair the verdict", func() bool {
+		return replSnap(t, fresh).RepairedEntries >= 1
+	})
+
+	// The repaired verdict is really resident: a forwarded request
+	// (served locally by contract) answers it as a validated cache hit.
+	req.Wait = true
 	hreq, err := http.NewRequest(http.MethodPost, urls[dead]+"/v1/check", jsonBody(t, req))
 	if err != nil {
 		t.Fatal(err)
@@ -233,8 +240,8 @@ func TestServiceClusterHintedHandoff(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Result == nil || !st.Result.Cached {
-		t.Fatalf("revived peer did not serve the handed-off verdict warm: %+v", st.Result)
+	if st.Result == nil || !st.Result.Cached || !st.Result.WitnessValidated {
+		t.Fatalf("restarted shard did not serve the repaired verdict warm and validated: %+v", st.Result)
 	}
 }
 
@@ -305,13 +312,13 @@ func TestServiceClusterAntiEntropyRepair(t *testing.T) {
 	}
 }
 
-// TestServiceClusterHedgedFailover: a primary that accepts the proxied
-// request but answers slower than its own advertised p99 gets hedged —
-// the same request is duplicated to the next preference, the fast
-// answer wins, and the client never sees the stall. The slow shard
-// here is a stand-in listener that gossips health (with a tiny p99, so
-// the hedge fires fast) but sits on /v1/check until cancelled.
-func TestServiceClusterHedgedFailover(t *testing.T) {
+// TestServiceClusterStalledOwnerBoundedByDeadline: an owner that
+// answers gossip but sits on /v1/check holds a proxied check until the
+// request's deadline (its timeout_ms plus proxyGrace), and no longer:
+// the entry shard then serves the check itself. The stalled owner here
+// is a stand-in listener that gossips healthy and never answers a
+// check until the proxy gives up on it.
+func TestServiceClusterStalledOwnerBoundedByDeadline(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := Config{Workers: 2, QueueDepth: 16}
 	servers := []*Server{New(cfg), New(cfg)}
@@ -320,18 +327,18 @@ func TestServiceClusterHedgedFailover(t *testing.T) {
 		httptest.NewServer(servers[1].Handler()),
 	}
 
-	// The slow shard: healthy by gossip, black hole for checks. The
+	// The stalled owner: healthy by gossip, black hole for checks. The
 	// stall channel releases any still-held request at cleanup, so the
 	// listener can close without waiting out the stall.
 	stall := make(chan struct{})
 	mux := http.NewServeMux()
 	slow := httptest.NewServer(mux)
 	mux.HandleFunc("GET /v1/cluster/health", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, cluster.Status{ID: slow.URL, QueueCapacity: 16, P99JobMicros: 2000})
+		writeJSON(w, http.StatusOK, cluster.Status{ID: slow.URL, QueueCapacity: 16})
 	})
 	mux.HandleFunc("POST /v1/check", func(w http.ResponseWriter, r *http.Request) {
 		select {
-		case <-r.Context().Done(): // abandoned by the hedging proxy
+		case <-r.Context().Done(): // given up on by the proxy
 		case <-stall:
 		}
 	})
@@ -358,12 +365,13 @@ func TestServiceClusterHedgedFailover(t *testing.T) {
 		settleGoroutines(t, before)
 	})
 
-	// Find a model the slow shard owns whose preference order ends at a
-	// real shard: that shard is the entry, the other real shard is the
-	// hedge target. Rendezvous order is hash-driven, so scan a pool.
+	// Find a model the stalled shard owns whose preference order ends at
+	// a real shard: that shard is the entry, so a healthy real shard
+	// still stands between the stalled owner and the entry in the walk.
+	// Rendezvous order is hash-driven, so scan a pool.
 	ring := servers[0].clusterView().ring
 	var src string
-	var entry, hedged int
+	var entry int
 	var reachable bool
 	pool := []*sebmc.System{}
 	for n := 3; n <= 10; n++ {
@@ -381,10 +389,7 @@ func TestServiceClusterHedgedFailover(t *testing.T) {
 		}
 		src = aagSource(t, sys)
 		for i, u := range urls[:2] {
-			switch u {
-			case prefs[1].ID:
-				hedged = i
-			case prefs[2].ID:
+			if u == prefs[2].ID {
 				entry = i
 			}
 		}
@@ -393,27 +398,21 @@ func TestServiceClusterHedgedFailover(t *testing.T) {
 		break
 	}
 	if src == "" {
-		t.Skip("no model in the pool is owned by the slow shard; enlarge the pool")
+		t.Skip("no model in the pool is owned by the stalled shard; enlarge the pool")
 	}
 
-	// Let the entry shard hear the slow shard's advertised p99 once, so
-	// the hedge delay is the 50ms clamp, not the 500ms default.
-	waitUntil(t, 2*time.Second, "gossip to hear the slow shard", func() bool {
-		st, ok := servers[entry].clusterView().tracker.Status(slow.URL)
-		return ok && st.P99JobMicros > 0
-	})
-
-	req := CheckRequest{Model: src, Format: "aag", Bound: 4, Engine: "sat", Semantics: "atmost"}
+	const timeout = 300 * time.Millisecond
+	req := CheckRequest{Model: src, Format: "aag", Bound: 4, Engine: "sat", Semantics: "atmost", TimeoutMS: int(timeout.Milliseconds())}
+	start := time.Now()
 	res, shard := checkWaitShard(t, urls[entry], req)
+	if elapsed, limit := time.Since(start), timeout+proxyGrace+2*time.Second; elapsed > limit {
+		t.Fatalf("proxied check took %v past a stalled owner, want at most %v", elapsed, limit)
+	}
 	if got := res.Status == "REACHABLE"; got != reachable {
-		t.Fatalf("hedged answer %s, oracle says reachable=%v", res.Status, reachable)
+		t.Fatalf("answer %s, oracle says reachable=%v", res.Status, reachable)
 	}
-	if shard != urls[hedged] {
-		t.Fatalf("answered by %q, want the hedge target %q", shard, urls[hedged])
-	}
-	rs := replSnap(t, servers[entry])
-	if rs.HedgesFired < 1 || rs.HedgesWon < 1 {
-		t.Fatalf("hedge accounting: fired=%d won=%d, want >=1/>=1", rs.HedgesFired, rs.HedgesWon)
+	if shard != urls[entry] {
+		t.Fatalf("answered by %q, want the entry shard %q", shard, urls[entry])
 	}
 }
 
@@ -421,7 +420,7 @@ func TestServiceClusterHedgedFailover(t *testing.T) {
 // remaining-budget header gets its solving budget clamped to it, even
 // when the request itself asked for no timeout — the receiver half of
 // deadline propagation (the sender half, stamping the header from its
-// own deadline, is startAttempt).
+// own deadline, is forwardRequest).
 func TestServiceClusterDeadlineClamp(t *testing.T) {
 	s, url := newTestServer(t, Config{Workers: 1})
 
@@ -482,9 +481,10 @@ func TestServiceClusterDeadlineClamp(t *testing.T) {
 }
 
 // TestServiceReplicaAdoptRejects: the replication receiver's validation
-// gauntlet. A good entry is adopted once (idempotently); entries with a
-// mismatched content hash, an unreplayable witness, an undecided
-// status, or an unvalidated repair witness are all refused.
+// gauntlet. A good entry is stored once, and a re-adopt of it reports
+// nothing stored, over the function and over /v1/cluster/replicate;
+// entries with a mismatched content hash, an unreplayable witness, an
+// undecided status, or an unvalidated repair witness are all refused.
 func TestServiceReplicaAdoptRejects(t *testing.T) {
 	s, url := newTestServer(t, Config{Workers: 2})
 	// Decide a real verdict to harvest a genuine model + witness pair.
@@ -508,8 +508,8 @@ func TestServiceReplicaAdoptRejects(t *testing.T) {
 		JobResult:   JobResult{Status: "REACHABLE", FoundAt: 5, Witness: res.Witness},
 		ResultBound: 7,
 	}
-	if err := s.adoptReplica(good, true); err != nil {
-		t.Fatalf("valid entry refused: %v", err)
+	if stored, err := s.adoptReplica(good, true); err != nil || !stored {
+		t.Fatalf("valid entry: stored=%v err=%v, want stored", stored, err)
 	}
 	k, err := good.entryKey()
 	if err != nil {
@@ -518,8 +518,22 @@ func TestServiceReplicaAdoptRejects(t *testing.T) {
 	if !s.cache.has(k) {
 		t.Fatal("adopted entry is not resident")
 	}
-	if err := s.adoptReplica(good, true); err != nil {
-		t.Fatalf("idempotent re-adopt refused: %v", err)
+	if stored, err := s.adoptReplica(good, true); err != nil || stored {
+		t.Fatalf("idempotent re-adopt: stored=%v err=%v, want not stored and no error", stored, err)
+	}
+
+	// The same push twice over the wire: the receiver accepts it once and
+	// counts one entry in, not two.
+	pushed := good
+	pushed.Bound, pushed.ResultBound = 17, 17
+	for i, want := range []int{1, 0} {
+		var rr replicateResponse
+		if code := postJSON(t, url+"/v1/cluster/replicate", replicatePayload{Entries: []replicaEntry{pushed}}, &rr); code != http.StatusOK || rr.Accepted != want {
+			t.Fatalf("push %d: HTTP %d accepted=%d, want 200/%d", i+1, code, rr.Accepted, want)
+		}
+	}
+	if in := s.metrics.replicatedIn.Load(); in != 1 {
+		t.Fatalf("replicated_in = %d after pushing one entry twice, want 1", in)
 	}
 
 	cases := []struct {
@@ -543,7 +557,7 @@ func TestServiceReplicaAdoptRejects(t *testing.T) {
 		e := good
 		e.Bound = 9 // fresh key, so residency can't mask a rejection
 		c.mut(&e)
-		if err := s.adoptReplica(e, c.with); err == nil {
+		if _, err := s.adoptReplica(e, c.with); err == nil {
 			t.Errorf("%s: entry adopted, want rejection", c.name)
 		}
 	}
@@ -559,7 +573,7 @@ func TestServiceReplicaAdoptRejects(t *testing.T) {
 	tampered.Bound = 15
 	tampered.Witness = strings.Join(lines, "\n") + "\n"
 	hits, _, _ := s.models.stats()
-	if err := s.adoptReplica(tampered, true); err == nil {
+	if _, err := s.adoptReplica(tampered, true); err == nil {
 		t.Error("tampered witness on memoized text: entry adopted, want rejection")
 	}
 	if h, _, _ := s.models.stats(); h != hits+1 {
@@ -572,7 +586,7 @@ func TestServiceReplicaAdoptRejects(t *testing.T) {
 	repair.Bound = 11
 	repair.Model = ""
 	repair.WitnessValidated = true
-	if err := s.adoptReplica(repair, false); err != nil {
+	if _, err := s.adoptReplica(repair, false); err != nil {
 		t.Fatalf("validated repair entry refused: %v", err)
 	}
 
@@ -589,7 +603,7 @@ func TestServiceReplicaAdoptRejects(t *testing.T) {
 	atmost.Semantics = "atmost"
 	atmost.FoundAt = am.FoundAt
 	atmost.Witness = am.Witness
-	if err := s.adoptReplica(atmost, true); err != nil {
+	if _, err := s.adoptReplica(atmost, true); err != nil {
 		t.Fatalf("at-most witness entry refused: %v", err)
 	}
 }

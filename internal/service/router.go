@@ -9,7 +9,11 @@ package service
 //
 //   - a request for a model this shard owns is served locally;
 //   - a request for a model another shard owns is proxied there, so
-//     clients may talk to any shard;
+//     clients may talk to any shard. The proxy walks the rendezvous
+//     preferences one POST at a time: a shard that bounces (transport
+//     error or 503) is demoted and the walk moves on, and the walk
+//     ends at the request's deadline, after which this shard serves
+//     the request itself;
 //   - /v1/batch is fanned out shard-aware: every item is parsed and
 //     validated once on the entry shard, items are partitioned by
 //     owner, each partition is proxied to its shard, and the merged
@@ -20,10 +24,12 @@ package service
 //     the PR-7 "degrade, don't fail" ladder generalized from "back
 //     off" to "go somewhere that can take the work";
 //   - warm state leaves a shard one way: write-behind verdict
-//     replication (replication.go). A drain flushes the replication
-//     queue, and the key's next owner seeds each new session from the
-//     deepen verdicts it holds for that key, so a rolling restart
-//     resumes proven prefixes instead of re-solving them.
+//     replication (replication.go), with anti-entropy repair as the one
+//     way a shard catches up on what it missed. A drain flushes the
+//     replication queue, and the key's next owner seeds each new
+//     session from the deepen verdicts it holds for that key, so a
+//     rolling restart resumes proven prefixes instead of re-solving
+//     them.
 //
 // Loop safety: a forwarded request carries X-Bmcd-Forward and is
 // always served locally by the receiving shard, so disagreeing shard
@@ -163,21 +169,19 @@ func (cs *clusterState) clusterStop() {
 // gossipLoop polls every peer's /v1/cluster/health once per interval.
 // One poll round runs concurrently across peers and is joined before
 // the next tick is considered, so a slow peer delays gossip, never
-// stacks it. The warm-failover follow-ups ride each round: hints drain
-// to peers the round just heard from, and cache-digest disagreements
-// trigger anti-entropy repair pulls — so convergence after a partition
-// heal is bounded by gossip intervals, not by traffic.
+// stacks it. Anti-entropy rides each round: a cache-digest
+// disagreement with a peer the round just heard from triggers a repair
+// pull — so a restarted shard catches up, and caches converge after a
+// partition heals, within gossip intervals, not by traffic.
 func (cs *clusterState) gossipLoop(s *Server) {
 	defer cs.wg.Done()
 	t := time.NewTicker(cs.interval)
 	defer t.Stop()
 	for {
 		for _, p := range cs.pollPeers() {
-			if !p.ok {
-				continue
+			if p.ok {
+				cs.repl.antiEntropy(p.shard, p.st)
 			}
-			cs.repl.drainHints(p.shard)
-			cs.repl.antiEntropy(p.shard, p.st)
 		}
 		select {
 		case <-cs.stop:
@@ -207,7 +211,7 @@ func (cs *clusterState) pollPeers() []polledPeer {
 			// A failed poll is a strike, not a verdict: the tracker
 			// demotes only on two consecutive failures (hysteresis), so
 			// one poll lost under load does not flap the peer down and
-			// trigger a shed-and-hint storm.
+			// shed its keys to the next preference.
 			req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.URL+"/v1/cluster/health", nil)
 			if err != nil {
 				cs.tracker.NoteFailedPoll(sh.ID)
@@ -251,9 +255,7 @@ func (s *Server) clusterHealth() cluster.Status {
 	st.QuarantineOpen, _, _ = s.quar.stats()
 	live, _, _ := s.sessions.stats()
 	st.Sessions = live
-	// Warm-failover signals: the p99 peers size hedge delays from, and
-	// the verdict-cache digest anti-entropy compares.
-	st.P99JobMicros = s.metrics.p99JobMicros()
+	// The verdict-cache digest anti-entropy compares.
 	st.CacheDigest = s.cache.digest()
 	return st
 }
@@ -307,11 +309,6 @@ func (s *Server) routeCheck(w http.ResponseWriter, r *http.Request, j *job) bool
 		}
 		return false
 	}
-	// Walk the preference order from the chosen target on, falling back
-	// past shards that bounce; a bounced shard is demoted in the tracker
-	// immediately so the next request skips it without waiting for a
-	// gossip tick. The walk is bounded by the request's own deadline and
-	// hedges a slow primary to the next preference (proxyHedged).
 	payload, err := json.Marshal(j.req)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
@@ -319,9 +316,11 @@ func (s *Server) routeCheck(w http.ResponseWriter, r *http.Request, j *job) bool
 	}
 	// The request's end-to-end deadline: its effective solving budget
 	// plus transport grace. An uncapped request proxies uncapped.
-	var deadline time.Time
+	ctx := r.Context()
 	if j.timeout > 0 {
-		deadline = time.Now().Add(j.timeout + proxyGrace)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, j.timeout+proxyGrace)
+		defer cancel()
 	}
 	prefs := cs.ring.Prefs(j.hash)
 	var cands []cluster.Shard
@@ -334,190 +333,59 @@ func (s *Server) routeCheck(w http.ResponseWriter, r *http.Request, j *job) bool
 		}
 		cands = append(cands, prefs[i])
 	}
-	if len(cands) > 0 && cs.proxyHedged(w, r, cands, "/v1/check", payload, deadline, s.metrics) {
+	if cs.proxyWalk(ctx, w, cands, payload) {
 		s.metrics.clusterProxied.Add(1)
 		return true
 	}
 	s.metrics.clusterShedServed.Add(1)
-	return false // every peer bounced; serve locally as the last resort
+	return false // every peer bounced or the deadline passed; serve locally
 }
 
-// attemptOutcome is one proxy attempt's terminal state.
-type attemptOutcome struct {
-	resp *http.Response
-	err  error
-}
-
-// attempt is one in-flight proxied request.
-type attempt struct {
-	shard  cluster.Shard
-	ch     chan attemptOutcome
-	cancel context.CancelFunc
-}
-
-// startAttempt launches one proxy POST to target. The returned
-// attempt's channel delivers exactly one outcome; callers must either
-// consume it (and close any body) or abandon() the attempt.
-func (cs *clusterState) startAttempt(r *http.Request, target cluster.Shard, path string, payload []byte, deadline time.Time) *attempt {
-	var ctx context.Context
-	var cancel context.CancelFunc
-	if deadline.IsZero() {
-		ctx, cancel = context.WithCancel(r.Context())
-	} else {
-		ctx, cancel = context.WithDeadline(r.Context(), deadline)
-	}
-	preq, err := http.NewRequestWithContext(ctx, http.MethodPost, target.URL+path, bytes.NewReader(payload))
-	if err != nil {
-		cancel()
-		return nil
-	}
-	preq.Header.Set("Content-Type", "application/json")
-	preq.Header.Set(forwardHeader, cs.self.ID)
-	if !deadline.IsZero() {
-		ms := time.Until(deadline).Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		preq.Header.Set(deadlineHeader, strconv.FormatInt(ms, 10))
-	}
-	a := &attempt{shard: target, ch: make(chan attemptOutcome, 1), cancel: cancel}
-	go func() {
-		resp, err := cs.client.Do(preq)
-		a.ch <- attemptOutcome{resp: resp, err: err}
-	}()
-	return a
-}
-
-// abandon cancels a losing attempt and reaps its outcome in the
-// background (the transport aborts promptly on cancel; the reaper
-// closes whatever body still arrives, keeping the connection pool
-// clean and the goroutine count settled).
-func (a *attempt) abandon() {
-	a.cancel()
-	go func() {
-		if out := <-a.ch; out.resp != nil {
-			drainClose(out.resp.Body)
-		}
-	}()
-}
-
-// hedgeDelay is how long a proxied request waits on its primary before
-// duplicating to the next preference: twice the primary's own
-// advertised p99 job wall-clock (a response slower than that is
-// evidence of trouble, not of a hard query — the peer itself said so),
-// clamped to keep pathological advertisements from hedging every
-// request or never hedging at all.
-func (cs *clusterState) hedgeDelay(id string) time.Duration {
-	st, ok := cs.tracker.Status(id)
-	if !ok || st.P99JobMicros <= 0 {
-		return 500 * time.Millisecond
-	}
-	d := 2 * time.Duration(st.P99JobMicros) * time.Microsecond
-	if d < 50*time.Millisecond {
-		d = 50 * time.Millisecond
-	}
-	if d > 2*time.Second {
-		d = 2 * time.Second
-	}
-	return d
-}
-
-// proxyHedged forwards one JSON POST along the candidate preference
-// list and streams the first usable answer back. A dead candidate
-// (transport error, 503 bounce) is demoted and the walk advances, as
-// before; a merely SLOW candidate is hedged: once the primary has been
-// quiet past its gossip-derived p99, the same request is duplicated to
-// the next preference and whichever answers first wins — at most two
-// requests in flight, the loser cancelled and drained. Returns false —
-// without having written anything — when every candidate bounced or
-// the deadline ran out, so the caller serves locally.
-func (cs *clusterState) proxyHedged(w http.ResponseWriter, r *http.Request, cands []cluster.Shard, path string, payload []byte, deadline time.Time, m *metrics) bool {
-	idx := 0
-	for idx < len(cands) {
-		if !deadline.IsZero() && time.Until(deadline) <= 0 {
+// proxyWalk forwards one check along the candidate preference list, one
+// POST at a time, and relays the first answer that is not a bounce. A
+// candidate that bounces (a transport error, or a 503 the next
+// preference should absorb instead of the client) is demoted in the
+// tracker at once, so the next request skips it without waiting for a
+// gossip tick, and the walk moves on. Returns false, having written
+// nothing, when every candidate bounced or ctx ended; the caller then
+// serves locally. A candidate that accepts the request but stalls holds
+// it until ctx's deadline.
+func (cs *clusterState) proxyWalk(ctx context.Context, w http.ResponseWriter, cands []cluster.Shard, payload []byte) bool {
+	for _, sh := range cands {
+		if ctx.Err() != nil {
 			return false // budget exhausted: the local clamp answers fastest
 		}
-		primary := cs.startAttempt(r, cands[idx], path, payload, deadline)
-		idx++
-		if primary == nil {
+		preq, err := cs.forwardRequest(ctx, sh, "/v1/check", payload)
+		if err != nil {
 			continue
 		}
-		var hedge *attempt
-		var timer *time.Timer
-		var timerC <-chan time.Time
-		if idx < len(cands) {
-			timer = time.NewTimer(cs.hedgeDelay(primary.shard.ID))
-			timerC = timer.C
+		resp, err := cs.client.Do(preq)
+		if err == nil && resp.StatusCode != http.StatusServiceUnavailable {
+			relayResponse(w, resp)
+			return true
 		}
-		for primary != nil || hedge != nil {
-			var out attemptOutcome
-			var from **attempt
-			switch {
-			case primary != nil && hedge != nil:
-				select {
-				case out = <-primary.ch:
-					from = &primary
-				case out = <-hedge.ch:
-					from = &hedge
-				}
-			case primary != nil:
-				select {
-				case out = <-primary.ch:
-					from = &primary
-				case <-timerC:
-					timerC = nil
-					if idx < len(cands) {
-						m.hedgesFired.Add(1)
-						hedge = cs.startAttempt(r, cands[idx], path, payload, deadline)
-						idx++
-					}
-					continue
-				}
-			default:
-				out = <-hedge.ch
-				from = &hedge
-			}
-			a := *from
-			if out.err == nil && out.resp.StatusCode != http.StatusServiceUnavailable {
-				if timer != nil {
-					timer.Stop()
-				}
-				if a == hedge {
-					m.hedgesWon.Add(1)
-				}
-				if other := pickOther(primary, hedge, a); other != nil {
-					other.abandon()
-				}
-				relayResponse(w, out.resp)
-				a.cancel()
-				return true
-			}
-			// Bounce: unreachable, or a 503 the next preference should
-			// absorb instead of the client.
-			if out.resp != nil {
-				drainClose(out.resp.Body)
-			}
-			cs.tracker.NoteDown(a.shard.ID)
-			a.cancel()
-			*from = nil
+		if resp != nil {
+			drainClose(resp.Body)
 		}
-		if timer != nil {
-			timer.Stop()
-		}
+		cs.tracker.NoteDown(sh.ID)
 	}
 	return false
 }
 
-// pickOther returns whichever of the two attempts is live and not the
-// winner.
-func pickOther(primary, hedge, winner *attempt) *attempt {
-	if primary != nil && primary != winner {
-		return primary
+// forwardRequest builds one POST to a peer for a request this shard has
+// routed: the forward marker makes the receiver serve it locally, and a
+// deadline on ctx travels as the receiver's remaining budget.
+func (cs *clusterState) forwardRequest(ctx context.Context, target cluster.Shard, path string, payload []byte) (*http.Request, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target.URL+path, bytes.NewReader(payload))
+	if err != nil {
+		return nil, err
 	}
-	if hedge != nil && hedge != winner {
-		return hedge
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(forwardHeader, cs.self.ID)
+	if deadline, ok := ctx.Deadline(); ok {
+		req.Header.Set(deadlineHeader, strconv.FormatInt(max(time.Until(deadline).Milliseconds(), 1), 10))
 	}
-	return nil
+	return req, nil
 }
 
 // relayResponse streams a proxied answer back to the client.
@@ -543,12 +411,10 @@ func (cs *clusterState) proxyBatch(ctx context.Context, target cluster.Shard, it
 	if err != nil {
 		return nil, err
 	}
-	preq, err := http.NewRequestWithContext(ctx, http.MethodPost, target.URL+"/v1/batch", bytes.NewReader(payload))
+	preq, err := cs.forwardRequest(ctx, target, "/v1/batch", payload)
 	if err != nil {
 		return nil, err
 	}
-	preq.Header.Set("Content-Type", "application/json")
-	preq.Header.Set(forwardHeader, cs.self.ID)
 	resp, err := cs.client.Do(preq)
 	if err != nil {
 		return nil, err
@@ -569,7 +435,7 @@ func (cs *clusterState) proxyBatch(ctx context.Context, target cluster.Shard, it
 
 // bounced reports whether a failed proxyBatch means the owner could not
 // take the work — a transport error or a 503, the same two signals
-// proxyHedged treats as a bounce. Any other answer is the owner's
+// proxyWalk treats as a bounce. Any other answer is the owner's
 // verdict on the request itself and goes back to the client; it says
 // nothing about the owner's health.
 func bounced(err error) bool {

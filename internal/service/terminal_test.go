@@ -179,7 +179,7 @@ func TestServiceTerminalAdoptGauntlet(t *testing.T) {
 	}
 
 	t.Run("valid", func(t *testing.T) {
-		if err := s.adoptReplica(entry(), true); err != nil {
+		if _, err := s.adoptReplica(entry(), true); err != nil {
 			t.Fatalf("valid terminal entry rejected: %v", err)
 		}
 		if !s.cache.has(terminalKey(hash)) {
@@ -190,7 +190,7 @@ func TestServiceTerminalAdoptGauntlet(t *testing.T) {
 	t.Run("missing-certificate", func(t *testing.T) {
 		e := entry()
 		e.Certificate = ""
-		if err := s.adoptReplica(e, true); err == nil {
+		if _, err := s.adoptReplica(e, true); err == nil {
 			t.Fatal("terminal claim without certificate adopted")
 		}
 	})
@@ -207,7 +207,7 @@ bad a == 12;
 		}
 		e := entry()
 		e.Certificate = proveCert(t, other).String()
-		if err := s.adoptReplica(e, true); err == nil {
+		if _, err := s.adoptReplica(e, true); err == nil {
 			t.Fatal("certificate for a different model adopted")
 		}
 	})
@@ -215,7 +215,7 @@ bad a == 12;
 	t.Run("witness-kind-certificate", func(t *testing.T) {
 		e := entry()
 		e.Certificate = "certificate: witness\nstates 1\n"
-		if err := s.adoptReplica(e, true); err == nil {
+		if _, err := s.adoptReplica(e, true); err == nil {
 			t.Fatal("witness-kind certificate accepted for a terminal claim")
 		}
 	})
@@ -224,7 +224,7 @@ bad a == 12;
 		e := entry()
 		e.Model = ""
 		e.CertificateValidated = false
-		if err := s.adoptReplica(e, false); err == nil {
+		if _, err := s.adoptReplica(e, false); err == nil {
 			t.Fatal("repair adopted an unvalidated terminal claim")
 		}
 	})
@@ -234,7 +234,7 @@ bad a == 12;
 		e.Model = ""
 		e.Certificate = cert.String()
 		e.CertificateValidated = true
-		if err := s.adoptReplica(e, false); err != nil {
+		if _, err := s.adoptReplica(e, false); err != nil {
 			t.Fatalf("repair rejected a fill-time-validated terminal entry: %v", err)
 		}
 	})
