@@ -4,7 +4,9 @@
 // so repeated models at deeper bounds resume instead of starting cold.
 // A fixed-capacity model memo maps each model text the server has
 // parsed to its content hash, so a verdict-cache hit costs a digest and
-// a lookup, not a parse; the model is parsed only on a cache miss.
+// a lookup, not a parse; the model is parsed only on a cache miss. A
+// hit is answered by the request handler itself, with no queue slot and
+// no worker.
 //
 // Usage:
 //
@@ -18,9 +20,10 @@
 // Cluster mode: give every shard the same -cluster-shards list (its own
 // advertised URL included) and its own -cluster-self. Each model then
 // has exactly one owning shard (rendezvous hashing on the model's
-// content hash); a shard receiving a request it does not own proxies it
-// to the owner, so clients may talk to any shard. Shards gossip health
-// over GET /v1/cluster/health and shed traffic around draining or
+// content hash). A shard answers a verdict-cache hit itself, from its
+// own cache, replicated verdicts included; a miss it does not own it
+// proxies to the owner, so clients may talk to any shard. Shards gossip
+// health over GET /v1/cluster/health and shed traffic around draining or
 // saturated peers; a proxied request that its owner bounces walks on to
 // the next preference, and one its owner holds past the request's
 // deadline is served by the shard that received it. Fresh verdicts

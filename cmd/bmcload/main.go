@@ -111,6 +111,7 @@ type shardStats struct {
 	OwnedServed    int64   `json:"owned_served,omitempty"`
 	ForwardedIn    int64   `json:"forwarded_in,omitempty"`
 	ShedServed     int64   `json:"shed_served,omitempty"`
+	ReplicaServed  int64   `json:"replica_served,omitempty"`
 	ReplicatedOut  int64   `json:"replicated_out,omitempty"`
 	ReplicatedIn   int64   `json:"replicated_in,omitempty"`
 	Unreachable    bool    `json:"unreachable,omitempty"`
@@ -351,6 +352,7 @@ func main() {
 				st.OwnedServed = m.Cluster.OwnedServed
 				st.ForwardedIn = m.Cluster.ForwardedIn
 				st.ShedServed = m.Cluster.ShedServed
+				st.ReplicaServed = m.Cluster.ReplicaServed
 				st.ReplicatedOut = m.Cluster.Replication.ReplicatedOut
 				st.ReplicatedIn = m.Cluster.Replication.ReplicatedIn
 			}

@@ -218,6 +218,19 @@ func (c *verdictCache) get(k verdictKey) (*JobResult, bool) {
 // verdict — served from cache, warm session, wall clock — are cleared:
 // a later hit ran no solver and no session.
 func (c *verdictCache) put(k verdictKey, v JobResult) bool {
+	return c.store(k, v, true)
+}
+
+// add is put for a key that is absent: a resident entry wins, and add
+// reports false without touching it. The presence check and the store
+// share one lock hold, so a local fill, or a push and a repair pull of
+// the same key, cannot land in between and be overwritten.
+func (c *verdictCache) add(k verdictKey, v JobResult) bool {
+	return c.store(k, v, false)
+}
+
+// store is put (replace) or add (!replace).
+func (c *verdictCache) store(k verdictKey, v JobResult, replace bool) bool {
 	if c.budget < 0 {
 		return false
 	}
@@ -235,6 +248,9 @@ func (c *verdictCache) put(k verdictKey, v JobResult) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[k]; ok {
+		if !replace {
+			return false
+		}
 		e := el.Value.(*cacheEntry)
 		c.digestToggleLocked(e.key, e.v, false)
 		c.bytes += sz - e.sz

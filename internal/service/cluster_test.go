@@ -19,11 +19,13 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	sebmc "repro"
 	"repro/internal/circuits"
+	"repro/internal/cluster"
 	"repro/internal/explicit"
 	"repro/internal/faultpoint"
 )
@@ -261,6 +263,208 @@ func TestServiceClusterBatchBadItemKeepsOwner(t *testing.T) {
 	}
 	if got := servers[entry].Metrics().Cluster.ShedServed; got != shed {
 		t.Fatalf("entry shard shed %d requests past a healthy owner", got-shed)
+	}
+}
+
+// TestServiceClusterProxiesRawBody: a miss for a key another shard owns
+// is forwarded as the client sent it — the body byte for byte, not a
+// re-marshal of the decoded request, and the query string with it. The
+// owner here is a stand-in that records what it receives.
+func TestServiceClusterProxiesRawBody(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New(Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	type received struct {
+		body  []byte
+		query string
+	}
+	got := make(chan received, 1)
+	mux := http.NewServeMux()
+	standin := httptest.NewServer(mux)
+	mux.HandleFunc("GET /v1/cluster/health", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, cluster.Status{ID: standin.URL, QueueCapacity: 16})
+	})
+	mux.HandleFunc("POST /v1/check", func(w http.ResponseWriter, r *http.Request) {
+		b, _ := io.ReadAll(r.Body)
+		got <- received{b, r.URL.RawQuery}
+		w.Header().Set(shardHeader, standin.URL)
+		writeJSON(w, http.StatusOK, jobStatus{State: JobDone, Result: &JobResult{Status: "UNREACHABLE", Bound: 4, FoundAt: -1}})
+	})
+	urls := []string{ts.URL, standin.URL}
+	if err := s.JoinCluster(ClusterConfig{Self: ts.URL, Shards: urls, GossipInterval: 50 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		drain(t, s)
+		http.DefaultClient.CloseIdleConnections()
+		ts.Close()
+		standin.Close()
+		settleGoroutines(t, before)
+	})
+
+	ring := s.clusterView().ring
+	var src string
+	for n := 3; n <= 12 && src == ""; n++ {
+		if sys := circuits.TokenRing(n); ring.Owner(sebmc.ModelHash(sys)).ID == standin.URL {
+			src = aagSource(t, sys)
+		}
+	}
+	if src == "" {
+		t.Skip("no model in the pool is owned by the stand-in; enlarge the pool")
+	}
+	// Key order and spacing no encoder would produce: a re-marshal
+	// cannot reproduce these bytes.
+	model, err := json.Marshal(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := []byte(`{ "engine": "sat",  "bound": 4, "format": "aag", "model": ` + string(model) + " }\n")
+	resp, err := http.Post(ts.URL+"/v1/check?wait=1", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(shardHeader) != standin.URL {
+		t.Fatalf("proxied miss: HTTP %d from %q, want 200 relayed from the stand-in", resp.StatusCode, resp.Header.Get(shardHeader))
+	}
+	select {
+	case rec := <-got:
+		if !bytes.Equal(rec.body, body) {
+			t.Errorf("owner received\n%s\nwant the client's bytes\n%s", rec.body, body)
+		}
+		if rec.query != "wait=1" {
+			t.Errorf("owner received query %q, want wait=1", rec.query)
+		}
+	default:
+		t.Fatal("the stand-in owner received nothing")
+	}
+}
+
+// TestServiceClusterCachedBatchProxiesNothing: a batch whose items are
+// all cached at the entry shard — its own fills and replicas of the
+// peer's — is answered there in full: nothing fans out, and the ledger
+// counts each item where its key is placed.
+func TestServiceClusterCachedBatchProxiesNothing(t *testing.T) {
+	servers, urls := newTestCluster(t, 2, Config{Workers: 2, QueueDepth: 16})
+	systems := []*sebmc.System{
+		circuits.Counter(3, 5),
+		circuits.TokenRing(4),
+		circuits.TrafficLight(2),
+		circuits.Counter(2, 3),
+		circuits.TokenRing(3),
+		circuits.TokenRing(5),
+	}
+	var jobs []CheckRequest
+	owned := [2]int{}
+	for _, sys := range systems {
+		src := aagSource(t, sys)
+		req := CheckRequest{Model: src, Format: "aag", Bound: 6, Engine: "sat", Semantics: "atmost"}
+		o := ownerIndex(t, servers, urls, src)
+		owned[o]++
+		checkWait(t, urls[o], req) // fill on the owner; the push replicates it to the peer
+		jobs = append(jobs, req)
+	}
+	if owned[0] == 0 || owned[1] == 0 {
+		t.Skip("every model hashes to one shard; adjust the model set")
+	}
+	const entry = 0
+	waitUntil(t, 10*time.Second, "the peer's fills to reach the entry shard", func() bool {
+		return replSnap(t, servers[entry]).ReplicatedIn >= int64(owned[1])
+	})
+	m0, m1 := servers[entry].Metrics(), servers[1].Metrics()
+
+	var br BatchResponse
+	if code := postJSON(t, urls[entry]+"/v1/batch", BatchRequest{Jobs: jobs}, &br); code != http.StatusOK {
+		t.Fatalf("batch: HTTP %d", code)
+	}
+	for i, r := range br.Results {
+		if !r.Cached {
+			t.Errorf("batch item %d: %+v, want a cached answer", i, r)
+		}
+	}
+	a0, a1 := servers[entry].Metrics(), servers[1].Metrics()
+	if a0.Cluster.Proxied != m0.Cluster.Proxied || a1.Cluster.ForwardedIn != m1.Cluster.ForwardedIn {
+		t.Fatalf("a fully cached batch fanned out: entry proxied_out %d->%d, peer forwarded_in %d->%d",
+			m0.Cluster.Proxied, a0.Cluster.Proxied, m1.Cluster.ForwardedIn, a1.Cluster.ForwardedIn)
+	}
+	if d := a0.Cluster.OwnedServed - m0.Cluster.OwnedServed; d != int64(owned[entry]) {
+		t.Errorf("entry owned_served +%d, want +%d", d, owned[entry])
+	}
+	if d := a0.Cluster.ReplicaServed - m0.Cluster.ReplicaServed; d != int64(owned[1]) {
+		t.Errorf("entry replica_served +%d, want +%d", d, owned[1])
+	}
+}
+
+// countingHandler counts the POST /v1/check requests a shard receives.
+func countingHandler(h http.Handler, n *atomic.Int64) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/check" {
+			n.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// TestServiceClusterLedgerBalances: every /v1/check request a shard
+// receives — from a client or forwarded by its peer, hit or miss —
+// lands in exactly one of its five routing-ledger buckets.
+func TestServiceClusterLedgerBalances(t *testing.T) {
+	before := runtime.NumGoroutine()
+	cfg := Config{Workers: 2, QueueDepth: 16}
+	servers := []*Server{New(cfg), New(cfg)}
+	var received [2]atomic.Int64
+	tss := make([]*httptest.Server, 2)
+	urls := make([]string, 2)
+	for i, s := range servers {
+		tss[i] = httptest.NewServer(countingHandler(s.Handler(), &received[i]))
+		urls[i] = tss[i].URL
+	}
+	for i, s := range servers {
+		if err := s.JoinCluster(ClusterConfig{Self: urls[i], Shards: urls, GossipInterval: 50 * time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Cleanup(func() {
+		for _, s := range servers {
+			drain(t, s)
+		}
+		http.DefaultClient.CloseIdleConnections()
+		for _, ts := range tss {
+			ts.Close()
+		}
+		settleGoroutines(t, before)
+	})
+
+	models := []string{cexMSL, safeMSL, aagSource(t, circuits.Counter(3, 5)), aagSource(t, circuits.TokenRing(4))}
+	for _, model := range models {
+		o := ownerIndex(t, servers, urls, model)
+		sys, err := loadModel(CheckRequest{Model: model})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bound := range []int{2, 4} {
+			req := CheckRequest{Model: model, Bound: bound, Engine: "sat"}
+			checkWait(t, urls[1-o], req) // a miss through the non-owner: proxied
+			checkWait(t, urls[o], req)   // a hit at the owner
+			key := verdictKey{sessionKey: sessionKey{Hash: sebmc.ModelHash(sys), Engine: sebmc.EngineSAT}, Bound: bound}
+			waitUntil(t, 10*time.Second, "the replica to reach the non-owner", func() bool {
+				return servers[1-o].cache.has(key)
+			})
+			checkWait(t, urls[1-o], req) // a hit on the replica
+		}
+	}
+	var owned, replica int64
+	for i, s := range servers {
+		c := s.Metrics().Cluster
+		sum := c.OwnedServed + c.Proxied + c.ForwardedIn + c.ShedServed + c.ReplicaServed
+		if got := received[i].Load(); sum != got {
+			t.Errorf("shard %d: ledger %+v sums to %d, but it received %d checks", i, c, sum, got)
+		}
+		owned += c.OwnedServed
+		replica += c.ReplicaServed
+	}
+	if want := int64(2 * len(models)); owned != want || replica != want {
+		t.Errorf("owned_served %d and replica_served %d across the shards, want %d each", owned, replica, want)
 	}
 }
 

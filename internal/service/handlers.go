@@ -2,9 +2,14 @@ package service
 
 // The HTTP face of bmcd. All endpoints speak JSON:
 //
-//	POST   /v1/check        submit one job; {"wait":true} blocks for the
-//	                        result and cancels the job if the client
-//	                        disconnects. 202 + job id otherwise.
+//	POST   /v1/check        submit one job; {"wait":true} (or ?wait=1)
+//	                        blocks for the result and cancels the job if
+//	                        the client disconnects. 202 + job id
+//	                        otherwise. A verdict-cache hit is answered
+//	                        at once, on the handler goroutine: 200, or
+//	                        202 with the result already in the status.
+//	                        The body is one JSON object; trailing data
+//	                        is a 400.
 //	                        {"prove":true} (or {"engine":"interp"}) asks
 //	                        for a terminal verdict: a SAFE answer holds
 //	                        at every depth, carries a replayable
@@ -14,8 +19,9 @@ package service
 //	                        advisory and any requested bound answers
 //	                        from cache.
 //	POST   /v1/batch        submit several models at once; synchronous.
-//	                        Every item is an ordinary queued job — same
-//	                        cache, sessions and timeouts as /v1/check —
+//	                        Every item is an ordinary job — same cache,
+//	                        sessions and timeouts as /v1/check; a cached
+//	                        item is answered in place, the rest queue —
 //	                        every item is validated before any runs
 //	                        (one bad item is a 400 for the batch), and
 //	                        the batch is admitted whole or not at all.
@@ -38,6 +44,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -86,10 +93,15 @@ type errorBody struct {
 // writeError writes the JSON error body; every 503 carries a live
 // Retry-After computed from queue depth and the mean recent job
 // wall-clock, not a hardcoded constant — a backing-off client waits
-// about as long as the queue actually needs to drain.
+// about as long as the queue actually needs to drain. A quarantine
+// rejection is marked as refusing the key, not the shard, so a
+// proxying peer relays it instead of shedding the key.
 func (s *Server) writeError(w http.ResponseWriter, code int, err error) {
 	if code == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSeconds()))
+	}
+	if errors.Is(err, ErrQuarantined) {
+		w.Header().Set(rejectHeader, "quarantined")
 	}
 	writeJSON(w, code, errorBody{Error: err.Error()})
 }
@@ -103,9 +115,13 @@ func submitCode(err error) int {
 }
 
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
+	body, err := readBody(w, r)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad request: %w", err))
+		return
+	}
 	var req CheckRequest
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad request: %w", err))
 		return
 	}
@@ -127,9 +143,28 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
+	// A verdict-cache hit is answered here, from this shard's own cache
+	// (its own fills plus what replication and repair delivered): no
+	// proxy hop, no queue slot, no worker. A draining shard skips this
+	// and treats the request as it treats a miss.
+	if !s.Draining() {
+		if res, ok := s.cached(j); ok {
+			s.noteHitServed(r, j)
+			if err := s.finishCached(j, res); err != nil {
+				s.writeError(w, submitCode(err), err)
+				return
+			}
+			code := http.StatusAccepted // the status already carries the result
+			if req.Wait {
+				code = http.StatusOK
+			}
+			writeJSON(w, code, j.status())
+			return
+		}
+	}
 	// Clustered: the model hash decides which shard runs this. routeCheck
 	// answers true when the request was proxied away.
-	if s.routeCheck(w, r, j) {
+	if s.routeCheck(w, r, j, body) {
 		return
 	}
 	if err := s.enqueue(j); err != nil {
@@ -151,6 +186,22 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return // client is gone; nothing to write
 	}
 	writeJSON(w, http.StatusOK, j.status())
+}
+
+// readBody reads a request body once, capped at maxBodyBytes, into a
+// buffer sized from Content-Length when the client sent one: the
+// handler decodes these bytes, and a proxied miss forwards them as
+// they are.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(body, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	return io.ReadAll(body)
 }
 
 // BatchRequest submits several checks at once.
@@ -208,7 +259,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		s.metrics.clusterForwardedIn.Add(int64(len(items)))
 	}
-	results, err := s.localBatch(items)
+	results, err := s.localBatch(items, s.batchHits(items))
 	if err != nil {
 		s.writeError(w, submitCode(err), err)
 		return
@@ -216,23 +267,45 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, BatchResponse{Results: results})
 }
 
-// localBatch runs a parsed batch on this shard as ordinary queued jobs
-// and waits for every answer. The batch is admitted whole or not at
-// all, against the same queue bound as single submissions: a draining
-// server or a queue without room for every item rejects it with 503,
+// batchHits looks every batch item up in the verdict cache, before
+// localBatch takes s.mu: hits[i] is item i's cached answer, nil on a
+// miss. A draining shard looks nothing up, as for a single check.
+func (s *Server) batchHits(items []*job) []*JobResult {
+	hits := make([]*JobResult, len(items))
+	if !s.Draining() {
+		for i, j := range items {
+			hits[i], _ = s.cached(j)
+		}
+	}
+	return hits
+}
+
+// localBatch runs a parsed batch on this shard and waits for every
+// answer. Items with a verdict-cache hit (hits[i] non-nil) are answered
+// in place and take no queue slot; the rest run as ordinary queued
+// jobs. The batch is admitted whole or not at all, against the same
+// queue bound as single submissions: a draining server or a queue
+// without room for every item that needs a slot rejects it with 503,
 // so a flood of batch posts is turned away exactly like a flood of
-// singles. (A batch larger than the queue capacity is therefore always
-// rejected; split it.) Quarantined items are answered in place — the
-// rest of the batch still runs; the breaker is not re-taught, since a
-// quarantine rejection is a symptom, not a new strike.
-func (s *Server) localBatch(items []*job) ([]*JobResult, error) {
+// singles. (A batch with more misses than the queue capacity is
+// therefore always rejected; split it.) Quarantined items are answered
+// in place too — the rest of the batch still runs; the breaker is not
+// re-taught, since a quarantine rejection is a symptom, not a new
+// strike.
+func (s *Server) localBatch(items []*job, hits []*JobResult) ([]*JobResult, error) {
 	out := make([]*JobResult, len(items))
+	queued := len(items)
+	for _, h := range hits {
+		if h != nil {
+			queued--
+		}
+	}
 	s.mu.Lock()
 	var err error
 	switch {
 	case s.draining:
 		err = ErrDraining
-	case len(s.queue)+len(items) > s.cfg.QueueDepth:
+	case len(s.queue)+queued > s.cfg.QueueDepth:
 		err = ErrQueueFull
 	}
 	if err != nil {
@@ -248,12 +321,18 @@ func (s *Server) localBatch(items []*job) ([]*JobResult, error) {
 			out[i] = &JobResult{Status: StatusError, Bound: j.req.Bound, FoundAt: -1, Error: qerr.Error()}
 			continue
 		}
-		s.registerLocked(j)
-		s.queue <- j // room was checked above, and every send holds s.mu
+		if hits[i] == nil {
+			s.registerLocked(j)
+			s.queue <- j // room was checked above, and every send holds s.mu
+		}
 	}
 	s.mu.Unlock()
 	for i, j := range items {
-		if out[i] == nil {
+		switch {
+		case out[i] != nil:
+		case hits[i] != nil:
+			out[i] = s.finishResult(j, hits[i])
+		default:
 			<-j.done
 			out[i] = j.Result()
 		}

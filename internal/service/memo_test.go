@@ -97,16 +97,19 @@ func TestServiceModelMemo(t *testing.T) {
 	}
 }
 
-// TestServiceClusterHitParsesNothing: a cached verdict asked through the
-// non-owner costs no parse on either shard — the entry shard routes on
-// the memoized hash and the owner answers from its verdict cache on it.
+// TestServiceClusterHitParsesNothing: a verdict asked through the
+// non-owner costs no parse on either shard — the entry shard routes the
+// miss on the memoized hash and adopts the owner's replica through its
+// memo — and the repeat is answered by the entry shard itself, from
+// that replica: one memo hit there, and the owner sees nothing.
 func TestServiceClusterHitParsesNothing(t *testing.T) {
 	servers, urls := newTestCluster(t, 2, Config{Workers: 2})
 	src := aagSource(t, circuits.DeepCounter(8))
-	entry := 1 - ownerIndex(t, servers, urls, src)
+	owner := ownerIndex(t, servers, urls, src)
+	entry := 1 - owner
 	req := CheckRequest{Model: src, Format: "aag", Bound: 4, Engine: "sat"}
 
-	if r, shard := checkWaitShard(t, urls[entry], req); r.Cached || shard == urls[entry] {
+	if r, shard := checkWaitShard(t, urls[entry], req); r.Cached || shard != urls[owner] {
 		t.Fatalf("first check: cached=%v answered by %s, want a fresh answer from the owner", r.Cached, shard)
 	}
 	// The fill replicates to the entry shard (the key's failover shard),
@@ -124,15 +127,19 @@ func TestServiceClusterHitParsesNothing(t *testing.T) {
 	if misses[entry] != 1 {
 		t.Fatalf("entry shard parsed %d times, want 1: replica adoption must hit the memo", misses[entry])
 	}
+	forwarded := servers[owner].Metrics().Cluster.ForwardedIn
 
-	if r, _ := checkWaitShard(t, urls[entry], req); !r.Cached {
-		t.Fatalf("repeat: %+v, want a cached answer", r)
+	if r, shard := checkWaitShard(t, urls[entry], req); !r.Cached || shard != urls[entry] {
+		t.Fatalf("repeat: cached=%v answered by %s, want a cached answer from the entry shard %s", r.Cached, shard, urls[entry])
 	}
-	for i, u := range urls {
-		h, m, _ := memoStats(t, u)
-		if m != misses[i] || h != hits[i]+1 {
-			t.Errorf("shard %d across the repeat: hits %d->%d misses %d->%d, want +1 and unchanged", i, hits[i], h, misses[i], m)
-		}
+	if h, m, _ := memoStats(t, urls[entry]); h != hits[entry]+1 || m != misses[entry] {
+		t.Errorf("entry shard across the repeat: hits %d->%d misses %d->%d, want +1 and unchanged", hits[entry], h, misses[entry], m)
+	}
+	if h, m, _ := memoStats(t, urls[owner]); h != hits[owner] || m != misses[owner] {
+		t.Errorf("owner across the repeat: hits %d->%d misses %d->%d, want both unchanged", hits[owner], h, misses[owner], m)
+	}
+	if got := servers[owner].Metrics().Cluster.ForwardedIn; got != forwarded {
+		t.Errorf("owner forwarded_in %d->%d across the repeat, want unchanged", forwarded, got)
 	}
 }
 

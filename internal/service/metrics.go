@@ -63,11 +63,14 @@ type metrics struct {
 	// rendezvous ring. OwnedServed are requests this shard ran as the
 	// key's owner; Proxied went to their owner elsewhere; ForwardedIn
 	// arrived pre-routed from a peer; ShedServed ran here although a
-	// preferred shard exists (it was unhealthy or bounced).
-	clusterOwnedServed atomic.Int64
-	clusterProxied     atomic.Int64
-	clusterForwardedIn atomic.Int64
-	clusterShedServed  atomic.Int64
+	// preferred shard exists (it was unhealthy or bounced);
+	// ReplicaServed were verdict-cache hits on a key another shard
+	// serves, answered here from this shard's own cache.
+	clusterOwnedServed   atomic.Int64
+	clusterProxied       atomic.Int64
+	clusterForwardedIn   atomic.Int64
+	clusterShedServed    atomic.Int64
+	clusterReplicaServed atomic.Int64
 
 	// Warm-failover accounting: the verdict replication write-behind
 	// (out = entries a failover peer stored, in = entries stored from
@@ -79,11 +82,12 @@ type metrics struct {
 	repairPulls       atomic.Int64
 	repairedEntries   atomic.Int64
 
-	// latRing holds recent job wall-clocks (microseconds): the one job
-	// latency estimator. Its mean is what Retry-After and /metrics
-	// avg_job_ms report. Lock-free: writers claim slots round-robin,
-	// readers take a racy snapshot — a mean over slightly torn samples
-	// is still a mean.
+	// latRing holds recent wall-clocks (microseconds) of jobs a worker
+	// ran: the one job latency estimator. Its mean is what Retry-After
+	// and /metrics avg_job_ms report; a verdict-cache hit answered on
+	// the handler goroutine takes no queue slot and never enters it.
+	// Lock-free: writers claim slots round-robin, readers take a racy
+	// snapshot — a mean over slightly torn samples is still a mean.
 	latRing [latRingSize]atomic.Int64
 	latIdx  atomic.Uint64
 
@@ -236,10 +240,13 @@ type ClusterSnapshot struct {
 	Shards  int    `json:"shards"`
 	PeersUp int    `json:"peers_up"`
 
-	OwnedServed int64 `json:"owned_served"`
-	Proxied     int64 `json:"proxied_out"`
-	ForwardedIn int64 `json:"forwarded_in"`
-	ShedServed  int64 `json:"shed_served"`
+	// The routing ledger: every /v1/check request (and every batch
+	// item) this shard received lands in exactly one of these five.
+	OwnedServed   int64 `json:"owned_served"`
+	Proxied       int64 `json:"proxied_out"`
+	ForwardedIn   int64 `json:"forwarded_in"`
+	ShedServed    int64 `json:"shed_served"`
+	ReplicaServed int64 `json:"replica_served"`
 
 	// Replication is the warm-failover machinery's accounting.
 	Replication ReplicationSnapshot `json:"replication"`
@@ -322,13 +329,14 @@ func (s *Server) Metrics() MetricsSnapshot {
 			peerIDs[i] = p.ID
 		}
 		out.Cluster = &ClusterSnapshot{
-			Self:        cs.self.ID,
-			Shards:      len(cs.peers) + 1,
-			PeersUp:     cs.tracker.Up(peerIDs),
-			OwnedServed: m.clusterOwnedServed.Load(),
-			Proxied:     m.clusterProxied.Load(),
-			ForwardedIn: m.clusterForwardedIn.Load(),
-			ShedServed:  m.clusterShedServed.Load(),
+			Self:          cs.self.ID,
+			Shards:        len(cs.peers) + 1,
+			PeersUp:       cs.tracker.Up(peerIDs),
+			OwnedServed:   m.clusterOwnedServed.Load(),
+			Proxied:       m.clusterProxied.Load(),
+			ForwardedIn:   m.clusterForwardedIn.Load(),
+			ShedServed:    m.clusterShedServed.Load(),
+			ReplicaServed: m.clusterReplicaServed.Load(),
 			Replication: ReplicationSnapshot{
 				ReplicatedOut:     m.replicatedOut.Load(),
 				ReplicatedIn:      m.replicatedIn.Load(),

@@ -164,3 +164,59 @@ func TestServiceQuarantineEndToEnd(t *testing.T) {
 		t.Fatalf("quarantine rejected = %d, want 2", m.Quarantine.Rejected)
 	}
 }
+
+// TestServiceClusterQuarantineRelayed: a key quarantined on its owner is
+// refused there, and the entry shard relays that 503 — with its
+// Retry-After and the owner's shard header — instead of taking it for a
+// bounce: the owner is not demoted, and the entry shard does not run
+// the poison-pill key itself, past the owner's breaker. Gossip is slow
+// here, so a wrongful demotion would still be in force at the end.
+func TestServiceClusterQuarantineRelayed(t *testing.T) {
+	defer faultpoint.Reset()
+	cfg := Config{Workers: 1, QuarantineThreshold: 1, QuarantineTTL: time.Hour}
+	servers, urls, _ := newFailoverCluster(t, 2, cfg, ClusterConfig{GossipInterval: 5 * time.Second})
+	owner := ownerIndex(t, servers, urls, cexMSL)
+	entry := 1 - owner
+	waitUntil(t, 5*time.Second, "the entry shard to hear the owner", func() bool {
+		_, ok := servers[entry].clusterView().tracker.Status(urls[owner])
+		return ok
+	})
+
+	// One contained panic on the owner opens the key's breaker there.
+	req := CheckRequest{Model: cexMSL, Bound: 5, Engine: "sat", Wait: true}
+	faultpoint.Arm("sat.propagate", faultpoint.Schedule{Kind: faultpoint.KindPanic, On: 1, Repeat: true})
+	if r := checkWait(t, urls[owner], req); r.Status != StatusError {
+		t.Fatalf("check under a panicking solver: %s, want ERROR", r.Status)
+	}
+	faultpoint.Reset()
+	if open := servers[owner].Metrics().Quarantine.OpenKeys; open != 1 {
+		t.Fatalf("owner has %d open quarantine keys, want 1", open)
+	}
+
+	entryBefore, ownerBefore := servers[entry].Metrics(), servers[owner].Metrics()
+	resp, err := http.Post(urls[entry]+"/v1/check", "application/json", jsonBody(t, req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("quarantined key through the entry shard: HTTP %d, want 503", resp.StatusCode)
+	}
+	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
+		t.Fatalf("relayed 503 Retry-After = %q, want an integer >= 1", resp.Header.Get("Retry-After"))
+	}
+	if shard := resp.Header.Get(shardHeader); shard != urls[owner] {
+		t.Fatalf("503 answered by %q, want the owner %q", shard, urls[owner])
+	}
+	entryAfter, ownerAfter := servers[entry].Metrics(), servers[owner].Metrics()
+	if entryAfter.Cluster.PeersUp != 1 {
+		t.Errorf("entry shard peers_up = %d after a key-level refusal, want 1", entryAfter.Cluster.PeersUp)
+	}
+	if entryAfter.Cluster.ShedServed != entryBefore.Cluster.ShedServed {
+		t.Errorf("entry shard shed_served %d -> %d: it ran the quarantined key itself",
+			entryBefore.Cluster.ShedServed, entryAfter.Cluster.ShedServed)
+	}
+	if got, want := ownerAfter.Quarantine.Rejected, ownerBefore.Quarantine.Rejected+1; got != want {
+		t.Errorf("owner quarantine.rejected = %d, want %d", got, want)
+	}
+}

@@ -521,10 +521,7 @@ func (s *Server) adoptReplica(e replicaEntry, withModel bool) (bool, error) {
 		// that computed or adopted them cross on repair.
 		return false, fmt.Errorf("service: repair entry carries an unvalidated terminal claim")
 	}
-	if s.cache.has(k) {
-		return false, nil // idempotent: the resident entry wins
-	}
-	return s.cache.put(k, v), nil
+	return s.cache.add(k, v), nil // idempotent: the resident entry wins
 }
 
 // shippedModel re-derives the content hash of a replicate entry's

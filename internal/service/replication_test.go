@@ -480,6 +480,33 @@ func TestServiceClusterDeadlineClamp(t *testing.T) {
 	}
 }
 
+// TestServiceReplicaAddKeepsResident: replica adoption stores through
+// verdictCache.add, which never replaces a resident entry. The presence
+// check and the store are one lock hold, so a local fill that lands
+// first wins, and the replica is not counted as stored.
+func TestServiceReplicaAddKeepsResident(t *testing.T) {
+	c := newVerdictCache(1 << 20)
+	k := verdictKey{sessionKey: sessionKey{Hash: "ab12", Engine: sebmc.EngineSATIncr}, Bound: 8, Deepen: true}
+	local := JobResult{Status: "REACHABLE", Bound: 8, FoundAt: 5, DecidedBy: "sat-incr"}
+	if !c.add(k, local) {
+		t.Fatal("add on an absent key stored nothing")
+	}
+	digest := c.digest()
+	// A replica that differs from the resident record in the fields the
+	// digest folds in (found_at) as well as in run statistics, so a
+	// replacement would show in both.
+	replica := JobResult{Status: "REACHABLE", Bound: 8, FoundAt: 6, DecidedBy: "jsat"}
+	if c.add(k, replica) {
+		t.Fatal("add on a resident key reported it stored")
+	}
+	if got, _ := c.get(k); got.DecidedBy != "sat-incr" || got.FoundAt != 5 {
+		t.Fatalf("resident record replaced: decided_by=%q found_at=%d, want sat-incr/5", got.DecidedBy, got.FoundAt)
+	}
+	if !digestsEqual(c.digest(), digest) {
+		t.Fatal("add on a resident key changed the range digest")
+	}
+}
+
 // TestServiceReplicaAdoptRejects: the replication receiver's validation
 // gauntlet. A good entry is stored once, and a re-adopt of it reports
 // nothing stored, over the function and over /v1/cluster/replicate;

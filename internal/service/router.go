@@ -3,21 +3,27 @@ package service
 // Cluster mode: the routing layer that turns N independent bmcd
 // processes into one sharded service. Every shard is configured with
 // the same shard list and computes the same rendezvous-hash owner for
-// every model (internal/cluster), so a model's warm session and cached
-// verdicts live on exactly one shard no matter which shard the client
+// every model (internal/cluster), so a model's solver work and warm
+// session live on exactly one shard no matter which shard the client
 // happened to hit:
 //
-//   - a request for a model this shard owns is served locally;
-//   - a request for a model another shard owns is proxied there, so
-//     clients may talk to any shard. The proxy walks the rendezvous
-//     preferences one POST at a time: a shard that bounces (transport
-//     error or 503) is demoted and the walk moves on, and the walk
-//     ends at the request's deadline, after which this shard serves
-//     the request itself;
+//   - a verdict-cache hit is answered by the shard that received it,
+//     from its own cache — its own fills plus the entries replication
+//     and repair delivered (replication.go). Only misses are routed;
+//   - a miss for a model this shard owns is served locally;
+//   - a miss for a model another shard owns is proxied there, its
+//     request body forwarded as the client sent it, so clients may talk
+//     to any shard. The proxy walks the rendezvous preferences one POST
+//     at a time: a shard that bounces (transport error or 503) is
+//     demoted and the walk moves on, and the walk ends at the request's
+//     deadline, after which this shard serves the request itself. A 503
+//     that refuses the key rather than the shard (rejectHeader) is
+//     relayed to the client instead;
 //   - /v1/batch is fanned out shard-aware: every item is parsed and
-//     validated once on the entry shard, items are partitioned by
-//     owner, each partition is proxied to its shard, and the merged
-//     results come back in submission order;
+//     validated once on the entry shard, cached items are answered
+//     there, the misses are partitioned by owner, each partition is
+//     proxied to its shard, and the merged results come back in
+//     submission order;
 //   - shards poll each other's GET /v1/cluster/health on a gossip
 //     interval; a shard that is down, draining, stale or saturated is
 //     skipped and its keys shed to the next rendezvous preference —
@@ -30,6 +36,18 @@ package service
 //     session from the deepen verdicts it holds for that key, so a
 //     rolling restart resumes proven prefixes instead of re-solving
 //     them.
+//
+// Trust: answering a hit from a replica trusts nothing the entry shard
+// did not trust before. It already relays the owner's answer unchecked,
+// and already serves these same entries whenever it sheds a key or the
+// owner is down. A pushed REACHABLE replica was replayed on adoption, a
+// repaired one carries its fill-time validation, and a terminal SAFE is
+// adopted only after its certificate replays; a bounded UNREACHABLE is
+// trusted, as it is everywhere. A replica answers what the owner would,
+// except that run statistics (decided_by, conflicts, iterations) can
+// differ, and that where the owner holds a terminal SAFE the entry
+// shard lacks, the entry shard answers its bounded UNREACHABLE. Both
+// answers are true.
 //
 // Loop safety: a forwarded request carries X-Bmcd-Forward and is
 // always served locally by the receiving shard, so disagreeing shard
@@ -54,6 +72,12 @@ import (
 // forwardHeader marks a request already routed by a peer shard: the
 // receiver serves it locally, whatever its own ring says.
 const forwardHeader = "X-Bmcd-Forward"
+
+// rejectHeader marks a 503 that refuses one key, not the shard: a
+// quarantined (model, engine) key. A proxying shard relays such an
+// answer, Retry-After included, instead of demoting a healthy owner and
+// running the poison-pill key itself, past the owner's breaker.
+const rejectHeader = "X-Bmcd-Key-Rejected"
 
 // shardHeader names the shard that answered, on every response of a
 // clustered server — what lets a client (and the CI smoke test) see
@@ -288,10 +312,12 @@ func (cs *clusterState) routeTarget(hash string, selfDraining bool) (*cluster.Sh
 // gets its full budget, the hops get this much on top.
 const proxyGrace = 2 * time.Second
 
-// routeCheck handles /v1/check routing for a clustered server. Returns
-// true when the request was fully handled remotely (proxied); false
-// when the caller should serve it locally.
-func (s *Server) routeCheck(w http.ResponseWriter, r *http.Request, j *job) bool {
+// routeCheck handles /v1/check routing of a verdict-cache miss for a
+// clustered server. Returns true when the request was fully handled
+// remotely (proxied); false when the caller should serve it locally.
+// body is the request body as the client sent it: a proxied request
+// forwards it, and the query string, unchanged.
+func (s *Server) routeCheck(w http.ResponseWriter, r *http.Request, j *job, body []byte) bool {
 	cs := s.clusterView()
 	if cs == nil {
 		return false
@@ -302,17 +328,8 @@ func (s *Server) routeCheck(w http.ResponseWriter, r *http.Request, j *job) bool
 	}
 	target, rank := cs.routeTarget(j.hash, s.Draining())
 	if target == nil {
-		if rank == 0 {
-			s.metrics.clusterOwnedServed.Add(1)
-		} else {
-			s.metrics.clusterShedServed.Add(1)
-		}
+		s.noteServed(nil, rank)
 		return false
-	}
-	payload, err := json.Marshal(j.req)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return true
 	}
 	// The request's end-to-end deadline: its effective solving budget
 	// plus transport grace. An uncapped request proxies uncapped.
@@ -333,7 +350,11 @@ func (s *Server) routeCheck(w http.ResponseWriter, r *http.Request, j *job) bool
 		}
 		cands = append(cands, prefs[i])
 	}
-	if cs.proxyWalk(ctx, w, cands, payload) {
+	path := "/v1/check"
+	if q := r.URL.RawQuery; q != "" {
+		path += "?" + q
+	}
+	if cs.proxyWalk(ctx, w, cands, path, body) {
 		s.metrics.clusterProxied.Add(1)
 		return true
 	}
@@ -341,26 +362,58 @@ func (s *Server) routeCheck(w http.ResponseWriter, r *http.Request, j *job) bool
 	return false // every peer bounced or the deadline passed; serve locally
 }
 
+// noteServed counts one request answered on this shard in the routing
+// ledger, by where routeTarget places its key: owned here (rank 0),
+// shed here past an unhealthy owner (rank > 0), or a verdict-cache hit
+// on a key another shard serves (target non-nil).
+func (s *Server) noteServed(target *cluster.Shard, rank int) {
+	switch {
+	case target != nil:
+		s.metrics.clusterReplicaServed.Add(1)
+	case rank == 0:
+		s.metrics.clusterOwnedServed.Add(1)
+	default:
+		s.metrics.clusterShedServed.Add(1)
+	}
+}
+
+// noteHitServed counts a /v1/check verdict-cache hit answered on the
+// handler goroutine in the routing ledger: forwarded_in when a peer
+// routed it here, else by where its key is placed. No-op standalone.
+// Only a shard that is not draining answers hits inline.
+func (s *Server) noteHitServed(r *http.Request, j *job) {
+	cs := s.clusterView()
+	if cs == nil {
+		return
+	}
+	if r.Header.Get(forwardHeader) != "" {
+		s.metrics.clusterForwardedIn.Add(1)
+		return
+	}
+	s.noteServed(cs.routeTarget(j.hash, false))
+}
+
 // proxyWalk forwards one check along the candidate preference list, one
 // POST at a time, and relays the first answer that is not a bounce. A
 // candidate that bounces (a transport error, or a 503 the next
 // preference should absorb instead of the client) is demoted in the
 // tracker at once, so the next request skips it without waiting for a
-// gossip tick, and the walk moves on. Returns false, having written
-// nothing, when every candidate bounced or ctx ended; the caller then
-// serves locally. A candidate that accepts the request but stalls holds
-// it until ctx's deadline.
-func (cs *clusterState) proxyWalk(ctx context.Context, w http.ResponseWriter, cands []cluster.Shard, payload []byte) bool {
+// gossip tick, and the walk moves on. A 503 marked with rejectHeader
+// refuses the key, not the shard, and is relayed like any answer.
+// Returns false, having written nothing, when every candidate bounced
+// or ctx ended; the caller then serves locally. A candidate that
+// accepts the request but stalls holds it until ctx's deadline.
+func (cs *clusterState) proxyWalk(ctx context.Context, w http.ResponseWriter, cands []cluster.Shard, path string, payload []byte) bool {
 	for _, sh := range cands {
 		if ctx.Err() != nil {
 			return false // budget exhausted: the local clamp answers fastest
 		}
-		preq, err := cs.forwardRequest(ctx, sh, "/v1/check", payload)
+		preq, err := cs.forwardRequest(ctx, sh, path, payload)
 		if err != nil {
 			continue
 		}
 		resp, err := cs.client.Do(preq)
-		if err == nil && resp.StatusCode != http.StatusServiceUnavailable {
+		if err == nil && (resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get(rejectHeader) != "") {
 			relayResponse(w, resp)
 			return true
 		}
@@ -391,7 +444,7 @@ func (cs *clusterState) forwardRequest(ctx context.Context, target cluster.Shard
 // relayResponse streams a proxied answer back to the client.
 func relayResponse(w http.ResponseWriter, resp *http.Response) {
 	defer drainClose(resp.Body)
-	for _, h := range []string{"Content-Type", "Retry-After", shardHeader} {
+	for _, h := range []string{"Content-Type", "Retry-After", shardHeader, rejectHeader} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
@@ -448,21 +501,28 @@ type batchGroup struct {
 	target *cluster.Shard // nil = this shard
 	idx    []int          // positions in the original batch
 	items  []*job
+	hits   []*JobResult // per item: its cached answer, nil on a miss
 }
 
-// clusterBatch partitions a parsed batch by owning shard, runs the
-// local partition through the normal admission path, proxies each
-// remote partition to its owner concurrently, and merges results in
-// submission order. Any partition failing hard fails the whole batch
-// with that error (the all-or-nothing contract single-shard batches
-// already have), after one local-fallback attempt for remote
-// partitions whose owner bounced.
+// clusterBatch answers the items this shard holds cached, partitions
+// the rest by owning shard, runs the local partition through the normal
+// admission path, proxies each remote partition to its owner
+// concurrently, and merges results in submission order. Any partition
+// failing hard fails the whole batch with that error (the
+// all-or-nothing contract single-shard batches already have), after one
+// local-fallback attempt for remote partitions whose owner bounced.
 func (s *Server) clusterBatch(w http.ResponseWriter, r *http.Request, items []*job) {
 	cs := s.clusterView()
+	draining := s.Draining()
+	hits := s.batchHits(items)
 	groups := make(map[string]*batchGroup)
 	order := make([]string, 0, 4) // deterministic fan-out order
 	for i, j := range items {
-		target, _ := cs.routeTarget(j.hash, s.Draining())
+		target, rank := cs.routeTarget(j.hash, draining)
+		if target == nil || hits[i] != nil {
+			s.noteServed(target, rank) // a cached item never fans out
+			target = nil
+		}
 		id := ""
 		if target != nil {
 			id = target.ID
@@ -475,6 +535,7 @@ func (s *Server) clusterBatch(w http.ResponseWriter, r *http.Request, items []*j
 		}
 		g.idx = append(g.idx, i)
 		g.items = append(g.items, j)
+		g.hits = append(g.hits, hits[i])
 	}
 
 	out := make([]*JobResult, len(items))
@@ -488,7 +549,6 @@ func (s *Server) clusterBatch(w http.ResponseWriter, r *http.Request, items []*j
 			var results []*JobResult
 			var err error
 			if g.target != nil {
-				s.metrics.clusterProxied.Add(int64(len(g.items)))
 				results, err = cs.proxyBatch(r.Context(), *g.target, g.items)
 				if err != nil && bounced(err) {
 					// The owner bounced: demote it and run the partition
@@ -496,11 +556,12 @@ func (s *Server) clusterBatch(w http.ResponseWriter, r *http.Request, items []*j
 					// the contract.
 					cs.tracker.NoteDown(g.target.ID)
 					s.metrics.clusterShedServed.Add(int64(len(g.items)))
-					results, err = s.localBatch(g.items)
+					results, err = s.localBatch(g.items, g.hits)
+				} else {
+					s.metrics.clusterProxied.Add(int64(len(g.items)))
 				}
 			} else {
-				s.metrics.clusterOwnedServed.Add(int64(len(g.items)))
-				results, err = s.localBatch(g.items)
+				results, err = s.localBatch(g.items, g.hits)
 			}
 			if err != nil {
 				errs[gi] = err

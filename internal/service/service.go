@@ -8,12 +8,14 @@
 //     lookup on every shard it crosses; the model is parsed only on a
 //     verdict-cache miss;
 //   - a bounded job queue fanned over a fixed worker pool — the one
-//     execution path: a batch submission is just several queued jobs —
-//     with cooperative cancellation on client disconnect, per-request
-//     timeout, and explicit cancel;
+//     path a verdict-cache miss takes: a batch submission is just
+//     several queued jobs — with cooperative cancellation on client
+//     disconnect, per-request timeout, and explicit cancel;
 //   - a verdict cache keyed by (model content hash, bound, semantics,
 //     engine, deepen, CNF mode) under an LRU byte budget, accounted the
-//     same honest way as the solvers' ClauseDBBytes/MemBytes;
+//     same honest way as the solvers' ClauseDBBytes/MemBytes. A hit is
+//     answered on the handler goroutine of the shard it lands on, from
+//     that shard's own cache: no queue slot, no worker, no proxy hop;
 //   - a session pool of persistent EngineSATIncr / EngineJSAT handles
 //     (sebmc.Session), so a repeated model submitted at a deeper bound
 //     resumes the warm solver — learned clauses, hopeless-state cache
@@ -297,7 +299,8 @@ func (s *Server) retainedBytes() int {
 }
 
 // retryAfterSeconds estimates how long a rejected client should back
-// off, from live queue depth and the mean recent job wall-clock: about
+// off, from live queue depth and the mean recent wall-clock of queued
+// jobs (a hit answered inline never enters the ring): about
 // depth/workers jobs drain ahead of a retry, each taking ~avg. Clamped
 // to [1, 60].
 func (s *Server) retryAfterSeconds() int {
@@ -517,14 +520,16 @@ func (s *Server) finishContained(j *job) (res *JobResult) {
 	return s.finishResult(j, s.answer(j))
 }
 
-// answer produces the job's raw result, consulting the verdict cache
-// first; finishResult applies the common post-processing. The model's
-// bound-free terminal entry is checked before the bound-keyed one: a
-// terminal SAFE holds at any depth under either semantics, so the
-// requested bound, engine and schedule are all advisory — the answer
-// is an O(lookup) cache hit whatever was asked. A job whose hash came
-// from the model memo is parsed here, once both lookups have missed.
-func (s *Server) answer(j *job) *JobResult {
+// cached is the one verdict-cache lookup, shared by the handler (which
+// answers a hit before routing or queueing anything) and the worker
+// (where a job queued behind an identical one that just filled the
+// cache still hits). The model's bound-free terminal entry is checked
+// before the bound-keyed one: a terminal SAFE holds at any depth under
+// either semantics, so the requested bound, engine and schedule are all
+// advisory — the answer is an O(lookup) cache hit whatever was asked.
+// A hit counts cache_hits (and terminal_hits); a miss counts nothing,
+// because whoever goes on to run the job counts it once.
+func (s *Server) cached(j *job) (*JobResult, bool) {
 	res, ok := s.cache.get(terminalKey(j.hash))
 	if ok {
 		s.metrics.terminalHits.Add(1)
@@ -534,6 +539,36 @@ func (s *Server) answer(j *job) *JobResult {
 	}
 	if ok {
 		s.metrics.cacheHits.Add(1)
+	}
+	return res, ok
+}
+
+// finishCached completes a /v1/check job answered from the verdict
+// cache on the handler goroutine: admission still runs, but without
+// queue room (a hit takes no slot), then finishResult. The job is
+// registered and finished under one s.mu hold, so it is visible to
+// status queries and no path leaves a registered job unfinished. Inline
+// hits stay out of the job latency ring: Retry-After estimates the wait
+// of queued jobs.
+func (s *Server) finishCached(j *job, res *JobResult) error {
+	if err := s.admit(j); err != nil {
+		return err
+	}
+	res = s.finishResult(j, res)
+	s.mu.Lock()
+	s.registerLocked(j)
+	s.metrics.submitted.Add(1)
+	j.finish(res)
+	s.mu.Unlock()
+	return nil
+}
+
+// answer produces the job's raw result, consulting the verdict cache
+// first; finishResult applies the common post-processing. A job whose
+// hash came from the model memo is parsed here, once both lookups have
+// missed.
+func (s *Server) answer(j *job) *JobResult {
+	if res, ok := s.cached(j); ok {
 		return res
 	}
 	s.metrics.cacheMisses.Add(1)

@@ -742,6 +742,97 @@ func TestServiceQueueFullRejects(t *testing.T) {
 	blocker.cancel.Set()
 }
 
+// TestServiceHitAnsweredWhileQueueFull: a verdict-cache hit takes no
+// queue slot. With the single worker pinned down and the one queue slot
+// taken, a miss is turned away with 503, while a hit — single or batch
+// item — is answered at once from the handler.
+func TestServiceHitAnsweredWhileQueueFull(t *testing.T) {
+	s, url := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	hit := CheckRequest{Model: cexMSL, Bound: 5, Engine: "sat"}
+	if r := checkWait(t, url, hit); r.Cached || r.Status != "REACHABLE" {
+		t.Fatalf("fill: %+v, want a fresh REACHABLE", r)
+	}
+
+	src := aagSource(t, circuits.ParityGuard(10))
+	blocker, err := s.submit(CheckRequest{Model: src, Format: "aag", Bound: 8, Engine: "jsat"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer blocker.cancel.Set()
+	waitUntil(t, 30*time.Second, "the blocker to start", func() bool { return blocker.State() == JobRunning })
+	if _, err := s.submit(CheckRequest{Model: safeMSL, Bound: 2, Engine: "sat"}); err != nil {
+		t.Fatalf("filling the queue: %v", err)
+	}
+	if code := postJSON(t, url+"/v1/check", CheckRequest{Model: safeMSL, Bound: 3, Engine: "sat"}, nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("miss with the queue full: HTTP %d, want 503", code)
+	}
+	if r := checkWait(t, url, hit); !r.Cached || r.Status != "REACHABLE" {
+		t.Fatalf("hit with the queue full: %+v, want a cached REACHABLE", r)
+	}
+	var br BatchResponse
+	if code := postJSON(t, url+"/v1/batch", BatchRequest{Jobs: []CheckRequest{hit, hit}}, &br); code != http.StatusOK {
+		t.Fatalf("batch of hits with the queue full: HTTP %d, want 200", code)
+	}
+	for i, r := range br.Results {
+		if !r.Cached || r.Status != "REACHABLE" {
+			t.Fatalf("batch item %d: %+v, want a cached REACHABLE", i, r)
+		}
+	}
+	if blocker.State() == JobDone {
+		t.Fatal("the blocker finished early; the queue was not held full")
+	}
+}
+
+// TestServiceAsyncHit: an async submission that hits the verdict cache
+// is answered 202 with the result already in the status, and the job is
+// registered like any other: GET /v1/jobs/{id} reports it done.
+func TestServiceAsyncHit(t *testing.T) {
+	_, url := newTestServer(t, Config{Workers: 1})
+	req := CheckRequest{Model: cexMSL, Bound: 5, Engine: "sat"}
+	checkWait(t, url, req)
+
+	var st jobStatus
+	if code := postJSON(t, url+"/v1/check", req, &st); code != http.StatusAccepted {
+		t.Fatalf("async hit: HTTP %d, want 202", code)
+	}
+	if st.State != JobDone || st.Result == nil || !st.Result.Cached || st.Result.Status != "REACHABLE" {
+		t.Fatalf("async hit status: %+v, want done with a cached REACHABLE embedded", st)
+	}
+	var got jobStatus
+	if code := getJSON(t, url+"/v1/jobs/"+st.ID, &got); code != http.StatusOK {
+		t.Fatalf("GET /v1/jobs/%s: HTTP %d", st.ID, code)
+	}
+	if got.State != JobDone || got.Result == nil || *got.Result != *st.Result {
+		t.Fatalf("GET /v1/jobs/%s: %+v, want the submission's done status", st.ID, got)
+	}
+	var m MetricsSnapshot
+	getJSON(t, url+"/metrics", &m)
+	if m.Submitted != 2 || m.Completed != 2 {
+		t.Fatalf("jobs submitted=%d completed=%d, want 2/2", m.Submitted, m.Completed)
+	}
+}
+
+// TestServiceDrainingRefusesHits: a draining standalone server answers
+// a cached key 503, exactly as it answers a miss; it does not even look
+// the key up.
+func TestServiceDrainingRefusesHits(t *testing.T) {
+	s, url := newTestServer(t, Config{Workers: 1})
+	req := CheckRequest{Model: cexMSL, Bound: 5, Engine: "sat"}
+	checkWait(t, url, req)
+	if r := checkWait(t, url, req); !r.Cached {
+		t.Fatalf("repeat: %+v, want a cached answer", r)
+	}
+	drain(t, s)
+	hits := s.Metrics().Cache.Hits
+	req.Wait = true
+	if code := postJSON(t, url+"/v1/check", req, nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("cached key while draining: HTTP %d, want 503", code)
+	}
+	if got := s.Metrics().Cache.Hits; got != hits {
+		t.Fatalf("a draining server looked the key up: cache hits %d -> %d", hits, got)
+	}
+}
+
 // TestServiceTimeoutMetric: a job stopped by its own timeout_ms budget
 // is reported as timed out, not as a client cancellation.
 func TestServiceTimeoutMetric(t *testing.T) {
@@ -864,6 +955,19 @@ func TestServiceBadRequests(t *testing.T) {
 		if code := postJSON(t, url+"/v1/check", c, nil); code != http.StatusBadRequest {
 			t.Fatalf("bad request %d: HTTP %d, want 400", i, code)
 		}
+	}
+	// A body is one JSON object: data after it is a 400, not ignored.
+	body, err := json.Marshal(CheckRequest{Model: cexMSL, Bound: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/v1/check", "application/json", strings.NewReader(string(body)+` {"bound":4}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("data after the JSON object: HTTP %d, want 400", resp.StatusCode)
 	}
 	if code := getJSON(t, url+"/v1/jobs/job-999999", nil); code != http.StatusNotFound {
 		t.Fatalf("unknown job: HTTP %d, want 404", code)
