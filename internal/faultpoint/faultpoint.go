@@ -38,7 +38,7 @@
 //	qbf.node                 once per QDPLL search node
 //	service.session.build    cold warm-session construction
 //	service.cache.put        verdict-cache fill
-//	service.queue.admit      job admission, before queueing
+//	service.queue.admit      the admission gate, once per check or batch
 //	service.witness.validate witness replay before serving
 //	service.certificate.validate
 //	                         invariant-certificate replay before serving

@@ -5,8 +5,9 @@ package service
 // draining, a full queue, an open quarantine, the memory watermark, or
 // a 429/502/504 minted by an intermediary — is retried with jittered
 // exponential backoff, and the server's live Retry-After header (queue
-// depth × mean recent job wall-clock) is honored as the floor for each
-// sleep. Everything else is final on the first answer.
+// depth × mean recent job wall-clock, or for an open quarantined key the
+// time left until its breaker half-opens) is honored as the floor for
+// each sleep. Everything else is final on the first answer.
 //
 // Connection hygiene matters here because this client is what bmcload
 // measures the service through: every response body is drained to EOF

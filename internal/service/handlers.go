@@ -23,8 +23,13 @@ package service
 //	                        sessions and timeouts as /v1/check; a cached
 //	                        item is answered in place, the rest queue —
 //	                        every item is validated before any runs
-//	                        (one bad item is a 400 for the batch), and
-//	                        the batch is admitted whole or not at all.
+//	                        (one bad item is a 400 for the batch; so is
+//	                        trailing data), and the batch meets the one
+//	                        admission gate once: the watermark and the
+//	                        admit faultpoint once, not once per item. It
+//	                        is admitted whole or not at all; an item the
+//	                        breaker refuses is answered in place with
+//	                        ERROR while the rest run.
 //	GET    /v1/jobs/{id}    job status (result embedded once done)
 //	GET    /v1/results/{id} result only; 202 while still running
 //	DELETE /v1/jobs/{id}    cooperative cancel
@@ -37,8 +42,12 @@ package service
 // GET /v1/cluster/repair (anti-entropy pulls); see router.go and
 // replication.go.
 //
-// Submissions during a drain get 503 with Retry-After, which is what a
-// load balancer in front of a rolling restart wants to see.
+// Every check that enters a shard, /v1/check (a set of one) or the
+// items of a /v1/batch, passes one admission gate (Server.admit); a
+// cached check differs only in needing no queue slot and not meeting
+// the quarantine breaker. Submissions during a drain get 503 with
+// Retry-After, which is what a load balancer in front of a rolling
+// restart wants to see.
 
 import (
 	"encoding/json"
@@ -91,14 +100,20 @@ type errorBody struct {
 }
 
 // writeError writes the JSON error body; every 503 carries a live
-// Retry-After computed from queue depth and the mean recent job
-// wall-clock, not a hardcoded constant — a backing-off client waits
-// about as long as the queue actually needs to drain. A quarantine
-// rejection is marked as refusing the key, not the shard, so a
-// proxying peer relays it instead of shedding the key.
+// Retry-After, not a hardcoded constant. For an open quarantined key it
+// is the time left until the breaker half-opens; otherwise it is
+// computed from queue depth and the mean recent job wall-clock — a
+// backing-off client waits about as long as the queue actually needs
+// to drain. A quarantine rejection is marked as refusing the key, not
+// the shard, so a proxying peer relays it instead of shedding the key.
 func (s *Server) writeError(w http.ResponseWriter, code int, err error) {
 	if code == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSeconds()))
+		var open *openKeyError
+		if errors.As(err, &open) {
+			w.Header().Set("Retry-After", strconv.Itoa(open.retryAfter))
+		} else {
+			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+		}
 	}
 	if errors.Is(err, ErrQuarantined) {
 		w.Header().Set(rejectHeader, "quarantined")
@@ -143,41 +158,35 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	// A verdict-cache hit is answered here, from this shard's own cache
+	// A verdict-cache hit is answered on this shard, from its own cache
 	// (its own fills plus what replication and repair delivered): no
-	// proxy hop, no queue slot, no worker. A draining shard skips this
-	// and treats the request as it treats a miss.
-	if !s.Draining() {
-		if res, ok := s.cached(j); ok {
-			s.noteHitServed(r, j)
-			if err := s.finishCached(j, res); err != nil {
-				s.writeError(w, submitCode(err), err)
-				return
-			}
-			code := http.StatusAccepted // the status already carries the result
-			if req.Wait {
-				code = http.StatusOK
-			}
-			writeJSON(w, code, j.status())
-			return
-		}
-	}
-	// Clustered: the model hash decides which shard runs this. routeCheck
-	// answers true when the request was proxied away.
-	if s.routeCheck(w, r, j, body) {
+	// proxy hop, no queue slot, no worker. Only a miss is routed:
+	// clustered, the model hash decides which shard runs it, and
+	// routeCheck answers true when the request was proxied away. What
+	// stays here is a set of one for the admission gate.
+	items, hits := [1]*job{j}, [1]*JobResult{}
+	s.batchHits(items[:], hits[:])
+	if hits[0] != nil {
+		s.noteHitServed(r, j)
+	} else if s.routeCheck(w, r, j, body) {
 		return
 	}
-	if err := s.enqueue(j); err != nil {
+	refused, err := s.admit(items[:], hits[:])
+	if err == nil && refused != nil {
+		err = refused[0]
+	}
+	if err != nil {
 		s.writeError(w, submitCode(err), err)
 		return
 	}
 	if !req.Wait {
-		writeJSON(w, http.StatusAccepted, j.status())
+		writeJSON(w, http.StatusAccepted, j.status()) // a hit's status carries its result
 		return
 	}
 	// Synchronous mode: the client going away cancels the job — the
 	// worker observes the flag within a few conflicts and publishes an
-	// UNKNOWN result, so the queue never clogs with abandoned work.
+	// UNKNOWN result, so the queue never clogs with abandoned work. A
+	// hit is finished already.
 	select {
 	case <-j.done:
 	case <-r.Context().Done():
@@ -215,9 +224,13 @@ type BatchResponse struct {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	body, err := readBody(w, r)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad request: %w", err))
+		return
+	}
 	var req BatchRequest
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad request: %w", err))
 		return
 	}
@@ -259,7 +272,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		s.metrics.clusterForwardedIn.Add(int64(len(items)))
 	}
-	results, err := s.localBatch(items, s.batchHits(items))
+	hits := make([]*JobResult, len(items))
+	s.batchHits(items, hits)
+	results, err := s.localBatch(items, hits)
 	if err != nil {
 		s.writeError(w, submitCode(err), err)
 		return
@@ -267,75 +282,43 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, BatchResponse{Results: results})
 }
 
-// batchHits looks every batch item up in the verdict cache, before
-// localBatch takes s.mu: hits[i] is item i's cached answer, nil on a
-// miss. A draining shard looks nothing up, as for a single check.
-func (s *Server) batchHits(items []*job) []*JobResult {
-	hits := make([]*JobResult, len(items))
-	if !s.Draining() {
-		for i, j := range items {
-			hits[i], _ = s.cached(j)
-		}
+// batchHits is the one verdict-cache lookup of the handlers, for a
+// /v1/check (a set of one) and a batch alike, made before the gate
+// takes s.mu: it sets hits[i] to item i's cached answer, nil on a miss.
+// A draining shard looks nothing up, so its items meet the gate as
+// misses and are refused there.
+func (s *Server) batchHits(items []*job, hits []*JobResult) {
+	if s.Draining() {
+		return
 	}
-	return hits
+	for i, j := range items {
+		hits[i], _ = s.cached(j)
+	}
 }
 
 // localBatch runs a parsed batch on this shard and waits for every
-// answer. Items with a verdict-cache hit (hits[i] non-nil) are answered
-// in place and take no queue slot; the rest run as ordinary queued
-// jobs. The batch is admitted whole or not at all, against the same
-// queue bound as single submissions: a draining server or a queue
-// without room for every item that needs a slot rejects it with 503,
-// so a flood of batch posts is turned away exactly like a flood of
-// singles. (A batch with more misses than the queue capacity is
-// therefore always rejected; split it.) Quarantined items are answered
-// in place too — the rest of the batch still runs; the breaker is not
-// re-taught, since a quarantine rejection is a symptom, not a new
-// strike.
+// answer. It calls the admission gate once for the whole batch, so the
+// batch is admitted whole or not at all, against the same rules as a
+// single check: a draining server, a queue without room for every
+// miss, the memory watermark or the admit faultpoint rejects it with
+// 503. (A batch with more misses than the queue capacity is therefore
+// always rejected; split it.) Hits take no queue slot and are answered
+// at once. An item the breaker refuses is answered in place with ERROR
+// while the rest of the batch runs; the breaker is not re-taught, since
+// a quarantine rejection is a symptom, not a new strike.
 func (s *Server) localBatch(items []*job, hits []*JobResult) ([]*JobResult, error) {
-	out := make([]*JobResult, len(items))
-	queued := len(items)
-	for _, h := range hits {
-		if h != nil {
-			queued--
-		}
-	}
-	s.mu.Lock()
-	var err error
-	switch {
-	case s.draining:
-		err = ErrDraining
-	case len(s.queue)+queued > s.cfg.QueueDepth:
-		err = ErrQueueFull
-	}
+	refused, err := s.admit(items, hits)
 	if err != nil {
-		s.mu.Unlock()
-		s.metrics.rejected.Add(int64(len(items)))
 		return nil, err
 	}
-	s.metrics.submitted.Add(int64(len(items)))
+	out := make([]*JobResult, len(items))
 	for i, j := range items {
-		if qerr := s.quar.allow(j.quarantineKey()); qerr != nil {
-			s.metrics.quarantineRejected.Add(1)
-			s.metrics.completed.Add(1)
-			out[i] = &JobResult{Status: StatusError, Bound: j.req.Bound, FoundAt: -1, Error: qerr.Error()}
+		if refused != nil && refused[i] != nil {
+			out[i] = errorResult(j, refused[i], false)
 			continue
 		}
-		if hits[i] == nil {
-			s.registerLocked(j)
-			s.queue <- j // room was checked above, and every send holds s.mu
-		}
-	}
-	s.mu.Unlock()
-	for i, j := range items {
-		switch {
-		case out[i] != nil:
-		case hits[i] != nil:
-			out[i] = s.finishResult(j, hits[i])
-		default:
-			<-j.done
-			out[i] = j.Result()
-		}
+		<-j.done
+		out[i] = j.Result()
 	}
 	return out, nil
 }

@@ -7,9 +7,19 @@ package service
 // client in a retry loop can grind the whole service down with one bad
 // model. After Threshold internal errors the key is quarantined:
 // requests for it are rejected immediately with ErrQuarantined (no
-// worker runs, no session is built). After TTL the breaker half-opens —
-// exactly one probe request is let through; if it succeeds the key is
-// clean again, if it errors the quarantine re-arms for another TTL.
+// worker runs, no session is built), and the 503's Retry-After is the
+// time left until the breaker half-opens. After TTL the breaker
+// half-opens — exactly one probe request is let through; if it succeeds
+// the key is clean again, if it errors the quarantine re-arms for
+// another TTL.
+//
+// The breaker never refuses a verdict-cache hit. It exists to keep a
+// poison-pill key off the workers, and a hit runs no worker: it serves
+// an answer that was validated when it was stored (ERROR is never
+// cached). So the admission gate (Server.admit) puts only misses to the
+// breaker, last, under the lock hold that queues them: the probe is
+// always a queued miss, and the worker that runs it reports its outcome
+// through observe, which frees the slot.
 //
 // Only internal errors trip the breaker: recovered panics, poisoned
 // sessions, injected faults, witness-validation failures. Budget
@@ -28,6 +38,21 @@ import (
 // ErrQuarantined rejects requests for a quarantined (model, engine)
 // key. Served as HTTP 503 with Retry-After.
 var ErrQuarantined = errors.New("service: model+engine quarantined after repeated internal errors")
+
+// openKeyError is ErrQuarantined for a key whose breaker is open, not
+// half-open: retryAfter is the time left until it half-opens, in whole
+// seconds rounded up, which the 503's Retry-After and the message both
+// report.
+type openKeyError struct {
+	failures   int
+	retryAfter int
+}
+
+func (e *openKeyError) Error() string {
+	return fmt.Sprintf("%v (%d internal errors; retry after %ds)", ErrQuarantined, e.failures, e.retryAfter)
+}
+
+func (e *openKeyError) Unwrap() error { return ErrQuarantined }
 
 type quarantineKey struct {
 	Hash   string
@@ -65,7 +90,9 @@ func (q *quarantine) open(e *breakerEntry) bool { return !e.openedAt.IsZero() }
 
 // allow decides whether a request for key may touch a worker. Closed
 // keys (the steady state) pass; open keys are rejected until TTL
-// expires, then exactly one probe passes at a time.
+// expires, then exactly one probe passes at a time. A caller that is
+// let through must run the request on a worker, whose observe frees
+// the probe slot.
 func (q *quarantine) allow(key quarantineKey) error {
 	if q.threshold <= 0 {
 		return nil
@@ -76,8 +103,8 @@ func (q *quarantine) allow(key quarantineKey) error {
 	if e == nil || !q.open(e) {
 		return nil
 	}
-	if time.Since(e.openedAt) < q.ttl {
-		return fmt.Errorf("%w (%d internal errors; retry after %s)", ErrQuarantined, e.failures, q.ttl)
+	if left := q.ttl - time.Since(e.openedAt); left > 0 {
+		return &openKeyError{failures: e.failures, retryAfter: int((left + time.Second - 1) / time.Second)}
 	}
 	if e.probing {
 		return fmt.Errorf("%w (half-open, probe in flight)", ErrQuarantined)

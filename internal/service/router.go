@@ -505,16 +505,17 @@ type batchGroup struct {
 }
 
 // clusterBatch answers the items this shard holds cached, partitions
-// the rest by owning shard, runs the local partition through the normal
-// admission path, proxies each remote partition to its owner
-// concurrently, and merges results in submission order. Any partition
-// failing hard fails the whole batch with that error (the
+// the rest by owning shard, runs the local partition through the
+// admission gate every check meets, proxies each remote partition to
+// its owner concurrently, and merges results in submission order. Any
+// partition failing hard fails the whole batch with that error (the
 // all-or-nothing contract single-shard batches already have), after one
 // local-fallback attempt for remote partitions whose owner bounced.
 func (s *Server) clusterBatch(w http.ResponseWriter, r *http.Request, items []*job) {
 	cs := s.clusterView()
 	draining := s.Draining()
-	hits := s.batchHits(items)
+	hits := make([]*JobResult, len(items))
+	s.batchHits(items, hits)
 	groups := make(map[string]*batchGroup)
 	order := make([]string, 0, 4) // deterministic fan-out order
 	for i, j := range items {

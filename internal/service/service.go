@@ -10,7 +10,9 @@
 //   - a bounded job queue fanned over a fixed worker pool — the one
 //     path a verdict-cache miss takes: a batch submission is just
 //     several queued jobs — with cooperative cancellation on client
-//     disconnect, per-request timeout, and explicit cancel;
+//     disconnect, per-request timeout, and explicit cancel. Every check
+//     enters through one admission gate (admit), single or batch, hit
+//     or miss;
 //   - a verdict cache keyed by (model content hash, bound, semantics,
 //     engine, deepen, CNF mode) under an LRU byte budget, accounted the
 //     same honest way as the solvers' ClauseDBBytes/MemBytes. A hit is
@@ -221,74 +223,95 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// submit validates, registers and enqueues one job. The returned job is
-// already visible to status queries.
-func (s *Server) submit(req CheckRequest) (*job, error) {
-	j, err := s.newJob(req)
-	if err != nil {
-		return nil, err
-	}
-	return j, s.enqueue(j)
-}
-
-// enqueue admits and enqueues an already-parsed job. Split from submit
-// so the cluster router can parse (for the model hash) before deciding
-// whether this shard runs the job at all.
-func (s *Server) enqueue(j *job) error {
-	if err := s.admit(j); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		s.metrics.rejected.Add(1)
-		return ErrDraining
-	}
-	// Register first, then enqueue: a worker may start the job the
-	// instant it lands in the channel, and by then it must already have
-	// its id and be visible to status queries — the old enqueue-first
-	// order raced a fast worker against registerLocked.
-	s.registerLocked(j)
-	select {
-	case s.queue <- j:
-	default:
-		s.unregisterLocked(j)
-		s.metrics.rejected.Add(1)
-		return ErrQueueFull
-	}
-	s.metrics.submitted.Add(1)
-	return nil
-}
-
-// admit is the admission ladder of single submissions: the (model,
-// engine) circuit breaker answers known-crashy keys immediately (no
-// worker touched), then the memory watermark sheds idle warm sessions
-// LRU-first and rejects only if shedding still leaves retained memory
-// over the line.
-func (s *Server) admit(j *job) error {
-	if err := s.quar.allow(j.quarantineKey()); err != nil {
-		s.metrics.quarantineRejected.Add(1)
-		s.metrics.rejected.Add(1)
-		return err
-	}
+// admit is the one admission gate: every check that enters this shard —
+// a /v1/check (a set of one) or a /v1/batch, verdict-cache hit or
+// miss — passes it. hits[i] is item i's cached answer, nil on a miss
+// (batchHits): that is the only thing that differs between paths.
+//
+// Four set-level conditions, checked once per call, each refuse every
+// item: the service.queue.admit faultpoint, the memory watermark (after
+// shedding idle warm sessions LRU-first), draining, and room in the
+// queue for every miss. The (model, engine) breaker comes last and
+// meets misses only, under the s.mu hold that queues them, so a
+// half-open key's one probe slot only ever goes to a job that is
+// actually queued, and run reports that job's outcome. A hit skips the
+// breaker: it runs no worker, and its answer was validated when it was
+// stored.
+//
+// err is the set-level refusal. Otherwise refused[i] is the breaker's
+// refusal of item i (refused is nil when it refused none), and every
+// other item is admitted: registered, counted in jobs_submitted, and
+// queued if a miss or finished, after the lock is released, if a hit.
+// Each item counts once, in jobs_submitted or jobs_rejected.
+func (s *Server) admit(items []*job, hits []*JobResult) (refused []error, err error) {
+	n := int64(len(items))
 	// Fault-injection site: an injected error exercises the
 	// 503-with-live-Retry-After rejection path without real pressure.
-	if err := faultpoint.Hit("service.queue.admit"); err != nil {
-		s.metrics.rejected.Add(1)
-		return fmt.Errorf("%w: %v", ErrOverloaded, err)
+	if ferr := faultpoint.Hit("service.queue.admit"); ferr != nil {
+		s.metrics.rejected.Add(n)
+		return nil, fmt.Errorf("%w: %v", ErrOverloaded, ferr)
 	}
 	if hw := s.cfg.MemHighWater; hw > 0 {
 		if over := s.retainedBytes() - hw; over > 0 {
 			shed, freed := s.sessions.shedIdle(over)
 			s.metrics.sessionsShed.Add(int64(shed))
 			if freed < over {
-				s.metrics.overloadRejected.Add(1)
-				s.metrics.rejected.Add(1)
-				return ErrOverloaded
+				s.metrics.overloadRejected.Add(n)
+				s.metrics.rejected.Add(n)
+				return nil, ErrOverloaded
 			}
 		}
 	}
-	return nil
+	misses := 0
+	for _, h := range hits {
+		if h == nil {
+			misses++
+		}
+	}
+	s.mu.Lock()
+	switch {
+	case s.draining:
+		err = ErrDraining
+	case len(s.queue)+misses > s.cfg.QueueDepth:
+		err = ErrQueueFull
+	}
+	if err != nil {
+		s.mu.Unlock()
+		s.metrics.rejected.Add(n)
+		return nil, err
+	}
+	for i, j := range items {
+		if hits[i] == nil {
+			if qerr := s.quar.allow(j.quarantineKey()); qerr != nil {
+				if refused == nil {
+					refused = make([]error, len(items))
+				}
+				refused[i] = qerr
+				s.metrics.quarantineRejected.Add(1)
+				s.metrics.rejected.Add(1)
+				continue
+			}
+		}
+		// Register first, then queue: a worker may start the job the
+		// instant it lands in the channel, and by then it must already
+		// have its id and be visible to status queries.
+		s.registerLocked(j)
+		s.metrics.submitted.Add(1)
+		if hits[i] == nil {
+			s.queue <- j // room was checked above, and every send holds s.mu
+		}
+	}
+	s.mu.Unlock()
+	// Hits are finished outside the lock: finishResult is the costliest
+	// step of a hit, and s.mu is every submission's lock. Inline hits
+	// stay out of the job latency ring: Retry-After estimates the wait
+	// of queued jobs.
+	for i, j := range items {
+		if hits[i] != nil {
+			j.finish(s.finishResult(j, hits[i]))
+		}
+	}
+	return refused, nil
 }
 
 // retainedBytes is the watermark's view of retained memory: warm
@@ -410,17 +433,6 @@ func (s *Server) registerLocked(j *job) {
 	s.evictHistoryLocked()
 }
 
-// unregisterLocked rolls back a registerLocked whose enqueue failed.
-// The job is necessarily the newest entry (registration and rollback
-// happen under one lock hold), so the rollback is a tail pop. Callers
-// hold s.mu.
-func (s *Server) unregisterLocked(j *job) {
-	delete(s.jobs, j.id)
-	if n := len(s.order); n > 0 && s.order[n-1] == j.id {
-		s.order = s.order[:n-1]
-	}
-}
-
 // evictHistoryLocked drops the oldest finished jobs once the history
 // cap is exceeded. The rolling head cursor keeps the common case O(1):
 // jobs finish in rough submission order, so the oldest entry is almost
@@ -490,6 +502,13 @@ func (s *Server) run(j *job) {
 	elapsed := time.Since(start)
 	res.ElapsedMS = elapsed.Milliseconds()
 	s.metrics.noteElapsed(elapsed)
+	// Every queued job reports its outcome to the breaker: the gate gives
+	// a half-open key's probe slot only to a queued job, so this is what
+	// frees it. Only a fresh outcome teaches the breaker anything: an
+	// internal error is a strike, a clean verdict clears the key, and an
+	// UNKNOWN (budget ran out) or an answer found in the cache (filled
+	// while the job waited) is neutral.
+	s.quar.observe(j.quarantineKey(), res.errored(), res.decided() && !res.Cached)
 	// Account before publishing: a client that sees the result and then
 	// reads /metrics must find it counted.
 	if res.Status == sebmc.Unknown.String() && j.cancel.Canceled() {
@@ -508,8 +527,8 @@ func (s *Server) run(j *job) {
 // escaped the library's own containment (witness validation, the
 // verdict cache, result conversion) into an ERROR result. The
 // recovered path re-enters finishResult so the error still counts
-// toward metrics and quarantine; ERROR results never touch the cache,
-// so it cannot re-panic the same way.
+// toward metrics, and run reports it to the breaker; ERROR results
+// never touch the cache, so it cannot re-panic the same way.
 func (s *Server) finishContained(j *job) (res *JobResult) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -541,26 +560,6 @@ func (s *Server) cached(j *job) (*JobResult, bool) {
 		s.metrics.cacheHits.Add(1)
 	}
 	return res, ok
-}
-
-// finishCached completes a /v1/check job answered from the verdict
-// cache on the handler goroutine: admission still runs, but without
-// queue room (a hit takes no slot), then finishResult. The job is
-// registered and finished under one s.mu hold, so it is visible to
-// status queries and no path leaves a registered job unfinished. Inline
-// hits stay out of the job latency ring: Retry-After estimates the wait
-// of queued jobs.
-func (s *Server) finishCached(j *job, res *JobResult) error {
-	if err := s.admit(j); err != nil {
-		return err
-	}
-	res = s.finishResult(j, res)
-	s.mu.Lock()
-	s.registerLocked(j)
-	s.metrics.submitted.Add(1)
-	j.finish(res)
-	s.mu.Unlock()
-	return nil
 }
 
 // answer produces the job's raw result, consulting the verdict cache
@@ -604,8 +603,8 @@ func (s *Server) answer(j *job) *JobResult {
 // recovered panics, fill the verdict cache (clean decided, freshly
 // computed answers only; UNKNOWN depends on the request's budget, not
 // the question, and ERROR or a failed witness replay must never be
-// replayed from cache), feed the circuit breaker, bump the completion
-// metrics, and strip the witness the requester did not ask for.
+// replayed from cache), bump the completion metrics, and strip the
+// witness the requester did not ask for.
 // Stripping happens after caching, so the cache keeps the trace for
 // later requesters who do want it.
 func (s *Server) finishResult(j *job, res *JobResult) *JobResult {
@@ -615,28 +614,22 @@ func (s *Server) finishResult(j *job, res *JobResult) *JobResult {
 			s.metrics.panicsRecovered.Add(1)
 		}
 	}
-	if !res.Cached {
-		if res.decided() && res.Error == "" {
-			// Terminal verdicts fill the model's bound-free entry, so
-			// any later bound short-circuits; everything else stays
-			// keyed by exactly what was asked.
-			key := j.key()
-			if res.Terminal {
-				key = terminalKey(j.hash)
-			}
-			s.cache.put(key, *res)
-			// Write-behind replicate the fresh fill to the key's first
-			// failover shard (no-op standalone). A non-blocking enqueue:
-			// replication must never add latency to the request path.
-			s.replicateFill(j, key, res)
-			// Fresh computes only: a cache hit re-serves the recorded
-			// savings without skipping any new solver work.
-			s.metrics.deepenBoundsSkipped.Add(int64(res.BoundsSkipped))
+	if !res.Cached && res.decided() && res.Error == "" {
+		// Terminal verdicts fill the model's bound-free entry, so any
+		// later bound short-circuits; everything else stays keyed by
+		// exactly what was asked.
+		key := j.key()
+		if res.Terminal {
+			key = terminalKey(j.hash)
 		}
-		// Only fresh outcomes teach the breaker anything: an internal
-		// error is a strike, a clean verdict clears the key, an UNKNOWN
-		// (budget ran out) is neutral.
-		s.quar.observe(j.quarantineKey(), res.errored(), res.decided())
+		s.cache.put(key, *res)
+		// Write-behind replicate the fresh fill to the key's first
+		// failover shard (no-op standalone). A non-blocking enqueue:
+		// replication must never add latency to the request path.
+		s.replicateFill(j, key, res)
+		// Fresh computes only: a cache hit re-serves the recorded
+		// savings without skipping any new solver work.
+		s.metrics.deepenBoundsSkipped.Add(int64(res.BoundsSkipped))
 	}
 	s.metrics.completed.Add(1)
 	s.metrics.noteDecided(res.DecidedBy)

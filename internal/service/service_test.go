@@ -86,6 +86,22 @@ func newTestServer(t *testing.T, cfg Config) (*Server, string) {
 	return s, ts.URL
 }
 
+// submit validates one request and passes it through the admission gate
+// as a miss, the way a /v1/check that is not cached enters: the job is
+// queued and visible to status queries, or the gate's refusal comes
+// back.
+func (s *Server) submit(req CheckRequest) (*job, error) {
+	j, err := s.newJob(req)
+	if err != nil {
+		return nil, err
+	}
+	refused, err := s.admit([]*job{j}, []*JobResult{nil})
+	if err == nil && refused != nil {
+		err = refused[0]
+	}
+	return j, err
+}
+
 func postJSON(t *testing.T, url string, body any, out any) int {
 	t.Helper()
 	b, err := json.Marshal(body)
@@ -956,18 +972,24 @@ func TestServiceBadRequests(t *testing.T) {
 			t.Fatalf("bad request %d: HTTP %d, want 400", i, code)
 		}
 	}
-	// A body is one JSON object: data after it is a 400, not ignored.
-	body, err := json.Marshal(CheckRequest{Model: cexMSL, Bound: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url+"/v1/check", "application/json", strings.NewReader(string(body)+` {"bound":4}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("data after the JSON object: HTTP %d, want 400", resp.StatusCode)
+	// A body is one JSON object, for a check and a batch alike: data
+	// after it is a 400, not ignored.
+	for path, v := range map[string]any{
+		"/v1/check": CheckRequest{Model: cexMSL, Bound: 3},
+		"/v1/batch": BatchRequest{Jobs: []CheckRequest{{Model: cexMSL, Bound: 3}}},
+	} {
+		body, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(url+path, "application/json", strings.NewReader(string(body)+` {"bound":4}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s with data after the JSON object: HTTP %d, want 400", path, resp.StatusCode)
+		}
 	}
 	if code := getJSON(t, url+"/v1/jobs/job-999999", nil); code != http.StatusNotFound {
 		t.Fatalf("unknown job: HTTP %d, want 404", code)
