@@ -1,5 +1,6 @@
 // Benchmarks regenerating the paper's evaluation, one benchmark group per
-// table/figure (see EXPERIMENTS.md for the index):
+// table/figure (the experiments are listed in the README's "Benchmarks
+// and experiments" section):
 //
 //	BenchmarkTable1_*      — E1: per-engine solve effort on suite slices
 //	BenchmarkGrowth_*      — E2: encoding size/time vs bound
@@ -7,6 +8,9 @@
 //	BenchmarkSquaring_*    — E4: deepening iteration counts
 //	BenchmarkAblation_*    — E5: design-choice ablations
 //	BenchmarkQBFWall_*     — E6: general QBF vs SAT on formula (2)
+//	BenchmarkDeepen_*      — deepening cost: monolithic vs incremental,
+//	                         and E11's geometric schedule
+//	BenchmarkJSAT_*        — jSAT hot-path query throughput
 //
 // Run with: go test -bench=. -benchmem
 package sebmc_test
@@ -219,9 +223,9 @@ func BenchmarkQBFWall_QBF_k4(b *testing.B) { benchQBFWall(b, 4, true) }
 func BenchmarkQBFWall_QBF_k7(b *testing.B) { benchQBFWall(b, 7, true) }
 
 // benchDeepen measures a full iterative-deepening run to a depth-64
-// LFSR counterexample — the E8 comparison: monolithic re-unrolling
-// (fresh formula and solver per bound) vs the persistent-solver
-// incremental engine (one solver, one new frame per bound).
+// LFSR counterexample: monolithic re-unrolling (fresh formula and
+// solver per bound) vs the persistent-solver incremental engine (one
+// solver, one new frame per bound).
 func benchDeepen(b *testing.B, incremental bool) {
 	sys := bench.LFSRAtDepth(10, 0x204, 64)
 	b.ResetTimer()
@@ -357,7 +361,7 @@ func BenchmarkJSAT_DeepCounter(b *testing.B) {
 	}
 }
 
-// The E10 hot-path benchmarks: jSAT's DFS inner loop is thousands of
+// The jSAT hot-path benchmarks: jSAT's DFS inner loop is thousands of
 // tiny incremental queries sharing an assumption prefix. queries/s and
 // allocs/op here are the numbers the allocation-free core targets
 // (BENCH_4.json records the before/after).

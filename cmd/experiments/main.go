@@ -1,6 +1,6 @@
 // Command experiments regenerates the tables and figures of the paper's
-// evaluation section (see EXPERIMENTS.md for the experiment index and
-// DESIGN.md for the substitutions).
+// evaluation section, plus the deep-counterexample crossover (see the
+// README's "Benchmarks and experiments" section).
 //
 // Usage:
 //
@@ -10,12 +10,11 @@
 //	experiments -e squaring          # E4: deepening iteration counts
 //	experiments -e ablation          # E5: design-choice ablations
 //	experiments -e qbfwall           # E6: general QBF vs SAT on tiny model
-//	experiments -e deepening         # E8: incremental vs monolithic deepening
-//	experiments -e portfolio         # E9: portfolio vs best single engine
-//	experiments -e jsatperf          # E10: jSAT hot-path throughput
 //	experiments -e deepbug           # E11: deep-counterexample crossover
 //	experiments -e all               # everything
 //	    [-timelimit 1s] [-csv results.csv] [-jobs N]
+//
+// Any other -e name exits 2 and lists the names.
 package main
 
 import (
@@ -23,33 +22,23 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/circuits"
 )
 
-func main() {
-	var (
-		exp       = flag.String("e", "all", "experiment: table1, growth, memory, squaring, ablation, qbfwall, bdd, deepening, portfolio, jsatperf, deepbug, all")
-		timeLimit = flag.Duration("timelimit", time.Second, "per-instance time budget")
-		csvPath   = flag.String("csv", "", "write per-instance table1 results as CSV")
-		jobs      = flag.Int("jobs", 1, "parallel workers for the table1 sweep (timings reflect a loaded machine when > 1)")
-	)
-	flag.Parse()
+var csvPath = flag.String("csv", "", "write per-instance table1 results as CSV")
 
-	cfg := bench.DefaultConfig()
-	cfg.TimeLimit = *timeLimit
-	cfg.Jobs = *jobs
-
-	run := func(name string, fn func()) {
-		if *exp == name || *exp == "all" {
-			fn()
-			fmt.Println()
-		}
-	}
-
-	run("table1", func() {
+// experiments lists every experiment -e accepts, in the order -e all
+// runs them.
+var experiments = []struct {
+	name string
+	run  func(cfg bench.Config)
+}{
+	{"table1", func(cfg bench.Config) {
 		t := bench.RunTable1(cfg)
 		t.Write(os.Stdout)
 		if *csvPath != "" {
@@ -59,56 +48,57 @@ func main() {
 			}
 			fmt.Printf("per-instance results written to %s\n", *csvPath)
 		}
-	})
-	run("growth", func() {
+	}},
+	{"growth", func(cfg bench.Config) {
 		sys := circuits.Counter(16, 60000)
 		rows := bench.RunGrowth(sys, []int{1, 2, 4, 8, 16, 32, 64, 128, 256}, cfg.Mode)
 		bench.WriteGrowth(os.Stdout, sys.Name, rows)
-	})
-	run("memory", func() {
+	}},
+	{"memory", func(cfg bench.Config) {
 		sys := circuits.Counter(7, 100)
 		rows := bench.RunMemory(sys, []int{10, 20, 40, 60, 80, 100}, cfg)
 		bench.WriteMemory(os.Stdout, sys.Name, rows)
-	})
-	run("squaring", func() {
-		rows := bench.RunSquaring([]int{5, 10, 20, 40, 80}, cfg)
-		bench.WriteSquaring(os.Stdout, rows)
-	})
-	run("ablation", func() {
-		rows := bench.RunAblations(cfg)
-		bench.WriteAblations(os.Stdout, rows)
-	})
-	run("bdd", func() {
-		rows := bench.RunBDD(2_000_000)
-		bench.WriteBDD(os.Stdout, rows, 2_000_000)
-	})
-	run("qbfwall", func() {
-		rows := bench.RunQBFWall(8, cfg)
-		bench.WriteQBFWall(os.Stdout, rows)
-	})
-	run("deepening", func() {
-		cmps := []bench.DeepeningComparison{
-			bench.RunDeepening(bench.LFSRAtDepth(10, 0x204, 64), 64, cfg),
-			bench.RunDeepening(circuits.Counter(8, 48), 48, cfg),
-			bench.RunDeepening(circuits.TrafficLight(4), 32, cfg),
-		}
-		bench.WriteDeepening(os.Stdout, cmps)
-	})
-	run("jsatperf", func() {
-		bench.WriteE10(os.Stdout, bench.RunE10(cfg))
-	})
-	run("deepbug", func() {
+	}},
+	{"squaring", func(cfg bench.Config) {
+		bench.WriteSquaring(os.Stdout, bench.RunSquaring([]int{5, 10, 20, 40, 80}, cfg))
+	}},
+	{"ablation", func(cfg bench.Config) {
+		bench.WriteAblations(os.Stdout, bench.RunAblations(cfg))
+	}},
+	{"qbfwall", func(cfg bench.Config) {
+		bench.WriteQBFWall(os.Stdout, bench.RunQBFWall(8, cfg))
+	}},
+	{"deepbug", func(cfg bench.Config) {
 		bench.WriteE11(os.Stdout, bench.RunE11(cfg))
-	})
-	run("portfolio", func() {
-		// Wall-clock comparisons need an unloaded machine: the
-		// single-engine baselines and the portfolio runs are sequential
-		// regardless of -jobs (only the race inside each portfolio run
-		// is concurrent).
-		seq := cfg
-		seq.Jobs = 1
-		bench.RunE9(seq, nil).Write(os.Stdout)
-	})
+	}},
+}
+
+func main() {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	list := strings.Join(names, ", ") + ", all"
+	var (
+		exp       = flag.String("e", "all", "experiment: "+list)
+		timeLimit = flag.Duration("timelimit", time.Second, "per-instance time budget")
+		jobs      = flag.Int("jobs", 1, "parallel workers for the table1 sweep (timings reflect a loaded machine when > 1)")
+	)
+	flag.Parse()
+	if *exp != "all" && !slices.Contains(names, *exp) {
+		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q; want one of %s\n", *exp, list)
+		os.Exit(2)
+	}
+
+	cfg := bench.DefaultConfig()
+	cfg.TimeLimit = *timeLimit
+	cfg.Jobs = *jobs
+	for _, e := range experiments {
+		if *exp == e.name || *exp == "all" {
+			e.run(cfg)
+			fmt.Println()
+		}
+	}
 }
 
 func writeCSV(path string, t *bench.Table1) error {

@@ -186,81 +186,6 @@ func TestQBFWallAgreement(t *testing.T) {
 	}
 }
 
-// TestDeepeningE8 is the acceptance test of the incremental engine: on
-// a depth-64 LFSR instance the persistent-solver deepening run must add
-// at least 2× fewer cumulative clauses than monolithic re-unrolling,
-// agree with it on every answer, and surface a replayable witness.
-func TestDeepeningE8(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TimeLimit = 10 * time.Second
-	cmp := RunDeepening(LFSRAtDepth(10, 0x204, 64), 64, cfg)
-
-	if cmp.Monolithic.Deepen.Status != bmc.Reachable || cmp.Monolithic.Deepen.FoundAt != 64 {
-		t.Fatalf("monolithic deepening: %+v", cmp.Monolithic.Deepen)
-	}
-	if cmp.Incremental.Deepen.Status != bmc.Reachable || cmp.Incremental.Deepen.FoundAt != 64 {
-		t.Fatalf("incremental deepening: %+v", cmp.Incremental.Deepen)
-	}
-	if w := cmp.Incremental.Deepen.Witness; w == nil {
-		t.Fatalf("incremental run carries no witness")
-	} else if err := w.Validate(cmp.Incremental.Deepen.System); err != nil {
-		t.Fatalf("incremental witness does not replay: %v", err)
-	}
-	if ratio := cmp.ClauseRatio(); ratio < 2 {
-		t.Fatalf("cumulative clause ratio %.1fx, want >= 2x (mono %d, incr %d)",
-			ratio, cmp.Monolithic.ClausesAdded, cmp.Incremental.ClausesAdded)
-	}
-	t.Logf("E8 depth-64 LFSR: mono %d clauses in %v, incr %d clauses in %v (%.1fx fewer)",
-		cmp.Monolithic.ClausesAdded, cmp.Monolithic.Elapsed,
-		cmp.Incremental.ClausesAdded, cmp.Incremental.Elapsed, cmp.ClauseRatio())
-
-	var buf bytes.Buffer
-	WriteDeepening(&buf, []DeepeningComparison{cmp})
-	if !strings.Contains(buf.String(), "E8") {
-		t.Fatalf("rendering broken")
-	}
-}
-
-// TestDeepeningE8Safe runs the comparison on a safe system, where every
-// bound is checked (no early exit) and the answers must both be
-// Unreachable.
-func TestDeepeningE8Safe(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TimeLimit = 10 * time.Second
-	cmp := RunDeepening(circuits.TrafficLight(4), 32, cfg)
-	if cmp.Monolithic.Deepen.Status != bmc.Unreachable || cmp.Incremental.Deepen.Status != bmc.Unreachable {
-		t.Fatalf("safe system: mono %v, incr %v", cmp.Monolithic.Deepen.Status, cmp.Incremental.Deepen.Status)
-	}
-	if ratio := cmp.ClauseRatio(); ratio < 2 {
-		t.Fatalf("cumulative clause ratio %.1fx, want >= 2x", ratio)
-	}
-}
-
-// TestPortfolioRunMatchesOracle pins the bench-side portfolio engine:
-// decisive answers, oracle agreement, and a winner tag on every race.
-func TestPortfolioRunMatchesOracle(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TimeLimit = 5 * time.Second
-	sys := circuits.Counter(4, 9)
-	oracle := explicit.New(sys)
-	for _, k := range []int{3, 9, 12} {
-		inst := Instance{Family: "counter", Sys: sys, K: k}
-		r := Run(inst, EnginePortfolio, cfg)
-		if r.Status == bmc.Unknown {
-			t.Fatalf("k=%d: portfolio Unknown under a 5s budget", k)
-		}
-		if (r.Status == bmc.Reachable) != oracle.ReachableExact(k) {
-			t.Fatalf("k=%d: portfolio=%v disagrees with oracle", k, r.Status)
-		}
-		if r.DecidedBy == "" {
-			t.Fatalf("k=%d: no winner tag on a decisive portfolio run", k)
-		}
-		if r.Engine != EnginePortfolio {
-			t.Fatalf("k=%d: result engine rewritten to %v", k, r.Engine)
-		}
-	}
-}
-
 // TestTable1ParallelMatchesSequential runs a budget-starved sweep twice
 // — sequentially and on 4 workers — and requires identical aggregation:
 // the parallel path must not perturb result ordering or counting.
@@ -281,39 +206,6 @@ func TestTable1ParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("slot %d: %s vs %s — parallel sweep broke ordering",
 				i, seq.Results[i].Instance.Name(), pt.Results[i].Instance.Name())
 		}
-	}
-}
-
-// TestE9PortfolioTracksBestSingle is the E9 acceptance test on a small
-// deterministic slice: every portfolio answer must be decisive and
-// correct, and the portfolio wall-clock must stay within a generous
-// constant factor of the best single engine (scheduling noise included —
-// the engines here finish in micro- to milliseconds, where fixed
-// goroutine overhead dominates).
-func TestE9PortfolioTracksBestSingle(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TimeLimit = 5 * time.Second
-	insts := []Instance{
-		{Family: "counter", Sys: circuits.Counter(8, 12), K: 12},
-		{Family: "traffic", Sys: circuits.TrafficLight(4), K: 8},
-		{Family: "tokenring", Sys: circuits.TokenRing(12), K: 11},
-	}
-	tbl := RunE9(cfg, insts)
-	for _, row := range tbl.Rows {
-		if row.Portfolio.Status == bmc.Unknown {
-			t.Fatalf("%s: portfolio Unknown under a 5s budget", row.Instance.Name())
-		}
-		best := row.BestSingle()
-		if row.Portfolio.Status != best.Status {
-			t.Fatalf("%s: portfolio %v, best single (%v) %v",
-				row.Instance.Name(), row.Portfolio.Status, best.Engine, best.Status)
-		}
-	}
-	var buf bytes.Buffer
-	tbl.Write(&buf)
-	out := buf.String()
-	if !strings.Contains(out, "E9") || !strings.Contains(out, "win rate by instance class") {
-		t.Fatalf("rendering broken:\n%s", out)
 	}
 }
 

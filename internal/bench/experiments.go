@@ -14,7 +14,6 @@ import (
 	"repro/internal/portfolio"
 	"repro/internal/qbf"
 	"repro/internal/sat"
-	"repro/internal/symbolic"
 	"repro/internal/tseitin"
 )
 
@@ -340,154 +339,6 @@ func WriteAblations(w io.Writer, rows []AblationResult) {
 	fmt.Fprintf(w, "%-24s %10s %12s %12s\n", "configuration", "solved", "elapsed", "conflicts")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-24s %6d/%3d %12v %12d\n", r.Name, r.Solved, r.Total, r.Elapsed.Round(time.Millisecond), r.Conflicts)
-	}
-}
-
-// BDDRow is experiment E7 (an extension beyond the paper's evaluation):
-// the BDD-based symbolic model checking the paper's introduction argues
-// against, run over the benchmark families. Control-dominated designs
-// are easy; the arithmetic cones (factor/prime) blow the node budget —
-// the historical reason SAT-based BMC displaced BDDs at Intel.
-type BDDRow struct {
-	Family    string
-	Shortest  int // depth of shortest counterexample, -1 safe
-	Known     bool
-	PeakNodes int
-	Elapsed   time.Duration
-}
-
-// RunBDD runs the symbolic engine over every family under a node budget.
-func RunBDD(maxNodes int) []BDDRow {
-	var rows []BDDRow
-	for _, fam := range Families() {
-		sys := fam.Build()
-		start := time.Now()
-		row := BDDRow{Family: fam.Name, Shortest: -1}
-		chk, err := symbolic.New(sys, symbolic.Options{MaxNodes: maxNodes})
-		if err == nil {
-			if d, err2 := chk.ShortestCounterexample(); err2 == nil {
-				row.Shortest = d
-				row.Known = true
-			}
-			row.PeakNodes = chk.PeakNodes
-		} else {
-			row.PeakNodes = maxNodes
-		}
-		row.Elapsed = time.Since(start)
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-// WriteBDD renders E7.
-func WriteBDD(w io.Writer, rows []BDDRow, maxNodes int) {
-	fmt.Fprintf(w, "E7 (extension) — BDD-based symbolic reachability on the suite (budget %d nodes)\n", maxNodes)
-	fmt.Fprintf(w, "context: the paper's intro — image computation blows up where BMC does not\n\n")
-	fmt.Fprintf(w, "%-14s %12s %12s %12s\n", "family", "shortest-cex", "peak-nodes", "elapsed")
-	for _, r := range rows {
-		cex := "BUDGET"
-		if r.Known {
-			if r.Shortest < 0 {
-				cex = "safe"
-			} else {
-				cex = fmt.Sprintf("%d", r.Shortest)
-			}
-		}
-		fmt.Fprintf(w, "%-14s %12s %12d %12v\n", r.Family, cex, r.PeakNodes, r.Elapsed.Round(time.Millisecond))
-	}
-}
-
-// DeepeningResult is one side of experiment E8 (an extension beyond the
-// paper's evaluation): the cumulative cost of a full iterative-deepening
-// run, monolithic re-unrolling vs the persistent-solver incremental
-// engine on the same system and bound range.
-type DeepeningResult struct {
-	Engine       string
-	Deepen       bmc.DeepenResult
-	ClausesAdded int // problem clauses handed to solver(s), cumulative
-	VarsAdded    int
-	Conflicts    int64
-	PeakBytes    int // clause-database high water across the run
-	Elapsed      time.Duration
-}
-
-// DeepeningComparison pairs the two runs of E8.
-type DeepeningComparison struct {
-	System      string
-	MaxBound    int
-	Monolithic  DeepeningResult
-	Incremental DeepeningResult
-}
-
-// ClauseRatio is the headline E8 number: how many times more clauses the
-// monolithic deepening loop emits than the incremental engine.
-func (c DeepeningComparison) ClauseRatio() float64 {
-	if c.Incremental.ClausesAdded == 0 {
-		return 0
-	}
-	return float64(c.Monolithic.ClausesAdded) / float64(c.Incremental.ClausesAdded)
-}
-
-// RunDeepening runs experiment E8 on one system: deepen bounds
-// 0..maxBound twice — once re-encoding and re-solving from scratch at
-// every bound (EngineSAT under bmc.DeepenLinear), once on a single
-// persistent solver (bmc.DeepenIncremental) — and account for the total
-// encoding and solving work of each.
-func RunDeepening(sys *model.System, maxBound int, cfg Config) DeepeningComparison {
-	cmp := DeepeningComparison{System: sys.Name, MaxBound: maxBound}
-
-	mono := &cmp.Monolithic
-	mono.Engine = EngineSAT.String()
-	start := time.Now()
-	mono.Deepen = bmc.DeepenLinear(sys, maxBound, func(m *model.System, k int) bmc.Result {
-		r := bmc.SolveUnroll(m, k, bmc.UnrollOptions{
-			Semantics: cfg.Semantics,
-			Mode:      cfg.Mode,
-			SAT:       sat.Options{ConflictBudget: cfg.SATConflicts, Deadline: cfg.deadline()},
-		})
-		mono.ClausesAdded += r.Formula.Clauses
-		mono.VarsAdded += r.Formula.Vars
-		mono.Conflicts += r.Conflicts
-		if r.PeakBytes > mono.PeakBytes {
-			mono.PeakBytes = r.PeakBytes
-		}
-		return r
-	})
-	mono.Elapsed = time.Since(start)
-
-	incr := &cmp.Incremental
-	incr.Engine = EngineSATIncr.String()
-	start = time.Now()
-	// Same per-bound budget as the monolithic side: the time limit is
-	// re-armed at every bound, not stretched over the whole run.
-	u := bmc.NewIncrementalUnroller(sys, bmc.IncrementalOptions{
-		Semantics:    cfg.Semantics,
-		Mode:         cfg.Mode,
-		SAT:          sat.Options{ConflictBudget: cfg.SATConflicts},
-		QueryTimeout: cfg.TimeLimit,
-	})
-	incr.Deepen = u.Deepen(maxBound)
-	incr.Elapsed = time.Since(start)
-	st := u.Stats()
-	incr.ClausesAdded, incr.VarsAdded = st.ClausesAdded, st.VarsAdded
-	incr.Conflicts, incr.PeakBytes = st.Conflicts, st.PeakBytes
-	return cmp
-}
-
-// WriteDeepening renders E8.
-func WriteDeepening(w io.Writer, cmps []DeepeningComparison) {
-	fmt.Fprintf(w, "E8 (extension) — cumulative deepening cost, monolithic re-unroll vs persistent solver\n")
-	fmt.Fprintf(w, "claim: re-unrolling does O(k²) total encoding work to depth k; the incremental engine does O(k)\n\n")
-	fmt.Fprintf(w, "%-12s %6s %-10s | %12s %12s %12s | %12s %12s %12s | %7s\n",
-		"system", "bound", "status",
-		"mono-cls", "mono-peakB", "mono-time",
-		"incr-cls", "incr-peakB", "incr-time", "cls-x")
-	for _, c := range cmps {
-		fmt.Fprintf(w, "%-12s %6d %-10v | %12d %12d %12v | %12d %12d %12v | %6.1fx\n",
-			c.System, c.MaxBound, c.Incremental.Deepen.Status,
-			c.Monolithic.ClausesAdded, c.Monolithic.PeakBytes, c.Monolithic.Elapsed.Round(time.Millisecond),
-			c.Incremental.ClausesAdded, c.Incremental.PeakBytes, c.Incremental.Elapsed.Round(time.Millisecond),
-			c.ClauseRatio())
 	}
 }
 

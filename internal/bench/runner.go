@@ -6,7 +6,6 @@ import (
 	"repro/internal/bmc"
 	"repro/internal/cancel"
 	"repro/internal/jsat"
-	"repro/internal/portfolio"
 	"repro/internal/qbf"
 	"repro/internal/sat"
 	"repro/internal/tseitin"
@@ -30,11 +29,6 @@ const (
 	// EngineSATIncr is the persistent-solver incremental engine on
 	// formula (1): one solver per deepening run, one new frame per bound.
 	EngineSATIncr
-	// EnginePortfolio races EngineSAT, EngineSATIncr and EngineJSAT on
-	// the instance, each on its own solver; the first decisive answer
-	// wins and the losers are cancelled. The E9 experiment compares it
-	// against the best single engine per instance.
-	EnginePortfolio
 )
 
 // String names the engine as it appears in result tables.
@@ -50,8 +44,6 @@ func (e EngineKind) String() string {
 		return "qbf-squaring"
 	case EngineSATIncr:
 		return "sat-incr"
-	case EnginePortfolio:
-		return "portfolio"
 	}
 	return "unknown"
 }
@@ -108,9 +100,6 @@ type InstanceResult struct {
 	Vars      int
 	Clauses   int
 	PeakBytes int
-	// DecidedBy names the engine that produced the answer — only
-	// meaningful for EnginePortfolio, where it is the race winner.
-	DecidedBy string
 }
 
 // Solved reports whether the engine decided the instance within budget.
@@ -123,11 +112,6 @@ func (c Config) deadline() time.Time {
 	}
 	return time.Now().Add(c.TimeLimit)
 }
-
-// PortfolioEngines is the competitor set EnginePortfolio races: the
-// three witness-producing SAT procedures, mirroring the sebmc facade's
-// DefaultPortfolio.
-var PortfolioEngines = []EngineKind{EngineSAT, EngineSATIncr, EngineJSAT}
 
 // Run solves one instance with one engine under the config budgets.
 func Run(inst Instance, engine EngineKind, cfg Config) InstanceResult {
@@ -204,24 +188,6 @@ func Run(inst Instance, engine EngineKind, cfg Config) InstanceResult {
 		out.Status = r.Status
 		out.Nodes = r.Nodes
 		out.Vars, out.Clauses = r.Formula.Vars, r.Formula.Clauses
-	case EnginePortfolio:
-		tasks := make([]portfolio.Task[InstanceResult], len(PortfolioEngines))
-		for i, eng := range PortfolioEngines {
-			eng := eng
-			tasks[i] = portfolio.Task[InstanceResult]{
-				Name: eng.String(),
-				Run: func(c *cancel.Flag) InstanceResult {
-					sub := cfg
-					sub.Cancel = c
-					return Run(inst, eng, sub)
-				},
-			}
-		}
-		res := portfolio.Race(cfg.Cancel,
-			func(r InstanceResult) bool { return r.Status != bmc.Unknown }, tasks)
-		out = res.Value
-		out.Engine = EnginePortfolio
-		out.DecidedBy = res.Name
 	}
 	out.Elapsed = time.Since(start)
 	return out

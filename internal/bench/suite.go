@@ -3,7 +3,8 @@
 // proprietary Intel test cases, eighteen bounds each, 234 bounded
 // reachability instances in total — and runs the engines over it under
 // configurable budgets, regenerating every table and figure of the
-// paper's evaluation section (see EXPERIMENTS.md).
+// paper's evaluation section (see the README's "Benchmarks and
+// experiments" section).
 package bench
 
 import (
@@ -82,13 +83,10 @@ func Suite() []Instance {
 	return out
 }
 
-// grayOf returns the Gray code of v.
-func grayOf(v uint64) uint64 { return v ^ v>>1 }
-
 // LFSRAtDepth builds the LFSR family with the bad target set to the
 // register value reached after exactly `depth` steps from the seed, so
-// the instance has a known deterministic counterexample depth. The
-// deepening experiments (E8, E11) use deep variants of it directly.
+// the instance has a known deterministic counterexample depth. The root
+// benchmarks' deepening and jSAT workloads use its depth-64 variant.
 // It is circuits.DeepLFSR, which additionally verifies by simulation
 // that `depth` really is the target state's first occurrence.
 func LFSRAtDepth(n int, taps uint64, depth int) *model.System {

@@ -26,7 +26,8 @@ type IncrementalOptions struct {
 
 // IncrStats are cumulative counters over the lifetime of an
 // IncrementalUnroller — the quantities the incremental-vs-monolithic
-// deepening experiment (E8) compares.
+// deepening test and benchmarks (TestIncrementalDeepenVsMonolithic,
+// BenchmarkDeepen_*_d64) compare.
 type IncrStats struct {
 	Bounds       int   // CheckBound queries answered
 	ClausesAdded int   // problem clauses pushed into the solver, total

@@ -162,6 +162,53 @@ func TestIncrementalEncodingWorkIsLinear(t *testing.T) {
 	}
 }
 
+// TestIncrementalDeepenVsMonolithic compares a full deepening run on
+// one persistent solver with a fresh formula and solver at every bound:
+// the two agree on the answer, the incremental witness replays,
+// and the incremental run hands its solver at least 2× fewer cumulative
+// clauses. The safe system checks every bound, with no early exit.
+func TestIncrementalDeepenVsMonolithic(t *testing.T) {
+	cases := []struct {
+		name     string
+		sys      *model.System
+		maxBound int
+		status   bmc.Status
+		foundAt  int
+	}{
+		{"lfsr64", circuits.DeepLFSR(10, 0x204, 64), 64, bmc.Reachable, 64},
+		{"traffic4", circuits.TrafficLight(4), 32, bmc.Unreachable, -1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			monoClauses := 0
+			mono := bmc.DeepenLinear(tc.sys, tc.maxBound, func(m *model.System, k int) bmc.Result {
+				r := bmc.SolveUnroll(m, k, bmc.UnrollOptions{})
+				monoClauses += r.Formula.Clauses
+				return r
+			})
+			u := bmc.NewIncrementalUnroller(tc.sys, bmc.IncrementalOptions{})
+			incr := u.Deepen(tc.maxBound)
+			for _, d := range []bmc.DeepenResult{mono, incr} {
+				if d.Status != tc.status || d.FoundAt != tc.foundAt {
+					t.Fatalf("monolithic %v@%d, incremental %v@%d, want %v@%d",
+						mono.Status, mono.FoundAt, incr.Status, incr.FoundAt, tc.status, tc.foundAt)
+				}
+			}
+			if tc.status == bmc.Reachable {
+				if incr.Witness == nil {
+					t.Fatal("incremental run carries no witness")
+				}
+				if err := incr.Witness.Validate(incr.System); err != nil {
+					t.Fatalf("incremental witness does not replay: %v", err)
+				}
+			}
+			if incrClauses := u.Stats().ClausesAdded; monoClauses < 2*incrClauses {
+				t.Fatalf("cumulative clauses: monolithic %d, incremental %d, want at least 2x fewer", monoClauses, incrClauses)
+			}
+		})
+	}
+}
+
 // TestIncrementalReusesSolverAcrossBounds pins the core property: the
 // persistent solver is not rebuilt between bounds, so the number of
 // frames and the clause count advance by exactly one frame per bound.

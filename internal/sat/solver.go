@@ -119,8 +119,8 @@ type Stats struct {
 	// AssumptionsGiven counts assumption literals passed to Solve;
 	// AssumptionsReused counts those whose decision level survived from
 	// the previous call via trail reuse (never re-decided, never
-	// re-propagated). Their ratio is the trail-reuse rate the E10
-	// experiment reports.
+	// re-propagated). Their ratio is the trail-reuse rate the
+	// benchmark reports (jsat.trail_reuse_rate).
 	AssumptionsGiven  int64
 	AssumptionsReused int64
 }

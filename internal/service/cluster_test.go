@@ -4,7 +4,9 @@ package service
 // (-run TestService -count=3, under -race) covers them. The invariants:
 // a routed request answers byte-identically to a direct one, batches
 // fan out and merge in order, a malformed batch item is the client's
-// 400 and never demotes a healthy owner, a drained shard's proven
+// 400 and never demotes a healthy owner, a batch partition refused
+// once another was admitted is answered in place, every check and batch
+// item lands in one routing-ledger bucket, a drained shard's proven
 // prefixes reach the survivor through replication and a new session
 // there resumes from them, a replicated entry is filed only under the
 // hash of the model it ships, and a storm with a mid-storm drain loses
@@ -18,6 +20,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -77,6 +81,77 @@ func newTestCluster(t *testing.T, n int, cfg Config) ([]*Server, []string) {
 		settleGoroutines(t, before)
 	})
 	return servers, urls
+}
+
+// newStandInCluster joins one real shard per cfg and a stand-in
+// listener, last in urls, into one cluster. The stand-in gossips
+// healthy and answers POST /v1/check and POST /v1/batch with post;
+// anything else is a 404. Cleanup drains the real shards, closes every
+// listener and checks the goroutine count settles.
+func newStandInCluster(t *testing.T, cfgs []Config, post http.HandlerFunc) ([]*Server, []string) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/cluster/health", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, cluster.Status{QueueCapacity: 16})
+	})
+	mux.HandleFunc("POST /v1/check", post)
+	mux.HandleFunc("POST /v1/batch", post)
+	servers := make([]*Server, len(cfgs))
+	tss := make([]*httptest.Server, len(cfgs)+1)
+	urls := make([]string, len(cfgs)+1)
+	for i, cfg := range cfgs {
+		servers[i] = New(cfg)
+		tss[i] = httptest.NewServer(servers[i].Handler())
+		urls[i] = tss[i].URL
+	}
+	tss[len(cfgs)] = httptest.NewServer(mux)
+	urls[len(cfgs)] = tss[len(cfgs)].URL
+	for i, s := range servers {
+		if err := s.JoinCluster(ClusterConfig{Self: urls[i], Shards: urls, GossipInterval: 50 * time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Cleanup(func() {
+		for _, s := range servers {
+			drain(t, s)
+		}
+		http.DefaultClient.CloseIdleConnections()
+		for _, ts := range tss {
+			ts.Close()
+		}
+		settleGoroutines(t, before)
+	})
+	return servers, urls
+}
+
+// modelPool is twenty small models. Rendezvous order is hash-driven and
+// shard IDs are random ports, so a test that needs a given owner or
+// preference order scans this pool for it.
+func modelPool() []*sebmc.System {
+	var pool []*sebmc.System
+	for n := 3; n <= 10; n++ {
+		pool = append(pool, circuits.TokenRing(n))
+	}
+	for n := 2; n <= 4; n++ {
+		for tgt := uint64(2); tgt <= 5; tgt++ {
+			pool = append(pool, circuits.Counter(n, tgt))
+		}
+	}
+	return pool
+}
+
+// ownedBy returns the first model of modelPool whose owner, by s's
+// ring, is the shard id.
+func ownedBy(t *testing.T, s *Server, id string) *sebmc.System {
+	t.Helper()
+	for _, sys := range modelPool() {
+		if s.clusterView().ring.Owner(sebmc.ModelHash(sys)).ID == id {
+			return sys
+		}
+	}
+	t.Fatalf("no model in the pool is owned by %s; enlarge the pool", id)
+	return nil
 }
 
 // ownerIndex returns which shard owns the given model source, as the
@@ -222,6 +297,77 @@ func TestServiceClusterBatchFanout(t *testing.T) {
 	}
 	if m0.Cluster.OwnedServed == 0 {
 		t.Errorf("entry shard served none of its own items: %+v", m0.Cluster)
+	}
+}
+
+// TestServiceClusterBatchPartitionRefusedInPlace: a batch is admitted
+// whole per shard, so once one partition is admitted, a partition the
+// gate refuses is answered in place with ERROR carrying the refusal,
+// not with a 503 for items that ran. The entry has one worker, pinned,
+// and one queue slot; its own item takes the slot, and only then does
+// the peer bounce its partition with 503, so the entry's local fallback
+// for it finds the queue full.
+func TestServiceClusterBatchPartitionRefusedInPlace(t *testing.T) {
+	release := make(chan struct{})
+	servers, urls := newStandInCluster(t, []Config{{Workers: 1, QueueDepth: 1}}, func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+		http.Error(w, "busy", http.StatusServiceUnavailable)
+	})
+	entry := servers[0]
+	own, peer := ownedBy(t, entry, urls[0]), ownedBy(t, entry, urls[1])
+	jobs := []CheckRequest{
+		{Model: aagSource(t, own), Format: "aag", Bound: 4, Engine: "sat", Semantics: "atmost"},
+		{Model: aagSource(t, peer), Format: "aag", Bound: 4, Engine: "sat", Semantics: "atmost"},
+	}
+	blocker := pinWorker(t, entry)
+	m0 := entry.Metrics()
+
+	type answer struct {
+		code int
+		br   BatchResponse
+		err  error
+	}
+	got := make(chan answer, 1)
+	body := jsonBody(t, BatchRequest{Jobs: jobs})
+	go func() {
+		var a answer
+		resp, err := http.Post(urls[0]+"/v1/batch", "application/json", body)
+		if a.err = err; err == nil {
+			a.code = resp.StatusCode
+			a.err = json.NewDecoder(resp.Body).Decode(&a.br)
+			resp.Body.Close()
+		}
+		got <- a
+	}()
+	waitUntil(t, 10*time.Second, "the entry to admit its own item", func() bool { return entry.Metrics().Submitted == m0.Submitted+1 })
+	close(release)
+	waitUntil(t, 10*time.Second, "the bounced item to be refused", func() bool { return entry.Metrics().Rejected == m0.Rejected+1 })
+	blocker.cancel.Set()
+	<-blocker.done
+
+	a := <-got
+	if a.code != http.StatusOK {
+		t.Fatalf("batch: HTTP %d (%v), want 200", a.code, a.err)
+	}
+	if len(a.br.Results) != 2 {
+		t.Fatalf("batch: %d results for 2 items", len(a.br.Results))
+	}
+	want := "UNREACHABLE"
+	if sc := explicit.New(own).ShortestCounterexample(); sc != -1 && sc <= 4 {
+		want = "REACHABLE"
+	}
+	if r := a.br.Results[0]; r.Status != want {
+		t.Errorf("entry-owned item: %+v, oracle says %s", r, want)
+	}
+	if r := a.br.Results[1]; r.Status != StatusError || !strings.Contains(r.Error, ErrQueueFull.Error()) {
+		t.Errorf("refused item: %+v, want ERROR carrying %q", r, ErrQueueFull)
+	}
+	m := entry.Metrics()
+	if m.Submitted != m0.Submitted+1 || m.Rejected != m0.Rejected+1 {
+		t.Errorf("entry jobs_submitted %d->%d, jobs_rejected %d->%d, want +1 each", m0.Submitted, m.Submitted, m0.Rejected, m.Rejected)
 	}
 }
 
@@ -395,19 +541,29 @@ func TestServiceClusterCachedBatchProxiesNothing(t *testing.T) {
 	}
 }
 
-// countingHandler counts the POST /v1/check requests a shard receives.
+// countingHandler counts the checks a shard receives: one per POST
+// /v1/check, one per item of a POST /v1/batch.
 func countingHandler(h http.Handler, n *atomic.Int64) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost && r.URL.Path == "/v1/check" {
+		switch {
+		case r.Method != http.MethodPost:
+		case r.URL.Path == "/v1/check":
 			n.Add(1)
+		case r.URL.Path == "/v1/batch":
+			body, _ := io.ReadAll(r.Body)
+			var br BatchRequest
+			_ = json.Unmarshal(body, &br)
+			n.Add(int64(len(br.Jobs)))
+			r.Body = io.NopCloser(bytes.NewReader(body))
 		}
 		h.ServeHTTP(w, r)
 	})
 }
 
-// TestServiceClusterLedgerBalances: every /v1/check request a shard
-// receives — from a client or forwarded by its peer, hit or miss —
-// lands in exactly one of its five routing-ledger buckets.
+// TestServiceClusterLedgerBalances: every check a shard receives — a
+// /v1/check or a batch item, from a client or forwarded by its peer,
+// hit or miss, proxied or bounced — lands in exactly one of its five
+// routing-ledger buckets.
 func TestServiceClusterLedgerBalances(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := Config{Workers: 2, QueueDepth: 16}
@@ -436,6 +592,14 @@ func TestServiceClusterLedgerBalances(t *testing.T) {
 	})
 
 	models := []string{cexMSL, safeMSL, aagSource(t, circuits.Counter(3, 5)), aagSource(t, circuits.TokenRing(4))}
+	// The batches below enter at the first model's owner and need a
+	// model its peer owns.
+	entry := ownerIndex(t, servers, urls, models[0])
+	peer := 1 - entry
+	peerModel := aagSource(t, ownedBy(t, servers[0], urls[peer]))
+	if !slices.Contains(models, peerModel) {
+		models = append(models, peerModel)
+	}
 	for _, model := range models {
 		o := ownerIndex(t, servers, urls, model)
 		sys, err := loadModel(CheckRequest{Model: model})
@@ -454,17 +618,44 @@ func TestServiceClusterLedgerBalances(t *testing.T) {
 		}
 	}
 	var owned, replica int64
+	for _, s := range servers {
+		owned += s.Metrics().Cluster.OwnedServed
+		replica += s.Metrics().Cluster.ReplicaServed
+	}
+	if want := int64(2 * len(models)); owned != want || replica != want {
+		t.Errorf("owned_served %d and replica_served %d across the shards, want %d each", owned, replica, want)
+	}
+
+	// Three batches at the entry: every item cached there; every item a
+	// miss, owned by both shards; and a miss of the peer's whose
+	// partition the peer's gate refuses once, so it bounces and the
+	// entry serves it.
+	var cached, mixed []CheckRequest
+	for _, model := range models {
+		cached = append(cached, CheckRequest{Model: model, Bound: 2, Engine: "sat"}, CheckRequest{Model: model, Bound: 4, Engine: "sat"})
+		mixed = append(mixed, CheckRequest{Model: model, Bound: 3, Engine: "sat"})
+	}
+	post := func(jobs []CheckRequest) {
+		t.Helper()
+		var br BatchResponse
+		if code := postJSON(t, urls[entry]+"/v1/batch", BatchRequest{Jobs: jobs}, &br); code != http.StatusOK {
+			t.Fatalf("batch of %d: HTTP %d", len(jobs), code)
+		}
+	}
+	post(cached)
+	post(mixed)
+	shed := servers[entry].Metrics().Cluster.ShedServed
+	defer armAdmit()()
+	post([]CheckRequest{{Model: peerModel, Bound: 5, Engine: "sat"}})
+	if got := servers[entry].Metrics().Cluster.ShedServed - shed; got != 1 || faultpoint.Fires("service.queue.admit") != 1 {
+		t.Fatalf("the bounced partition: entry shed_served +%d, want +1", got)
+	}
 	for i, s := range servers {
 		c := s.Metrics().Cluster
 		sum := c.OwnedServed + c.Proxied + c.ForwardedIn + c.ShedServed + c.ReplicaServed
 		if got := received[i].Load(); sum != got {
-			t.Errorf("shard %d: ledger %+v sums to %d, but it received %d checks", i, c, sum, got)
+			t.Errorf("shard %d: ledger %+v sums to %d, but it received %d checks and batch items", i, c, sum, got)
 		}
-		owned += c.OwnedServed
-		replica += c.ReplicaServed
-	}
-	if want := int64(2 * len(models)); owned != want || replica != want {
-		t.Errorf("owned_served %d and replica_served %d across the shards, want %d each", owned, replica, want)
 	}
 }
 

@@ -25,11 +25,18 @@ package service
 //	                        every item is validated before any runs
 //	                        (one bad item is a 400 for the batch; so is
 //	                        trailing data), and the batch meets the one
-//	                        admission gate once: the watermark and the
-//	                        admit faultpoint once, not once per item. It
-//	                        is admitted whole or not at all; an item the
-//	                        breaker refuses is answered in place with
-//	                        ERROR while the rest run.
+//	                        admission gate once per shard it runs on:
+//	                        the watermark and the admit faultpoint once,
+//	                        not once per item. It is admitted whole per
+//	                        shard: clustered, each owner's partition is
+//	                        admitted or refused whole, and the batch
+//	                        answers an error status only when every
+//	                        partition failed. A failed partition's items,
+//	                        like an item the breaker refuses, are
+//	                        answered in place with ERROR while the rest
+//	                        run. A proxied partition carries the deadline
+//	                        a proxied check gets, and its receiver clamps
+//	                        each item's budget to it.
 //	GET    /v1/jobs/{id}    job status (result embedded once done)
 //	GET    /v1/results/{id} result only; 202 while still running
 //	DELETE /v1/jobs/{id}    cooperative cancel
@@ -148,16 +155,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// A proxied request carries the sender's remaining budget: clamp the
-	// local solving budget to it, so a chain of hops can never keep
-	// working past the client's own deadline.
-	if ms := r.Header.Get(deadlineHeader); ms != "" {
-		if v, perr := strconv.ParseInt(ms, 10, 64); perr == nil && v > 0 {
-			if d := time.Duration(v) * time.Millisecond; j.timeout <= 0 || j.timeout > d {
-				j.timeout = d
-			}
-		}
-	}
+	clampDeadline(r, j)
 	// A verdict-cache hit is answered on this shard, from its own cache
 	// (its own fills plus what replication and repair delivered): no
 	// proxy hop, no queue slot, no worker. Only a miss is routed:
@@ -195,6 +193,19 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return // client is gone; nothing to write
 	}
 	writeJSON(w, http.StatusOK, j.status())
+}
+
+// clampDeadline clamps j's solving budget to the remaining budget a
+// proxying peer sent (deadlineHeader), so a chain of hops can never keep
+// working past the client's own deadline. It only ever shrinks.
+func clampDeadline(r *http.Request, j *job) {
+	if ms := r.Header.Get(deadlineHeader); ms != "" {
+		if v, err := strconv.ParseInt(ms, 10, 64); err == nil && v > 0 {
+			if d := time.Duration(v) * time.Millisecond; j.timeout <= 0 || j.timeout > d {
+				j.timeout = d
+			}
+		}
+	}
 }
 
 // readBody reads a request body once, capped at maxBodyBytes, into a
@@ -256,6 +267,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: batch job %d: %w", i, err))
 			return
 		}
+		clampDeadline(r, j)
 		items[i] = j
 	}
 	parent := newBatchCancel(r)

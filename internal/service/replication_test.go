@@ -7,9 +7,9 @@ package service
 // could not deliver to a stopped peer reaches the restarted peer
 // through anti-entropy repair; divergent verdict caches converge
 // through anti-entropy within two gossip intervals of the heal; an
-// owner that stalls holds a proxied check no longer than the request's
-// deadline; and a proxied deadline clamps the receiver's solving
-// budget.
+// owner that stalls holds a proxied check or batch partition no longer
+// than its deadline; and a proxied deadline clamps the receiver's
+// solving budget, for a check and for each batch item.
 
 import (
 	"encoding/json"
@@ -312,107 +312,97 @@ func TestServiceClusterAntiEntropyRepair(t *testing.T) {
 	}
 }
 
-// TestServiceClusterStalledOwnerBoundedByDeadline: an owner that
-// answers gossip but sits on /v1/check holds a proxied check until the
-// request's deadline (its timeout_ms plus proxyGrace), and no longer:
-// the entry shard then serves the check itself. The stalled owner here
-// is a stand-in listener that gossips healthy and never answers a
-// check until the proxy gives up on it.
-func TestServiceClusterStalledOwnerBoundedByDeadline(t *testing.T) {
-	before := runtime.NumGoroutine()
-	cfg := Config{Workers: 2, QueueDepth: 16}
-	servers := []*Server{New(cfg), New(cfg)}
-	tss := []*httptest.Server{
-		httptest.NewServer(servers[0].Handler()),
-		httptest.NewServer(servers[1].Handler()),
-	}
-
-	// The stalled owner: healthy by gossip, black hole for checks. The
-	// stall channel releases any still-held request at cleanup, so the
-	// listener can close without waiting out the stall.
+// stalledOwner boots two real shards and a stand-in third that gossips
+// healthy but holds every check and batch until the proxy gives up on
+// it, and picks a model the stand-in owns whose preference order ends at
+// a real shard, the entry: a healthy real shard still stands between the
+// stalled owner and the entry in a check's walk. It returns the entry, a
+// request for the model with a 300-ms budget, and whether the model is
+// reachable within the request's bound.
+func stalledOwner(t *testing.T) (entry *Server, url string, req CheckRequest, reachable bool) {
+	t.Helper()
 	stall := make(chan struct{})
-	mux := http.NewServeMux()
-	slow := httptest.NewServer(mux)
-	mux.HandleFunc("GET /v1/cluster/health", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, cluster.Status{ID: slow.URL, QueueCapacity: 16})
-	})
-	mux.HandleFunc("POST /v1/check", func(w http.ResponseWriter, r *http.Request) {
+	cfg := Config{Workers: 2, QueueDepth: 16}
+	servers, urls := newStandInCluster(t, []Config{cfg, cfg}, func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done(): // given up on by the proxy
 		case <-stall:
 		}
 	})
+	// Cleanups run last-registered first: a request still held is
+	// released before the listeners close.
+	t.Cleanup(func() { close(stall) })
 
-	urls := []string{tss[0].URL, tss[1].URL, slow.URL}
-	for i, s := range servers {
-		if err := s.JoinCluster(ClusterConfig{
-			Self:           urls[i],
-			Shards:         urls,
-			GossipInterval: 50 * time.Millisecond,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	t.Cleanup(func() {
-		for _, s := range servers {
-			drain(t, s)
-		}
-		close(stall)
-		http.DefaultClient.CloseIdleConnections()
-		tss[0].Close()
-		tss[1].Close()
-		slow.Close()
-		settleGoroutines(t, before)
-	})
-
-	// Find a model the stalled shard owns whose preference order ends at
-	// a real shard: that shard is the entry, so a healthy real shard
-	// still stands between the stalled owner and the entry in the walk.
-	// Rendezvous order is hash-driven, so scan a pool.
 	ring := servers[0].clusterView().ring
-	var src string
-	var entry int
-	var reachable bool
-	pool := []*sebmc.System{}
-	for n := 3; n <= 10; n++ {
-		pool = append(pool, circuits.TokenRing(n))
-	}
-	for n := 2; n <= 4; n++ {
-		for tgt := uint64(2); tgt <= 5; tgt++ {
-			pool = append(pool, circuits.Counter(n, tgt))
-		}
-	}
-	for _, sys := range pool {
+	for _, sys := range modelPool() {
 		prefs := ring.Prefs(sebmc.ModelHash(sys))
-		if prefs[0].ID != slow.URL {
+		if prefs[0].ID != urls[2] {
 			continue
 		}
-		src = aagSource(t, sys)
 		for i, u := range urls[:2] {
 			if u == prefs[2].ID {
-				entry = i
+				entry, url = servers[i], u
 			}
 		}
 		sc := explicit.New(sys).ShortestCounterexample()
-		reachable = sc != -1 && sc <= 4
-		break
+		req = CheckRequest{Model: aagSource(t, sys), Format: "aag", Bound: 4, Engine: "sat", Semantics: "atmost", TimeoutMS: 300}
+		return entry, url, req, sc != -1 && sc <= 4
 	}
-	if src == "" {
-		t.Skip("no model in the pool is owned by the stalled shard; enlarge the pool")
-	}
+	t.Skip("no model in the pool is owned by the stalled shard; enlarge the pool")
+	return
+}
 
-	const timeout = 300 * time.Millisecond
-	req := CheckRequest{Model: src, Format: "aag", Bound: 4, Engine: "sat", Semantics: "atmost", TimeoutMS: int(timeout.Milliseconds())}
+// stallLimit is how long a request with req's budget may be held past a
+// stalled owner: its deadline (timeout_ms plus proxyGrace), then the
+// entry shard's own run, with 2 s of slack for a loaded host.
+func stallLimit(req CheckRequest) time.Duration {
+	return time.Duration(req.TimeoutMS)*time.Millisecond + proxyGrace + 2*time.Second
+}
+
+// TestServiceClusterStalledOwnerBoundedByDeadline: an owner that
+// answers gossip but sits on /v1/check holds a proxied check until the
+// request's deadline (its timeout_ms plus proxyGrace), and no longer:
+// the entry shard then serves the check itself.
+func TestServiceClusterStalledOwnerBoundedByDeadline(t *testing.T) {
+	_, url, req, reachable := stalledOwner(t)
 	start := time.Now()
-	res, shard := checkWaitShard(t, urls[entry], req)
-	if elapsed, limit := time.Since(start), timeout+proxyGrace+2*time.Second; elapsed > limit {
+	res, shard := checkWaitShard(t, url, req)
+	if elapsed, limit := time.Since(start), stallLimit(req); elapsed > limit {
 		t.Fatalf("proxied check took %v past a stalled owner, want at most %v", elapsed, limit)
 	}
 	if got := res.Status == "REACHABLE"; got != reachable {
 		t.Fatalf("answer %s, oracle says reachable=%v", res.Status, reachable)
 	}
-	if shard != urls[entry] {
-		t.Fatalf("answered by %q, want the entry shard %q", shard, urls[entry])
+	if shard != url {
+		t.Fatalf("answered by %q, want the entry shard %q", shard, url)
+	}
+}
+
+// TestServiceClusterStalledOwnerBatchBoundedByDeadline is the batch
+// twin: a partition proxied to a stalled owner carries the deadline a
+// proxied check gets, so the owner holds it no longer than that, and
+// the entry shard then serves the partition itself (shed_served).
+func TestServiceClusterStalledOwnerBatchBoundedByDeadline(t *testing.T) {
+	entry, url, req, reachable := stalledOwner(t)
+	m0 := entry.Metrics().Cluster
+	client := &http.Client{Timeout: stallLimit(req)}
+	defer client.CloseIdleConnections()
+	start := time.Now()
+	resp, err := client.Post(url+"/v1/batch", "application/json", jsonBody(t, BatchRequest{Jobs: []CheckRequest{req}}))
+	if err != nil {
+		t.Fatalf("batch past a stalled owner, after %v: %v", time.Since(start), err)
+	}
+	defer resp.Body.Close()
+	var br BatchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil || resp.StatusCode != http.StatusOK || len(br.Results) != 1 {
+		t.Fatalf("batch: HTTP %d, %d results, %v", resp.StatusCode, len(br.Results), err)
+	}
+	if got := br.Results[0].Status == "REACHABLE"; got != reachable {
+		t.Fatalf("answer %s, oracle says reachable=%v", br.Results[0].Status, reachable)
+	}
+	if m := entry.Metrics().Cluster; m.ShedServed != m0.ShedServed+1 || m.Proxied != m0.Proxied {
+		t.Fatalf("entry shed_served %d->%d, proxied_out %d->%d, want the entry to serve the item",
+			m0.ShedServed, m.ShedServed, m0.Proxied, m.Proxied)
 	}
 }
 
@@ -477,6 +467,31 @@ func TestServiceClusterDeadlineClamp(t *testing.T) {
 	}
 	if st.Result == nil || st.Result.Status != "UNKNOWN" {
 		t.Fatalf("budgeted run under a loose header: %+v, want UNKNOWN", st.Result)
+	}
+
+	// A batch partition gets the same clamp, item by item.
+	req.TimeoutMS = 0
+	hreq, err = http.NewRequest(http.MethodPost, url+"/v1/batch", jsonBody(t, BatchRequest{Jobs: []CheckRequest{req}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set(deadlineHeader, "60")
+	start = time.Now()
+	resp3, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp3.Body.Close()
+	var br BatchResponse
+	if err := json.NewDecoder(resp3.Body).Decode(&br); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("clamped batch took %v, the deadline header was ignored", elapsed)
+	}
+	if len(br.Results) != 1 || br.Results[0].Status != "UNKNOWN" {
+		t.Fatalf("clamped batch: %+v, want one UNKNOWN", br.Results)
 	}
 }
 

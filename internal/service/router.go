@@ -61,6 +61,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -312,6 +313,20 @@ func (cs *clusterState) routeTarget(hash string, selfDraining bool) (*cluster.Sh
 // gets its full budget, the hops get this much on top.
 const proxyGrace = 2 * time.Second
 
+// proxyContext derives the end-to-end deadline of a proxied check or
+// batch partition: its jobs' largest effective solving budget plus
+// proxyGrace. A request carrying any uncapped job proxies uncapped.
+func proxyContext(parent context.Context, items ...*job) (context.Context, context.CancelFunc) {
+	var budget time.Duration
+	for _, j := range items {
+		if j.timeout <= 0 {
+			return parent, func() {}
+		}
+		budget = max(budget, j.timeout)
+	}
+	return context.WithTimeout(parent, budget+proxyGrace)
+}
+
 // routeCheck handles /v1/check routing of a verdict-cache miss for a
 // clustered server. Returns true when the request was fully handled
 // remotely (proxied); false when the caller should serve it locally.
@@ -331,14 +346,8 @@ func (s *Server) routeCheck(w http.ResponseWriter, r *http.Request, j *job, body
 		s.noteServed(nil, rank)
 		return false
 	}
-	// The request's end-to-end deadline: its effective solving budget
-	// plus transport grace. An uncapped request proxies uncapped.
-	ctx := r.Context()
-	if j.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, j.timeout+proxyGrace)
-		defer cancel()
-	}
+	ctx, cancel := proxyContext(r.Context(), j)
+	defer cancel()
 	prefs := cs.ring.Prefs(j.hash)
 	var cands []cluster.Shard
 	for i := rank; i < len(prefs); i++ {
@@ -487,10 +496,10 @@ func (cs *clusterState) proxyBatch(ctx context.Context, target cluster.Shard, it
 }
 
 // bounced reports whether a failed proxyBatch means the owner could not
-// take the work — a transport error or a 503, the same two signals
-// proxyWalk treats as a bounce. Any other answer is the owner's
-// verdict on the request itself and goes back to the client; it says
-// nothing about the owner's health.
+// take the work — a transport error (an expired deadline included) or a
+// 503, the same signals proxyWalk treats as a bounce. Any other answer
+// is the owner's verdict on the request itself and goes back to the
+// client; it says nothing about the owner's health.
 func bounced(err error) bool {
 	var ae *APIError
 	return !errors.As(err, &ae) || ae.StatusCode == http.StatusServiceUnavailable
@@ -507,10 +516,13 @@ type batchGroup struct {
 // clusterBatch answers the items this shard holds cached, partitions
 // the rest by owning shard, runs the local partition through the
 // admission gate every check meets, proxies each remote partition to
-// its owner concurrently, and merges results in submission order. Any
-// partition failing hard fails the whole batch with that error (the
-// all-or-nothing contract single-shard batches already have), after one
-// local-fallback attempt for remote partitions whose owner bounced.
+// its owner concurrently, under the deadline a proxied check gets, and
+// merges results in submission order. A remote partition whose owner
+// bounced gets one local-fallback attempt. Each partition is admitted
+// whole or not at all: the batch answers an error status only when
+// every partition failed; otherwise a failed partition's items are
+// answered in place with ERROR carrying the refusal, as the breaker's
+// refusals are, while the rest stand.
 func (s *Server) clusterBatch(w http.ResponseWriter, r *http.Request, items []*job) {
 	cs := s.clusterView()
 	draining := s.Draining()
@@ -550,7 +562,9 @@ func (s *Server) clusterBatch(w http.ResponseWriter, r *http.Request, items []*j
 			var results []*JobResult
 			var err error
 			if g.target != nil {
-				results, err = cs.proxyBatch(r.Context(), *g.target, g.items)
+				ctx, cancel := proxyContext(r.Context(), g.items...)
+				results, err = cs.proxyBatch(ctx, *g.target, g.items)
+				cancel()
 				if err != nil && bounced(err) {
 					// The owner bounced: demote it and run the partition
 					// here — locality is an optimization, the answer is
@@ -566,7 +580,10 @@ func (s *Server) clusterBatch(w http.ResponseWriter, r *http.Request, items []*j
 			}
 			if err != nil {
 				errs[gi] = err
-				return
+				results = make([]*JobResult, len(g.items))
+				for k, j := range g.items {
+					results[k] = errorResult(j, err, false)
+				}
 			}
 			for k, res := range results {
 				out[g.idx[k]] = res
@@ -574,16 +591,14 @@ func (s *Server) clusterBatch(w http.ResponseWriter, r *http.Request, items []*j
 		}(gi, g)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			code := submitCode(err)
-			var ae *APIError
-			if errors.As(err, &ae) {
-				code = ae.StatusCode // the owner's own answer, relayed
-			}
-			s.writeError(w, code, err)
-			return
+	if err := errs[0]; !slices.Contains(errs, nil) {
+		code := submitCode(err)
+		var ae *APIError
+		if errors.As(err, &ae) {
+			code = ae.StatusCode // the owner's own answer, relayed
 		}
+		s.writeError(w, code, err)
+		return
 	}
 	writeJSON(w, http.StatusOK, BatchResponse{Results: out})
 }
