@@ -412,6 +412,34 @@ func TestServiceClusterBatchBadItemKeepsOwner(t *testing.T) {
 	}
 }
 
+// TestServiceClusterQueuedPartitionKeepsOwner: an owner with one worker
+// runs a proxied partition's three timed items one after another, and
+// the partition's deadline covers that, so the entry shard relays the
+// owner's answers: it neither demotes the owner nor runs the items
+// itself.
+func TestServiceClusterQueuedPartitionKeepsOwner(t *testing.T) {
+	servers, urls := newTestCluster(t, 2, Config{Workers: 1})
+	src := aagSource(t, circuits.Factorizer(28, 268140589))
+	owner := ownerIndex(t, servers, urls, src)
+	entry := 1 - owner
+	waitUntil(t, 5*time.Second, "the entry shard to see the owner up", func() bool {
+		return servers[entry].Metrics().Cluster.PeersUp == 1
+	})
+	var batch BatchRequest
+	for k := 1; k <= 3; k++ {
+		batch.Jobs = append(batch.Jobs, CheckRequest{Model: src, Format: "aag", Bound: k, Engine: "sat", TimeoutMS: 1500})
+	}
+	m0 := servers[entry].Metrics().Cluster
+	var br BatchResponse
+	if code := postJSON(t, urls[entry]+"/v1/batch", batch, &br); code != http.StatusOK || len(br.Results) != 3 {
+		t.Fatalf("batch: HTTP %d, %d results", code, len(br.Results))
+	}
+	if m := servers[entry].Metrics().Cluster; m.Proxied != m0.Proxied+3 || m.ShedServed != m0.ShedServed || m.PeersUp != m0.PeersUp {
+		t.Fatalf("entry proxied_out %d->%d, shed_served %d->%d, peers_up %d->%d, want +3, unchanged, unchanged",
+			m0.Proxied, m.Proxied, m0.ShedServed, m.ShedServed, m0.PeersUp, m.PeersUp)
+	}
+}
+
 // TestServiceClusterProxiesRawBody: a miss for a key another shard owns
 // is forwarded as the client sent it — the body byte for byte, not a
 // re-marshal of the decoded request, and the query string with it. The

@@ -9,7 +9,12 @@ package service
 //	                        at once, on the handler goroutine: 200, or
 //	                        202 with the result already in the status.
 //	                        The body is one JSON object; trailing data
-//	                        is a 400.
+//	                        is a 400. A body that opens with its model
+//	                        string has it checked in one scan
+//	                        (checkbody.go), and its raw bytes key the
+//	                        model memo: a memo hit then a cache hit
+//	                        never unescapes the model, and a proxied
+//	                        miss forwards the body as it came.
 //	                        {"prove":true} (or {"engine":"interp"}) asks
 //	                        for a terminal verdict: a SAFE answer holds
 //	                        at every depth, carries a replayable
@@ -34,9 +39,10 @@ package service
 //	                        partition failed. A failed partition's items,
 //	                        like an item the breaker refuses, are
 //	                        answered in place with ERROR while the rest
-//	                        run. A proxied partition carries the deadline
-//	                        a proxied check gets, and its receiver clamps
-//	                        each item's budget to it.
+//	                        run. A proxied partition's deadline covers
+//	                        its items run one after another (their
+//	                        budgets summed, plus a grace), and its
+//	                        receiver clamps each item's budget to it.
 //	GET    /v1/jobs/{id}    job status (result embedded once done)
 //	GET    /v1/results/{id} result only; 202 while still running
 //	DELETE /v1/jobs/{id}    cooperative cancel
@@ -142,15 +148,15 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad request: %w", err))
 		return
 	}
-	var req CheckRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	req, raw, err := decodeCheck(body)
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad request: %w", err))
 		return
 	}
 	if r.URL.Query().Get("wait") == "1" {
 		req.Wait = true
 	}
-	j, err := s.newJob(req)
+	j, err := s.newJob(req, raw)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
@@ -168,6 +174,13 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		s.noteHitServed(r, j)
 	} else if s.routeCheck(w, r, j, body) {
 		return
+	} else if j.req.Model == "" {
+		// A memo hit left the model in the body; this shard runs the
+		// miss, and its worker parses the text.
+		if j.req.Model, err = unquoteModel(raw); err != nil {
+			s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad request: %w", err))
+			return
+		}
 	}
 	refused, err := s.admit(items[:], hits[:])
 	if err == nil && refused != nil {
@@ -208,13 +221,20 @@ func clampDeadline(r *http.Request, j *job) {
 	}
 }
 
-// readBody reads a request body once, capped at maxBodyBytes, into a
-// buffer sized from Content-Length when the client sent one: the
+// bodyPresize caps the buffer readBody allocates from a declared
+// Content-Length before any byte arrives; a longer body grows its
+// buffer as it arrives. It sits well above the 13.5 KB of a width-10
+// factorizer check.
+const bodyPresize = 64 << 10
+
+// readBody reads a request body once, capped at maxBodyBytes: the
 // handler decodes these bytes, and a proxied miss forwards them as
-// they are.
+// they are. A client's Content-Length sizes the buffer only up to
+// bodyPresize, so a connection that declares 16 MiB and stalls holds
+// no more than it sent.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+	if n := r.ContentLength; n > 0 && n <= bodyPresize {
 		buf := make([]byte, n)
 		if _, err := io.ReadFull(body, buf); err != nil {
 			return nil, err
@@ -262,7 +282,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// only that item.
 	items := make([]*job, len(req.Jobs))
 	for i, jr := range req.Jobs {
-		j, err := s.newJob(jr)
+		j, err := s.newJob(jr, nil)
 		if err != nil {
 			s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: batch job %d: %w", i, err))
 			return

@@ -197,6 +197,34 @@ func TestServiceHitAllocBudget(t *testing.T) {
 	}
 }
 
+// TestServiceHitByteBudget gates the bytes a verdict-cache hit of the
+// width-10 factorizer allocates, request and recorder included: under
+// twice its body. The handler reads the body once; decoding the model
+// out of it would allocate its text twice more.
+func TestServiceHitByteBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes are not meaningful under the race detector")
+	}
+	s := New(Config{Workers: 1})
+	defer drain(t, s)
+	h, body := s.Handler(), hitBody(t)
+	checkRecorded(t, serveCheck(h, body)) // the miss that fills the cache
+	if r := checkRecorded(t, serveCheck(h, body)); !r.Cached {
+		t.Fatalf("repeat: %+v, want a cached answer", r)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		serveCheck(h, body)
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := (after.TotalAlloc-before.TotalAlloc)/runs, 2*uint64(len(body)); got >= limit {
+		t.Errorf("a cached check of a %d-byte body allocates %d bytes, over the limit %d", len(body), got, limit)
+	}
+}
+
 // TestServiceFinishedJobsReleaseModels: the job history keeps every
 // finished job's answer, not its model text or parse.
 func TestServiceFinishedJobsReleaseModels(t *testing.T) {

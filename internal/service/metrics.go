@@ -212,9 +212,11 @@ type MetricsSnapshot struct {
 		Budget int   `json:"budget_bytes"`
 	} `json:"sessions"`
 
-	// ModelMemo is the model text → content hash memo that /v1/check,
+	// ModelMemo is the model → content hash memo that /v1/check,
 	// /v1/batch items and replica adoption consult before parsing: a hit
-	// cost a digest and a lookup instead of a parse and a ModelHash.
+	// costs a digest and a lookup instead of a parse and a ModelHash.
+	// Each request counts one hit or one miss; a model that arrived by
+	// /v1/check holds two entries, its raw JSON string's and its text's.
 	ModelMemo struct {
 		Hits    int64 `json:"hits"`
 		Misses  int64 `json:"misses"`

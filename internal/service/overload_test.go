@@ -2,14 +2,20 @@ package service
 
 // Tests for the overload-degradation ladder: the server-side timeout
 // clamp, the memory watermark (shed idle sessions first, 503 only when
-// shedding was not enough), the cancel-after-done no-op, and the Go
-// client's backoff honoring Retry-After.
+// shedding was not enough), stalled bodies holding only what arrived,
+// the cancel-after-done no-op, and the Go client's backoff honoring
+// Retry-After.
 
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -29,7 +35,7 @@ func TestServiceMaxTimeoutClamp(t *testing.T) {
 		{reqMS: 10, want: 10 * time.Millisecond},    // under the cap: kept
 	}
 	for _, c := range cases {
-		j, err := s.newJob(CheckRequest{Model: cexMSL, Bound: 3, TimeoutMS: c.reqMS})
+		j, err := s.newJob(CheckRequest{Model: cexMSL, Bound: 3, TimeoutMS: c.reqMS}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +45,7 @@ func TestServiceMaxTimeoutClamp(t *testing.T) {
 	}
 
 	uncapped, _ := newTestServer(t, Config{Workers: 1})
-	j, err := uncapped.newJob(CheckRequest{Model: cexMSL, Bound: 3})
+	j, err := uncapped.newJob(CheckRequest{Model: cexMSL, Bound: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,6 +115,60 @@ func TestServiceWatermarkRejectsWhenSheddingFallsShort(t *testing.T) {
 	if m.Overload.RetainedBytesNow <= 0 {
 		t.Fatal("retained_bytes_now must report the cache bytes that forced the rejection")
 	}
+}
+
+// TestServiceStalledBodiesHoldWhatArrived: connections that each
+// declare a 16-MiB body, send 9 bytes and stall hold buffers for the
+// bytes that arrived, not for the length they declared.
+func TestServiceStalledBodiesHoldWhatArrived(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap measurements are not meaningful under the race detector")
+	}
+	const conns = 4
+	s := New(Config{Workers: 1})
+	defer drain(t, s)
+	reading := make(chan struct{}, conns)
+	h := s.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Body = &firstRead{ReadCloser: r.Body, reading: reading}
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < conns; i++ {
+		c, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := fmt.Fprintf(c, "POST /v1/check HTTP/1.1\r\nHost: bmcd\r\nContent-Length: %d\r\n\r\n{\"model\":", maxBodyBytes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < conns; i++ {
+		<-reading
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown >= 4<<20 {
+		t.Fatalf("%d stalled 16-MiB bodies grew the live heap by %.1f MiB, want under 4", conns, float64(grown)/(1<<20))
+	}
+}
+
+// firstRead signals the first time its handler reads the body: by then
+// readBody has allocated its buffer.
+type firstRead struct {
+	io.ReadCloser
+	reading chan<- struct{}
+	once    sync.Once
+}
+
+func (b *firstRead) Read(p []byte) (int, error) {
+	b.once.Do(func() { b.reading <- struct{}{} })
+	return b.ReadCloser.Read(p)
 }
 
 func TestServiceCancelFinishedJobNoOp(t *testing.T) {

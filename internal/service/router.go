@@ -314,15 +314,17 @@ func (cs *clusterState) routeTarget(hash string, selfDraining bool) (*cluster.Sh
 const proxyGrace = 2 * time.Second
 
 // proxyContext derives the end-to-end deadline of a proxied check or
-// batch partition: its jobs' largest effective solving budget plus
-// proxyGrace. A request carrying any uncapped job proxies uncapped.
+// batch partition: the sum of its jobs' effective solving budgets plus
+// proxyGrace. The sum, because the owner may run a partition's items
+// one after another, each budget starting when a worker takes the item.
+// A request carrying any uncapped job proxies uncapped.
 func proxyContext(parent context.Context, items ...*job) (context.Context, context.CancelFunc) {
 	var budget time.Duration
 	for _, j := range items {
 		if j.timeout <= 0 {
 			return parent, func() {}
 		}
-		budget = max(budget, j.timeout)
+		budget += j.timeout
 	}
 	return context.WithTimeout(parent, budget+proxyGrace)
 }
@@ -516,13 +518,13 @@ type batchGroup struct {
 // clusterBatch answers the items this shard holds cached, partitions
 // the rest by owning shard, runs the local partition through the
 // admission gate every check meets, proxies each remote partition to
-// its owner concurrently, under the deadline a proxied check gets, and
-// merges results in submission order. A remote partition whose owner
-// bounced gets one local-fallback attempt. Each partition is admitted
-// whole or not at all: the batch answers an error status only when
-// every partition failed; otherwise a failed partition's items are
-// answered in place with ERROR carrying the refusal, as the breaker's
-// refusals are, while the rest stand.
+// its owner concurrently, under a deadline that covers its items run
+// one after another (proxyContext), and merges results in submission
+// order. A remote partition whose owner bounced gets one local-fallback
+// attempt. Each partition is admitted whole or not at all: the batch
+// answers an error status only when every partition failed; otherwise
+// a failed partition's items are answered in place with ERROR carrying
+// the refusal, as the breaker's refusals are, while the rest stand.
 func (s *Server) clusterBatch(w http.ResponseWriter, r *http.Request, items []*job) {
 	cs := s.clusterView()
 	draining := s.Draining()

@@ -3,10 +3,11 @@
 // requests. Four mechanisms make the server cheaper than re-running
 // the CLI per query:
 //
-//   - a model memo from a digest of (format, model text) to the model's
+//   - a model memo from a digest of (format, model) to the model's
 //     content hash (memo.go), so a repeated model costs a digest and a
-//     lookup on every shard it crosses; the model is parsed only on a
-//     verdict-cache miss;
+//     lookup on every shard it crosses. A /v1/check keys the model's
+//     raw JSON string, so a repeated model is neither unescaped nor
+//     parsed unless this shard runs its verdict-cache miss;
 //   - a bounded job queue fanned over a fixed worker pool — the one
 //     path a verdict-cache miss takes: a batch submission is just
 //     several queued jobs — with cooperative cancellation on client
@@ -345,13 +346,11 @@ func (s *Server) retryAfterSeconds() int {
 // newJob validates a request into a runnable job, without registering
 // it: the cluster router needs the model hash first, and registers only
 // what this shard runs. The hash comes from the model memo; the model is
-// parsed here only when the memo does not know its text.
-func (s *Server) newJob(req CheckRequest) (*job, error) {
-	format, err := modelFormat(req)
-	if err != nil {
-		return nil, err
-	}
-	hash, sys, err := s.models.hash(format, req.Model)
+// parsed here only when the memo does not know it. raw is the model's
+// JSON string when a /v1/check body carried it (decodeCheck), nil
+// otherwise; on a memo hit for it the job's Model stays empty.
+func (s *Server) newJob(req CheckRequest, raw []byte) (*job, error) {
+	hash, sys, err := s.modelHash(&req, raw)
 	if err != nil {
 		return nil, err
 	}

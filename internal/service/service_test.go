@@ -91,7 +91,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, string) {
 // queued and visible to status queries, or the gate's refusal comes
 // back.
 func (s *Server) submit(req CheckRequest) (*job, error) {
-	j, err := s.newJob(req)
+	j, err := s.newJob(req, nil)
 	if err != nil {
 		return nil, err
 	}
