@@ -37,11 +37,21 @@ type CheckFunc func(sys *model.System, k int) Result
 // with at-most-k unnecessary because each exact-k query extends the
 // previous one — the driver uses the semantics baked into check.
 func DeepenLinear(sys *model.System, maxBound int, check CheckFunc) DeepenResult {
+	return DeepenLinearFrom(-1, maxBound, func(k int) Result { return check(sys, k) })
+}
+
+// DeepenLinearFrom is DeepenLinear for callers that already hold a proof
+// that bounds 0..proven are Unreachable (proven = -1 for no prior
+// knowledge): it steps k = proven+1 … maxBound, stopping at the first
+// Reachable or Unknown answer. It is the one linear loop: warm sessions
+// resume it from their proven prefix, and the incremental unroller runs
+// it from -1.
+func DeepenLinearFrom(proven, maxBound int, check func(k int) Result) DeepenResult {
 	res := DeepenResult{FoundAt: -1}
-	for k := 0; k <= maxBound; k++ {
+	for k := max(proven+1, 0); k <= maxBound; k++ {
 		res.Iterations++
 		res.BoundsTried = append(res.BoundsTried, k)
-		r := check(sys, k)
+		r := check(k)
 		switch r.Status {
 		case Reachable:
 			res.Status = Reachable

@@ -2,15 +2,14 @@ package service
 
 // Cluster-mode tests, named TestServiceCluster* so CI's stress loop
 // (-run TestService -count=3, under -race) covers them. The invariants:
-// a routed request answers byte-identically to a direct one, batches
-// fan out and merge in order, a malformed batch item is the client's
-// 400 and never demotes a healthy owner, a batch partition refused
-// once another was admitted is answered in place, every check and batch
-// item lands in one routing-ledger bucket, a drained shard's proven
-// prefixes reach the survivor through replication and a new session
-// there resumes from them, a replicated entry is filed only under the
-// hash of the model it ships, and a storm with a mid-storm drain loses
-// no jobs and leaks no goroutines.
+// a routed request answers byte-identically to a direct one, a batch
+// runs whole on the shard it lands on and answers in order, a malformed
+// batch item is the client's 400 and never demotes a healthy owner,
+// every check and batch item lands in one routing-ledger bucket, a
+// drained shard's proven prefixes reach the survivor through
+// replication and a new session there resumes from them, a replicated
+// entry is filed only under the hash of the model it ships, and a storm
+// with a mid-storm drain loses no jobs and leaks no goroutines.
 
 import (
 	"bytes"
@@ -21,7 +20,6 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -85,9 +83,9 @@ func newTestCluster(t *testing.T, n int, cfg Config) ([]*Server, []string) {
 
 // newStandInCluster joins one real shard per cfg and a stand-in
 // listener, last in urls, into one cluster. The stand-in gossips
-// healthy and answers POST /v1/check and POST /v1/batch with post;
-// anything else is a 404. Cleanup drains the real shards, closes every
-// listener and checks the goroutine count settles.
+// healthy and answers POST /v1/check with post; anything else is a
+// 404. Cleanup drains the real shards, closes every listener and checks
+// the goroutine count settles.
 func newStandInCluster(t *testing.T, cfgs []Config, post http.HandlerFunc) ([]*Server, []string) {
 	t.Helper()
 	before := runtime.NumGoroutine()
@@ -96,7 +94,6 @@ func newStandInCluster(t *testing.T, cfgs []Config, post http.HandlerFunc) ([]*S
 		writeJSON(w, http.StatusOK, cluster.Status{QueueCapacity: 16})
 	})
 	mux.HandleFunc("POST /v1/check", post)
-	mux.HandleFunc("POST /v1/batch", post)
 	servers := make([]*Server, len(cfgs))
 	tss := make([]*httptest.Server, len(cfgs)+1)
 	urls := make([]string, len(cfgs)+1)
@@ -237,10 +234,13 @@ func TestServiceClusterModeProxyOnly(t *testing.T) {
 	}
 }
 
-// TestServiceClusterBatchFanout: a mixed-owner batch posted at one
-// shard is partitioned by owner, proxied, and merged back in
-// submission order with correct verdicts.
-func TestServiceClusterBatchFanout(t *testing.T) {
+// TestServiceClusterBatchRunsOnEntry: a mixed-owner batch posted at one
+// shard runs there whole. The answers come back in submission order and
+// agree with the oracle, nothing is proxied or forwarded, and each item
+// the peer owns counts as shed_served at the entry. A draining entry
+// answers the batch 503 with Retry-After, as a standalone shard does,
+// and nothing reaches the peer.
+func TestServiceClusterBatchRunsOnEntry(t *testing.T) {
 	servers, urls := newTestCluster(t, 2, Config{Workers: 2, QueueDepth: 64})
 	// The first six models always ride; shard IDs are random ports, so
 	// the rest are added only while every model so far hashes to one
@@ -259,121 +259,75 @@ func TestServiceClusterBatchFanout(t *testing.T) {
 		circuits.Counter(4, 9),
 		circuits.Counter(2, 2),
 	}
+	const entry, peer = 0, 1
 	var jobs []CheckRequest
 	var want []bool
-	owners := make(map[int]bool)
+	var peerOwned int64
 	for i, sys := range systems {
-		if i >= 6 && len(owners) == 2 {
+		if i >= 6 && peerOwned > 0 && peerOwned < int64(len(jobs)) {
 			break
 		}
-		src := aagSource(t, sys)
-		jobs = append(jobs, CheckRequest{Model: src, Format: "aag", Bound: 6, Engine: "sat", Semantics: "atmost"})
+		// Each item its own bound: an answer's bound names its item.
+		src, bound := aagSource(t, sys), 4+i
+		jobs = append(jobs, CheckRequest{Model: src, Format: "aag", Bound: bound, Engine: "sat", Semantics: "atmost"})
 		sc := explicit.New(sys).ShortestCounterexample()
-		want = append(want, sc != -1 && sc <= 6)
-		owners[ownerIndex(t, servers, urls, src)] = true
+		want = append(want, sc != -1 && sc <= bound)
+		if ownerIndex(t, servers, urls, src) == peer {
+			peerOwned++
+		}
 	}
-	if len(owners) != 2 {
+	if peerOwned == 0 || peerOwned == int64(len(jobs)) {
 		t.Skip("all twelve models hash to one shard; adjust the model set")
 	}
+	m0, m1 := servers[entry].Metrics(), servers[peer].Metrics()
 	var br BatchResponse
-	if code := postJSON(t, urls[0]+"/v1/batch", BatchRequest{Jobs: jobs}, &br); code != http.StatusOK {
+	if code := postJSON(t, urls[entry]+"/v1/batch", BatchRequest{Jobs: jobs}, &br); code != http.StatusOK {
 		t.Fatalf("batch: HTTP %d", code)
 	}
 	if len(br.Results) != len(jobs) {
 		t.Fatalf("batch: %d results for %d jobs", len(br.Results), len(jobs))
 	}
 	for i, res := range br.Results {
-		if got := res.Status == "REACHABLE"; got != want[i] {
-			t.Errorf("batch item %d: %s, oracle says reachable=%v", i, res.Status, want[i])
+		if got := res.Status == "REACHABLE"; got != want[i] || res.Bound != jobs[i].Bound {
+			t.Errorf("batch item %d: %s at bound %d, want bound %d, where the oracle says reachable=%v",
+				i, res.Status, res.Bound, jobs[i].Bound, want[i])
 		}
 	}
-	m0 := servers[0].Metrics()
-	m1 := servers[1].Metrics()
-	if m0.Cluster.Proxied == 0 {
-		t.Errorf("entry shard proxied no batch items: %+v", m0.Cluster)
+	a0, a1 := servers[entry].Metrics(), servers[peer].Metrics()
+	if a0.Cluster.Proxied != m0.Cluster.Proxied || a1.Cluster.ForwardedIn != m1.Cluster.ForwardedIn {
+		t.Errorf("the batch left the entry: entry proxied_out %d->%d, peer forwarded_in %d->%d",
+			m0.Cluster.Proxied, a0.Cluster.Proxied, m1.Cluster.ForwardedIn, a1.Cluster.ForwardedIn)
 	}
-	if m1.Cluster.ForwardedIn == 0 {
-		t.Errorf("peer shard saw no forwarded batch items: %+v", m1.Cluster)
+	if d := a0.Cluster.ShedServed - m0.Cluster.ShedServed; d != peerOwned {
+		t.Errorf("entry shed_served +%d, want +%d (the items the peer owns)", d, peerOwned)
 	}
-	if m0.Cluster.OwnedServed == 0 {
-		t.Errorf("entry shard served none of its own items: %+v", m0.Cluster)
+	if d := a0.Submitted - m0.Submitted; d != int64(len(jobs)) {
+		t.Errorf("entry jobs_submitted +%d, want +%d", d, len(jobs))
 	}
-}
 
-// TestServiceClusterBatchPartitionRefusedInPlace: a batch is admitted
-// whole per shard, so once one partition is admitted, a partition the
-// gate refuses is answered in place with ERROR carrying the refusal,
-// not with a 503 for items that ran. The entry has one worker, pinned,
-// and one queue slot; its own item takes the slot, and only then does
-// the peer bounce its partition with 503, so the entry's local fallback
-// for it finds the queue full.
-func TestServiceClusterBatchPartitionRefusedInPlace(t *testing.T) {
-	release := make(chan struct{})
-	servers, urls := newStandInCluster(t, []Config{{Workers: 1, QueueDepth: 1}}, func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-release:
-		case <-r.Context().Done():
-		}
-		http.Error(w, "busy", http.StatusServiceUnavailable)
-	})
-	entry := servers[0]
-	own, peer := ownedBy(t, entry, urls[0]), ownedBy(t, entry, urls[1])
-	jobs := []CheckRequest{
-		{Model: aagSource(t, own), Format: "aag", Bound: 4, Engine: "sat", Semantics: "atmost"},
-		{Model: aagSource(t, peer), Format: "aag", Bound: 4, Engine: "sat", Semantics: "atmost"},
+	// A draining entry refuses the batch whole, even the items the peer
+	// could take: nothing is proxied, and the peer sees nothing.
+	drain(t, servers[entry])
+	m1 = servers[peer].Metrics()
+	resp, err := http.Post(urls[entry]+"/v1/batch", "application/json", jsonBody(t, BatchRequest{Jobs: jobs}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	blocker := pinWorker(t, entry)
-	m0 := entry.Metrics()
-
-	type answer struct {
-		code int
-		br   BatchResponse
-		err  error
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("batch at a draining entry: HTTP %d, Retry-After %q, want 503 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
-	got := make(chan answer, 1)
-	body := jsonBody(t, BatchRequest{Jobs: jobs})
-	go func() {
-		var a answer
-		resp, err := http.Post(urls[0]+"/v1/batch", "application/json", body)
-		if a.err = err; err == nil {
-			a.code = resp.StatusCode
-			a.err = json.NewDecoder(resp.Body).Decode(&a.br)
-			resp.Body.Close()
-		}
-		got <- a
-	}()
-	waitUntil(t, 10*time.Second, "the entry to admit its own item", func() bool { return entry.Metrics().Submitted == m0.Submitted+1 })
-	close(release)
-	waitUntil(t, 10*time.Second, "the bounced item to be refused", func() bool { return entry.Metrics().Rejected == m0.Rejected+1 })
-	blocker.cancel.Set()
-	<-blocker.done
-
-	a := <-got
-	if a.code != http.StatusOK {
-		t.Fatalf("batch: HTTP %d (%v), want 200", a.code, a.err)
-	}
-	if len(a.br.Results) != 2 {
-		t.Fatalf("batch: %d results for 2 items", len(a.br.Results))
-	}
-	want := "UNREACHABLE"
-	if sc := explicit.New(own).ShortestCounterexample(); sc != -1 && sc <= 4 {
-		want = "REACHABLE"
-	}
-	if r := a.br.Results[0]; r.Status != want {
-		t.Errorf("entry-owned item: %+v, oracle says %s", r, want)
-	}
-	if r := a.br.Results[1]; r.Status != StatusError || !strings.Contains(r.Error, ErrQueueFull.Error()) {
-		t.Errorf("refused item: %+v, want ERROR carrying %q", r, ErrQueueFull)
-	}
-	m := entry.Metrics()
-	if m.Submitted != m0.Submitted+1 || m.Rejected != m0.Rejected+1 {
-		t.Errorf("entry jobs_submitted %d->%d, jobs_rejected %d->%d, want +1 each", m0.Submitted, m.Submitted, m0.Rejected, m.Rejected)
+	a1 = servers[peer].Metrics()
+	if a1.Cluster.ForwardedIn != m1.Cluster.ForwardedIn || a1.Submitted != m1.Submitted || a1.Rejected != m1.Rejected {
+		t.Fatalf("the draining entry's batch reached the peer: forwarded_in %d->%d, jobs_submitted %d->%d, jobs_rejected %d->%d",
+			m1.Cluster.ForwardedIn, a1.Cluster.ForwardedIn, m1.Submitted, a1.Submitted, m1.Rejected, a1.Rejected)
 	}
 }
 
 // TestServiceClusterBatchBadItemKeepsOwner: a batch item the owner
 // would refuse (an unknown engine) is answered 400 by the entry shard
-// before any fan-out, and the owner stays healthy in the entry's
+// before anything runs, and the owner stays healthy in the entry's
 // tracker — the next valid check for the owner's model is proxied to
 // it, not shed to the entry. Gossip is slow here, so a wrongful
 // demotion would still be in force when that check arrives.
@@ -409,34 +363,6 @@ func TestServiceClusterBatchBadItemKeepsOwner(t *testing.T) {
 	}
 	if got := servers[entry].Metrics().Cluster.ShedServed; got != shed {
 		t.Fatalf("entry shard shed %d requests past a healthy owner", got-shed)
-	}
-}
-
-// TestServiceClusterQueuedPartitionKeepsOwner: an owner with one worker
-// runs a proxied partition's three timed items one after another, and
-// the partition's deadline covers that, so the entry shard relays the
-// owner's answers: it neither demotes the owner nor runs the items
-// itself.
-func TestServiceClusterQueuedPartitionKeepsOwner(t *testing.T) {
-	servers, urls := newTestCluster(t, 2, Config{Workers: 1})
-	src := aagSource(t, circuits.Factorizer(28, 268140589))
-	owner := ownerIndex(t, servers, urls, src)
-	entry := 1 - owner
-	waitUntil(t, 5*time.Second, "the entry shard to see the owner up", func() bool {
-		return servers[entry].Metrics().Cluster.PeersUp == 1
-	})
-	var batch BatchRequest
-	for k := 1; k <= 3; k++ {
-		batch.Jobs = append(batch.Jobs, CheckRequest{Model: src, Format: "aag", Bound: k, Engine: "sat", TimeoutMS: 1500})
-	}
-	m0 := servers[entry].Metrics().Cluster
-	var br BatchResponse
-	if code := postJSON(t, urls[entry]+"/v1/batch", batch, &br); code != http.StatusOK || len(br.Results) != 3 {
-		t.Fatalf("batch: HTTP %d, %d results", code, len(br.Results))
-	}
-	if m := servers[entry].Metrics().Cluster; m.Proxied != m0.Proxied+3 || m.ShedServed != m0.ShedServed || m.PeersUp != m0.PeersUp {
-		t.Fatalf("entry proxied_out %d->%d, shed_served %d->%d, peers_up %d->%d, want +3, unchanged, unchanged",
-			m0.Proxied, m.Proxied, m0.ShedServed, m.ShedServed, m0.PeersUp, m.PeersUp)
 	}
 }
 
@@ -590,8 +516,8 @@ func countingHandler(h http.Handler, n *atomic.Int64) http.Handler {
 
 // TestServiceClusterLedgerBalances: every check a shard receives — a
 // /v1/check or a batch item, from a client or forwarded by its peer,
-// hit or miss, proxied or bounced — lands in exactly one of its five
-// routing-ledger buckets.
+// hit or miss, proxied or run where it landed — lands in exactly one of
+// its five routing-ledger buckets.
 func TestServiceClusterLedgerBalances(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := Config{Workers: 2, QueueDepth: 16}
@@ -655,9 +581,8 @@ func TestServiceClusterLedgerBalances(t *testing.T) {
 	}
 
 	// Three batches at the entry: every item cached there; every item a
-	// miss, owned by both shards; and a miss of the peer's whose
-	// partition the peer's gate refuses once, so it bounces and the
-	// entry serves it.
+	// miss, owned by both shards; and one miss the peer owns, which runs
+	// at the entry and counts as shed there.
 	var cached, mixed []CheckRequest
 	for _, model := range models {
 		cached = append(cached, CheckRequest{Model: model, Bound: 2, Engine: "sat"}, CheckRequest{Model: model, Bound: 4, Engine: "sat"})
@@ -673,10 +598,9 @@ func TestServiceClusterLedgerBalances(t *testing.T) {
 	post(cached)
 	post(mixed)
 	shed := servers[entry].Metrics().Cluster.ShedServed
-	defer armAdmit()()
 	post([]CheckRequest{{Model: peerModel, Bound: 5, Engine: "sat"}})
-	if got := servers[entry].Metrics().Cluster.ShedServed - shed; got != 1 || faultpoint.Fires("service.queue.admit") != 1 {
-		t.Fatalf("the bounced partition: entry shed_served +%d, want +1", got)
+	if got := servers[entry].Metrics().Cluster.ShedServed - shed; got != 1 {
+		t.Fatalf("a batch miss the peer owns: entry shed_served +%d, want +1", got)
 	}
 	for i, s := range servers {
 		c := s.Metrics().Cluster

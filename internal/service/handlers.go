@@ -23,26 +23,20 @@ package service
 //	                        a model has a terminal verdict, "bound" is
 //	                        advisory and any requested bound answers
 //	                        from cache.
-//	POST   /v1/batch        submit several models at once; synchronous.
+//	POST   /v1/batch        submit several checks at once; synchronous.
 //	                        Every item is an ordinary job — same cache,
-//	                        sessions and timeouts as /v1/check; a cached
-//	                        item is answered in place, the rest queue —
-//	                        every item is validated before any runs
-//	                        (one bad item is a 400 for the batch; so is
-//	                        trailing data), and the batch meets the one
-//	                        admission gate once per shard it runs on:
-//	                        the watermark and the admit faultpoint once,
-//	                        not once per item. It is admitted whole per
-//	                        shard: clustered, each owner's partition is
-//	                        admitted or refused whole, and the batch
-//	                        answers an error status only when every
-//	                        partition failed. A failed partition's items,
-//	                        like an item the breaker refuses, are
-//	                        answered in place with ERROR while the rest
-//	                        run. A proxied partition's deadline covers
-//	                        its items run one after another (their
-//	                        budgets summed, plus a grace), and its
-//	                        receiver clamps each item's budget to it.
+//	                        sessions and timeouts as /v1/check — and a
+//	                        batch may mix deepen and plain checks. Every
+//	                        item is validated before any runs (one bad
+//	                        item is a 400 for the batch; so is trailing
+//	                        data), and the whole batch runs on the shard
+//	                        it lands on, clustered or not: a cached item
+//	                        is answered in place, the rest queue here. The
+//	                        batch meets the one admission gate once: the
+//	                        watermark, the admit faultpoint, draining and
+//	                        queue room for every miss refuse it whole with
+//	                        503. An item the breaker refuses is answered
+//	                        in place with ERROR while the rest run.
 //	GET    /v1/jobs/{id}    job status (result embedded once done)
 //	GET    /v1/results/{id} result only; 202 while still running
 //	DELETE /v1/jobs/{id}    cooperative cancel
@@ -103,9 +97,7 @@ func (s *Server) Handler() http.Handler {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 type errorBody struct {
@@ -171,7 +163,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	items, hits := [1]*job{j}, [1]*JobResult{}
 	s.batchHits(items[:], hits[:])
 	if hits[0] != nil {
-		s.noteHitServed(r, j)
+		s.noteLocal(r, items[:], hits[:])
 	} else if s.routeCheck(w, r, j, body) {
 		return
 	} else if j.req.Model == "" {
@@ -269,17 +261,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, errors.New("service: empty batch"))
 		return
 	}
-	for _, jr := range req.Jobs {
-		if jr.Deepen != req.Jobs[0].Deepen {
-			s.writeError(w, http.StatusBadRequest, errors.New("service: batch mixes deepen and plain checks; split it"))
-			return
-		}
-	}
 	// Every item is parsed once, here: a bad item answers 400 before
-	// anything runs or fans out. Each item's cancel flag derives from the
-	// batch's disconnect flag: a client going away stops every item,
-	// while an item's own timeout (which answer fires on its flag) stops
-	// only that item.
+	// anything runs. Each item's cancel flag derives from the batch's
+	// disconnect flag: a client going away stops every item, while an
+	// item's own timeout (which answer fires on its flag) stops only that
+	// item. clampDeadline still applies: a peer running an older release
+	// forwards batch partitions with a deadline.
 	items := make([]*job, len(req.Jobs))
 	for i, jr := range req.Jobs {
 		j, err := s.newJob(jr, nil)
@@ -294,24 +281,31 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for _, j := range items {
 		j.cancel = sebmc.DeriveCancel(parent)
 	}
-	// Clustered: fan the batch out by owning shard, unless a peer
-	// already routed it here — a forwarded partition always runs
-	// locally, whatever this shard's ring says.
-	if cs := s.clusterView(); cs != nil {
-		if r.Header.Get(forwardHeader) == "" {
-			s.clusterBatch(w, r, items)
-			return
-		}
-		s.metrics.clusterForwardedIn.Add(int64(len(items)))
-	}
+	// The batch runs here whatever the ring says — a miss another shard
+	// owns runs cold here rather than taking a proxy hop — and meets the
+	// admission gate once, so it is admitted whole or refused whole with
+	// 503. (A batch with more misses than the queue capacity is therefore
+	// always refused; split it.) An item the breaker refuses is answered
+	// in place with ERROR; the breaker is not re-taught, since a
+	// quarantine rejection is a symptom, not a new strike.
 	hits := make([]*JobResult, len(items))
 	s.batchHits(items, hits)
-	results, err := s.localBatch(items, hits)
+	s.noteLocal(r, items, hits)
+	refused, err := s.admit(items, hits)
 	if err != nil {
 		s.writeError(w, submitCode(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, BatchResponse{Results: results})
+	out := make([]*JobResult, len(items))
+	for i, j := range items {
+		if refused != nil && refused[i] != nil {
+			out[i] = errorResult(j, refused[i], false)
+			continue
+		}
+		<-j.done
+		out[i] = j.Result()
+	}
+	writeJSON(w, http.StatusOK, BatchResponse{Results: out})
 }
 
 // batchHits is the one verdict-cache lookup of the handlers, for a
@@ -326,33 +320,6 @@ func (s *Server) batchHits(items []*job, hits []*JobResult) {
 	for i, j := range items {
 		hits[i], _ = s.cached(j)
 	}
-}
-
-// localBatch runs a parsed batch on this shard and waits for every
-// answer. It calls the admission gate once for the whole batch, so the
-// batch is admitted whole or not at all, against the same rules as a
-// single check: a draining server, a queue without room for every
-// miss, the memory watermark or the admit faultpoint rejects it with
-// 503. (A batch with more misses than the queue capacity is therefore
-// always rejected; split it.) Hits take no queue slot and are answered
-// at once. An item the breaker refuses is answered in place with ERROR
-// while the rest of the batch runs; the breaker is not re-taught, since
-// a quarantine rejection is a symptom, not a new strike.
-func (s *Server) localBatch(items []*job, hits []*JobResult) ([]*JobResult, error) {
-	refused, err := s.admit(items, hits)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*JobResult, len(items))
-	for i, j := range items {
-		if refused != nil && refused[i] != nil {
-			out[i] = errorResult(j, refused[i], false)
-			continue
-		}
-		<-j.done
-		out[i] = j.Result()
-	}
-	return out, nil
 }
 
 // newBatchCancel returns a flag that is set when the request's client

@@ -63,7 +63,8 @@ type metrics struct {
 	// rendezvous ring. OwnedServed are requests this shard ran as the
 	// key's owner; Proxied went to their owner elsewhere; ForwardedIn
 	// arrived pre-routed from a peer; ShedServed ran here although a
-	// preferred shard exists (it was unhealthy or bounced);
+	// preferred shard exists (it was unhealthy or bounced, or the check
+	// was a batch item, which always runs where it lands);
 	// ReplicaServed were verdict-cache hits on a key another shard
 	// serves, answered here from this shard's own cache.
 	clusterOwnedServed   atomic.Int64
@@ -244,6 +245,8 @@ type ClusterSnapshot struct {
 
 	// The routing ledger: every /v1/check request (and every batch
 	// item) this shard received lands in exactly one of these five.
+	// ShedServed also counts the batch misses another shard serves:
+	// a batch runs whole on the shard it lands on.
 	OwnedServed   int64 `json:"owned_served"`
 	Proxied       int64 `json:"proxied_out"`
 	ForwardedIn   int64 `json:"forwarded_in"`

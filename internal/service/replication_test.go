@@ -7,8 +7,8 @@ package service
 // could not deliver to a stopped peer reaches the restarted peer
 // through anti-entropy repair; divergent verdict caches converge
 // through anti-entropy within two gossip intervals of the heal; an
-// owner that stalls holds a proxied check or batch partition no longer
-// than its deadline; and a proxied deadline clamps the receiver's
+// owner that stalls holds a proxied check no longer than its deadline,
+// and a batch not at all; and a proxied deadline clamps the receiver's
 // solving budget, for a check and for each batch item.
 
 import (
@@ -313,9 +313,9 @@ func TestServiceClusterAntiEntropyRepair(t *testing.T) {
 }
 
 // stalledOwner boots two real shards and a stand-in third that gossips
-// healthy but holds every check and batch until the proxy gives up on
-// it, and picks a model the stand-in owns whose preference order ends at
-// a real shard, the entry: a healthy real shard still stands between the
+// healthy but holds every check until the proxy gives up on it, and
+// picks a model the stand-in owns whose preference order ends at a real
+// shard, the entry: a healthy real shard still stands between the
 // stalled owner and the entry in a check's walk. It returns the entry, a
 // request for the model with a 300-ms budget, and whether the model is
 // reachable within the request's bound.
@@ -379,9 +379,9 @@ func TestServiceClusterStalledOwnerBoundedByDeadline(t *testing.T) {
 }
 
 // TestServiceClusterStalledOwnerBatchBoundedByDeadline is the batch
-// twin: a partition proxied to a stalled owner carries the deadline a
-// proxied check gets, so the owner holds it no longer than that, and
-// the entry shard then serves the partition itself (shed_served).
+// twin: a batch runs on the shard it lands on, so an item the stalled
+// shard owns never waits on it. The entry serves the item itself
+// (shed_served) within a proxied check's deadline, and proxies nothing.
 func TestServiceClusterStalledOwnerBatchBoundedByDeadline(t *testing.T) {
 	entry, url, req, reachable := stalledOwner(t)
 	m0 := entry.Metrics().Cluster
@@ -410,7 +410,7 @@ func TestServiceClusterStalledOwnerBatchBoundedByDeadline(t *testing.T) {
 // remaining-budget header gets its solving budget clamped to it, even
 // when the request itself asked for no timeout — the receiver half of
 // deadline propagation (the sender half, stamping the header from its
-// own deadline, is forwardRequest).
+// own deadline, is proxyWalk).
 func TestServiceClusterDeadlineClamp(t *testing.T) {
 	s, url := newTestServer(t, Config{Workers: 1})
 
@@ -469,7 +469,8 @@ func TestServiceClusterDeadlineClamp(t *testing.T) {
 		t.Fatalf("budgeted run under a loose header: %+v, want UNKNOWN", st.Result)
 	}
 
-	// A batch partition gets the same clamp, item by item.
+	// A batch gets the same clamp, item by item: a peer running an older
+	// release still forwards batch partitions with the header.
 	req.TimeoutMS = 0
 	hreq, err = http.NewRequest(http.MethodPost, url+"/v1/batch", jsonBody(t, BatchRequest{Jobs: []CheckRequest{req}}))
 	if err != nil {

@@ -3,13 +3,14 @@ package service
 // Cluster mode: the routing layer that turns N independent bmcd
 // processes into one sharded service. Every shard is configured with
 // the same shard list and computes the same rendezvous-hash owner for
-// every model (internal/cluster), so a model's solver work and warm
-// session live on exactly one shard no matter which shard the client
-// happened to hit:
+// every model (internal/cluster), so a model's /v1/check misses and its
+// warm session live on exactly one shard no matter which shard the
+// client happened to hit:
 //
 //   - a verdict-cache hit is answered by the shard that received it,
 //     from its own cache — its own fills plus the entries replication
-//     and repair delivered (replication.go). Only misses are routed;
+//     and repair delivered (replication.go). Only /v1/check misses
+//     are routed;
 //   - a miss for a model this shard owns is served locally;
 //   - a miss for a model another shard owns is proxied there, its
 //     request body forwarded as the client sent it, so clients may talk
@@ -19,11 +20,10 @@ package service
 //     deadline, after which this shard serves the request itself. A 503
 //     that refuses the key rather than the shard (rejectHeader) is
 //     relayed to the client instead;
-//   - /v1/batch is fanned out shard-aware: every item is parsed and
-//     validated once on the entry shard, cached items are answered
-//     there, the misses are partitioned by owner, each partition is
-//     proxied to its shard, and the merged results come back in
-//     submission order;
+//   - a /v1/batch runs whole on the shard that receives it, misses
+//     included: a batch miss for a key another shard owns runs cold
+//     here and counts as shed_served. A warm resume belongs in
+//     /v1/check, which reaches the owner's session;
 //   - shards poll each other's GET /v1/cluster/health on a gossip
 //     interval; a shard that is down, draining, stale or saturated is
 //     skipped and its keys shed to the next rendezvous preference —
@@ -57,11 +57,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -313,22 +311,6 @@ func (cs *clusterState) routeTarget(hash string, selfDraining bool) (*cluster.Sh
 // gets its full budget, the hops get this much on top.
 const proxyGrace = 2 * time.Second
 
-// proxyContext derives the end-to-end deadline of a proxied check or
-// batch partition: the sum of its jobs' effective solving budgets plus
-// proxyGrace. The sum, because the owner may run a partition's items
-// one after another, each budget starting when a worker takes the item.
-// A request carrying any uncapped job proxies uncapped.
-func proxyContext(parent context.Context, items ...*job) (context.Context, context.CancelFunc) {
-	var budget time.Duration
-	for _, j := range items {
-		if j.timeout <= 0 {
-			return parent, func() {}
-		}
-		budget += j.timeout
-	}
-	return context.WithTimeout(parent, budget+proxyGrace)
-}
-
 // routeCheck handles /v1/check routing of a verdict-cache miss for a
 // clustered server. Returns true when the request was fully handled
 // remotely (proxied); false when the caller should serve it locally.
@@ -345,11 +327,17 @@ func (s *Server) routeCheck(w http.ResponseWriter, r *http.Request, j *job, body
 	}
 	target, rank := cs.routeTarget(j.hash, s.Draining())
 	if target == nil {
-		s.noteServed(nil, rank)
+		s.noteServed(nil, rank, false)
 		return false
 	}
-	ctx, cancel := proxyContext(r.Context(), j)
-	defer cancel()
+	// The walk ends at the job's effective solving budget plus
+	// proxyGrace; an uncapped job proxies uncapped.
+	ctx := r.Context()
+	if j.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, j.timeout+proxyGrace)
+		defer cancel()
+	}
 	prefs := cs.ring.Prefs(j.hash)
 	var cands []cluster.Shard
 	for i := rank; i < len(prefs); i++ {
@@ -373,39 +361,46 @@ func (s *Server) routeCheck(w http.ResponseWriter, r *http.Request, j *job, body
 	return false // every peer bounced or the deadline passed; serve locally
 }
 
-// noteServed counts one request answered on this shard in the routing
-// ledger, by where routeTarget places its key: owned here (rank 0),
-// shed here past an unhealthy owner (rank > 0), or a verdict-cache hit
-// on a key another shard serves (target non-nil).
-func (s *Server) noteServed(target *cluster.Shard, rank int) {
+// noteServed counts one check answered on this shard in the routing
+// ledger, by where routeTarget places its key: owned here (rank 0), a
+// verdict-cache hit on a key another shard serves (replica_served), or
+// else shed here: past an unhealthy owner, or a batch miss another
+// shard serves, which runs here anyway.
+func (s *Server) noteServed(target *cluster.Shard, rank int, hit bool) {
 	switch {
-	case target != nil:
+	case target != nil && hit:
 		s.metrics.clusterReplicaServed.Add(1)
-	case rank == 0:
+	case target == nil && rank == 0:
 		s.metrics.clusterOwnedServed.Add(1)
 	default:
 		s.metrics.clusterShedServed.Add(1)
 	}
 }
 
-// noteHitServed counts a /v1/check verdict-cache hit answered on the
-// handler goroutine in the routing ledger: forwarded_in when a peer
-// routed it here, else by where its key is placed. No-op standalone.
-// Only a shard that is not draining answers hits inline.
-func (s *Server) noteHitServed(r *http.Request, j *job) {
+// noteLocal counts the checks a handler answers on this shard without
+// routing them — a /v1/check verdict-cache hit, or every item of a
+// batch — in the routing ledger: forwarded_in when a peer routed them
+// here, else each by where its key is placed (noteServed). hits[i] is
+// item i's cached answer, nil on a miss. No-op standalone.
+func (s *Server) noteLocal(r *http.Request, items []*job, hits []*JobResult) {
 	cs := s.clusterView()
 	if cs == nil {
 		return
 	}
 	if r.Header.Get(forwardHeader) != "" {
-		s.metrics.clusterForwardedIn.Add(1)
+		s.metrics.clusterForwardedIn.Add(int64(len(items)))
 		return
 	}
-	s.noteServed(cs.routeTarget(j.hash, false))
+	for i, j := range items {
+		target, rank := cs.routeTarget(j.hash, false)
+		s.noteServed(target, rank, hits[i] != nil)
+	}
 }
 
 // proxyWalk forwards one check along the candidate preference list, one
-// POST at a time, and relays the first answer that is not a bounce. A
+// POST at a time, and relays the first answer that is not a bounce. The
+// forward marker makes the receiver serve the check itself, and a
+// deadline on ctx travels as the receiver's remaining budget. A
 // candidate that bounces (a transport error, or a 503 the next
 // preference should absorb instead of the client) is demoted in the
 // tracker at once, so the next request skips it without waiting for a
@@ -419,11 +414,16 @@ func (cs *clusterState) proxyWalk(ctx context.Context, w http.ResponseWriter, ca
 		if ctx.Err() != nil {
 			return false // budget exhausted: the local clamp answers fastest
 		}
-		preq, err := cs.forwardRequest(ctx, sh, path, payload)
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, sh.URL+path, bytes.NewReader(payload))
 		if err != nil {
 			continue
 		}
-		resp, err := cs.client.Do(preq)
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set(forwardHeader, cs.self.ID)
+		if deadline, ok := ctx.Deadline(); ok {
+			req.Header.Set(deadlineHeader, strconv.FormatInt(max(time.Until(deadline).Milliseconds(), 1), 10))
+		}
+		resp, err := cs.client.Do(req)
 		if err == nil && (resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get(rejectHeader) != "") {
 			relayResponse(w, resp)
 			return true
@@ -436,22 +436,6 @@ func (cs *clusterState) proxyWalk(ctx context.Context, w http.ResponseWriter, ca
 	return false
 }
 
-// forwardRequest builds one POST to a peer for a request this shard has
-// routed: the forward marker makes the receiver serve it locally, and a
-// deadline on ctx travels as the receiver's remaining budget.
-func (cs *clusterState) forwardRequest(ctx context.Context, target cluster.Shard, path string, payload []byte) (*http.Request, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target.URL+path, bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(forwardHeader, cs.self.ID)
-	if deadline, ok := ctx.Deadline(); ok {
-		req.Header.Set(deadlineHeader, strconv.FormatInt(max(time.Until(deadline).Milliseconds(), 1), 10))
-	}
-	return req, nil
-}
-
 // relayResponse streams a proxied answer back to the client.
 func relayResponse(w http.ResponseWriter, resp *http.Response) {
 	defer drainClose(resp.Body)
@@ -462,147 +446,6 @@ func relayResponse(w http.ResponseWriter, resp *http.Response) {
 	}
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
-}
-
-// proxyBatch forwards a whole batch partition to its owning shard and
-// decodes the merged results.
-func (cs *clusterState) proxyBatch(ctx context.Context, target cluster.Shard, items []*job) ([]*JobResult, error) {
-	reqs := make([]CheckRequest, len(items))
-	for i, j := range items {
-		reqs[i] = j.req
-	}
-	payload, err := json.Marshal(BatchRequest{Jobs: reqs})
-	if err != nil {
-		return nil, err
-	}
-	preq, err := cs.forwardRequest(ctx, target, "/v1/batch", payload)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := cs.client.Do(preq)
-	if err != nil {
-		return nil, err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, &APIError{StatusCode: resp.StatusCode, Message: readMessage(resp.Body)}
-	}
-	var br BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-		return nil, err
-	}
-	if len(br.Results) != len(reqs) {
-		return nil, fmt.Errorf("service: shard %s answered %d results for %d batch items", target.ID, len(br.Results), len(reqs))
-	}
-	return br.Results, nil
-}
-
-// bounced reports whether a failed proxyBatch means the owner could not
-// take the work — a transport error (an expired deadline included) or a
-// 503, the same signals proxyWalk treats as a bounce. Any other answer
-// is the owner's verdict on the request itself and goes back to the
-// client; it says nothing about the owner's health.
-func bounced(err error) bool {
-	var ae *APIError
-	return !errors.As(err, &ae) || ae.StatusCode == http.StatusServiceUnavailable
-}
-
-// batchGroup is one owner's slice of a fanned-out batch.
-type batchGroup struct {
-	target *cluster.Shard // nil = this shard
-	idx    []int          // positions in the original batch
-	items  []*job
-	hits   []*JobResult // per item: its cached answer, nil on a miss
-}
-
-// clusterBatch answers the items this shard holds cached, partitions
-// the rest by owning shard, runs the local partition through the
-// admission gate every check meets, proxies each remote partition to
-// its owner concurrently, under a deadline that covers its items run
-// one after another (proxyContext), and merges results in submission
-// order. A remote partition whose owner bounced gets one local-fallback
-// attempt. Each partition is admitted whole or not at all: the batch
-// answers an error status only when every partition failed; otherwise
-// a failed partition's items are answered in place with ERROR carrying
-// the refusal, as the breaker's refusals are, while the rest stand.
-func (s *Server) clusterBatch(w http.ResponseWriter, r *http.Request, items []*job) {
-	cs := s.clusterView()
-	draining := s.Draining()
-	hits := make([]*JobResult, len(items))
-	s.batchHits(items, hits)
-	groups := make(map[string]*batchGroup)
-	order := make([]string, 0, 4) // deterministic fan-out order
-	for i, j := range items {
-		target, rank := cs.routeTarget(j.hash, draining)
-		if target == nil || hits[i] != nil {
-			s.noteServed(target, rank) // a cached item never fans out
-			target = nil
-		}
-		id := ""
-		if target != nil {
-			id = target.ID
-		}
-		g := groups[id]
-		if g == nil {
-			g = &batchGroup{target: target}
-			groups[id] = g
-			order = append(order, id)
-		}
-		g.idx = append(g.idx, i)
-		g.items = append(g.items, j)
-		g.hits = append(g.hits, hits[i])
-	}
-
-	out := make([]*JobResult, len(items))
-	errs := make([]error, len(order))
-	var wg sync.WaitGroup
-	for gi, id := range order {
-		g := groups[id]
-		wg.Add(1)
-		go func(gi int, g *batchGroup) {
-			defer wg.Done()
-			var results []*JobResult
-			var err error
-			if g.target != nil {
-				ctx, cancel := proxyContext(r.Context(), g.items...)
-				results, err = cs.proxyBatch(ctx, *g.target, g.items)
-				cancel()
-				if err != nil && bounced(err) {
-					// The owner bounced: demote it and run the partition
-					// here — locality is an optimization, the answer is
-					// the contract.
-					cs.tracker.NoteDown(g.target.ID)
-					s.metrics.clusterShedServed.Add(int64(len(g.items)))
-					results, err = s.localBatch(g.items, g.hits)
-				} else {
-					s.metrics.clusterProxied.Add(int64(len(g.items)))
-				}
-			} else {
-				results, err = s.localBatch(g.items, g.hits)
-			}
-			if err != nil {
-				errs[gi] = err
-				results = make([]*JobResult, len(g.items))
-				for k, j := range g.items {
-					results[k] = errorResult(j, err, false)
-				}
-			}
-			for k, res := range results {
-				out[g.idx[k]] = res
-			}
-		}(gi, g)
-	}
-	wg.Wait()
-	if err := errs[0]; !slices.Contains(errs, nil) {
-		code := submitCode(err)
-		var ae *APIError
-		if errors.As(err, &ae) {
-			code = ae.StatusCode // the owner's own answer, relayed
-		}
-		s.writeError(w, code, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, BatchResponse{Results: out})
 }
 
 func (s *Server) handleClusterHealth(w http.ResponseWriter, r *http.Request) {

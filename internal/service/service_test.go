@@ -8,8 +8,10 @@ package service
 // session pool and drain are data-race free and correct.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -473,21 +475,26 @@ func TestServiceBatch(t *testing.T) {
 		}
 	}
 
-	// Mixed deepen/plain batches are rejected, not half-answered.
-	bad := BatchRequest{Jobs: []CheckRequest{
+	// A batch may mix deepen and plain checks: every item is its own
+	// job, keyed by its own deepen flag.
+	mixed := BatchRequest{Jobs: []CheckRequest{
 		{Model: cexMSL, Bound: 5},
 		{Model: safeMSL, Bound: 5, Deepen: true},
 	}}
-	if code := postJSON(t, url+"/v1/batch", bad, nil); code != http.StatusBadRequest {
-		t.Fatalf("mixed batch: HTTP %d, want 400", code)
+	var mixedResp BatchResponse
+	if code := postJSON(t, url+"/v1/batch", mixed, &mixedResp); code != http.StatusOK {
+		t.Fatalf("mixed batch: HTTP %d, want 200", code)
+	}
+	if len(mixedResp.Results) != 2 || mixedResp.Results[0].Status != "REACHABLE" || mixedResp.Results[1].Status != "UNREACHABLE" {
+		t.Fatalf("mixed batch: %+v, want [REACHABLE UNREACHABLE]", mixedResp.Results)
 	}
 
 	// Cached batch items count as completed too: submitted and
 	// completed must balance or /metrics reads as lost work.
 	var m MetricsSnapshot
 	getJSON(t, url+"/metrics", &m)
-	if m.Submitted != 6 || m.Completed != 6 {
-		t.Fatalf("batch metrics: submitted=%d completed=%d, want 6/6", m.Submitted, m.Completed)
+	if m.Submitted != 8 || m.Completed != 8 {
+		t.Fatalf("batch metrics: submitted=%d completed=%d, want 8/8", m.Submitted, m.Completed)
 	}
 }
 
@@ -825,6 +832,44 @@ func TestServiceAsyncHit(t *testing.T) {
 	getJSON(t, url+"/metrics", &m)
 	if m.Submitted != 2 || m.Completed != 2 {
 		t.Fatalf("jobs submitted=%d completed=%d, want 2/2", m.Submitted, m.Completed)
+	}
+}
+
+// TestServiceCompactJSON: a response body is compact JSON — the object
+// and the encoder's trailing newline, no indentation to encode or ship —
+// for a /v1/check hit and for /metrics alike.
+func TestServiceCompactJSON(t *testing.T) {
+	_, url := newTestServer(t, Config{Workers: 1})
+	req := CheckRequest{Model: cexMSL, Bound: 5, Engine: "sat", Wait: true}
+	checkWait(t, url, req)
+	get := map[string]func() (*http.Response, error){
+		"hit": func() (*http.Response, error) {
+			return http.Post(url+"/v1/check", "application/json", jsonBody(t, req))
+		},
+		"metrics": func() (*http.Response, error) { return http.Get(url + "/metrics") },
+	}
+	for name, do := range get {
+		resp, err := do()
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d, %v", name, resp.StatusCode, err)
+		}
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, body); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		compact.WriteByte('\n')
+		if !bytes.Equal(body, compact.Bytes()) {
+			t.Errorf("%s body is not compact JSON:\n%s", name, body)
+		}
+		var st jobStatus
+		if name == "hit" && (json.Unmarshal(body, &st) != nil || st.Result == nil || !st.Result.Cached) {
+			t.Errorf("hit: %s, want a cached answer", body)
+		}
 	}
 }
 

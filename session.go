@@ -299,48 +299,26 @@ func (s *Session) DeepenWith(maxBound int, c *CancelFlag) (out DeepenResult) {
 		return DeepenResult{Status: Unknown, FoundAt: -1, DecidedBy: s.engine.String(), Err: ErrSessionPoisoned}
 	}
 	s.stats.Checks++
-	res := DeepenResult{FoundAt: -1, DecidedBy: s.engine.String()}
-	start := s.proven + 1
-	s.stats.BoundsSaved += min(start, maxBound+1)
-	if start > maxBound {
-		res.Status = Unreachable
-		res.System = s.system()
-		return res
-	}
+	s.stats.BoundsSaved += min(s.proven+1, maxBound+1)
 	s.arm(c)
 	defer s.disarm()
+	// Both schedules drive the warm engine through checkLocked, so every
+	// probe lands on the same persistent solver and Unreachable probes
+	// keep extending the proven prefix (a geometric session runs
+	// at-most-k, see NewSession). A range the prefix already covers is
+	// answered Unreachable without a probe.
+	check := func(k int) Result { return s.checkLocked(k) }
+	var d DeepenResult
 	if s.opts.Schedule == ScheduleGeometric {
-		// The geometric core drives the warm engine through checkLocked,
-		// so every probe — doubling or refinement — lands on the same
-		// persistent solver, and Unreachable probes keep extending the
-		// proven prefix (the session runs at-most-k, see NewSession).
-		d := bmc.DeepenGeometricFrom(s.proven, maxBound, s.opts.GeometricRatio,
-			func(k int) Result { return s.checkLocked(k) })
-		d.DecidedBy = s.engine.String()
-		if d.Status == Unreachable {
-			d.System = s.system()
-		}
-		return d
+		d = bmc.DeepenGeometricFrom(s.proven, maxBound, s.opts.GeometricRatio, check)
+	} else {
+		d = bmc.DeepenLinearFrom(s.proven, maxBound, check)
 	}
-	for k := start; k <= maxBound; k++ {
-		res.Iterations++
-		res.BoundsTried = append(res.BoundsTried, k)
-		r := s.checkLocked(k)
-		switch r.Status {
-		case Reachable:
-			res.Status = Reachable
-			res.FoundAt = k
-			res.Witness = r.Witness
-			res.System = r.System
-			return res
-		case Unknown:
-			res.Status = Unknown
-			return res
-		}
+	d.DecidedBy = s.engine.String()
+	if d.Status == Unreachable {
+		d.System = s.system()
 	}
-	res.Status = Unreachable
-	res.System = s.system()
-	return res
+	return d
 }
 
 // SeedProven extends the session's proven-unreachable prefix to k
