@@ -184,25 +184,19 @@ func BenchmarkAblation_JSATCacheOff(b *testing.B) {
 	benchAblationJSAT(b, jsat.Options{DisableCache: true})
 }
 
-func benchAblationSAT(b *testing.B, mode tseitin.Mode, opts sat.Options) {
+func benchAblationSAT(b *testing.B, mode tseitin.Mode) {
 	sys := circuits.Counter(10, 500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, k := range []int{10, 20} {
-			bmc.SolveUnroll(sys, k, bmc.UnrollOptions{Mode: mode, SAT: opts})
+			bmc.SolveUnroll(sys, k, bmc.UnrollOptions{Mode: mode})
 		}
 	}
 }
 
-func BenchmarkAblation_Tseitin(b *testing.B) { benchAblationSAT(b, tseitin.Full, sat.Options{}) }
+func BenchmarkAblation_Tseitin(b *testing.B) { benchAblationSAT(b, tseitin.Full) }
 func BenchmarkAblation_PlaistedGreenbaum(b *testing.B) {
-	benchAblationSAT(b, tseitin.PlaistedGreenbaum, sat.Options{})
-}
-func BenchmarkAblation_NoVSIDS(b *testing.B) {
-	benchAblationSAT(b, tseitin.Full, sat.Options{DisableVSIDS: true})
-}
-func BenchmarkAblation_NoMinimize(b *testing.B) {
-	benchAblationSAT(b, tseitin.Full, sat.Options{DisableMinimization: true})
+	benchAblationSAT(b, tseitin.PlaistedGreenbaum)
 }
 
 func benchQBFWall(b *testing.B, k int, viaQBF bool) {

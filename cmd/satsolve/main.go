@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	satsolve [-timeout 60s] [-no-vsids] [-no-restarts] [file.cnf]
+//	satsolve [-timeout 60s] [file.cnf]
 //
 // Reads from stdin when no file is given. Output follows the SAT
 // competition convention: an "s" status line and, for satisfiable
@@ -23,10 +23,8 @@ import (
 
 func main() {
 	var (
-		timeout    = flag.Duration("timeout", 0, "solve timeout (0 = none)")
-		noVSIDS    = flag.Bool("no-vsids", false, "disable the VSIDS decision heuristic")
-		noRestarts = flag.Bool("no-restarts", false, "disable Luby restarts")
-		stats      = flag.Bool("stats", false, "print solver statistics")
+		timeout = flag.Duration("timeout", 0, "solve timeout (0 = none)")
+		stats   = flag.Bool("stats", false, "print solver statistics")
 	)
 	flag.Parse()
 
@@ -46,19 +44,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := sat.Options{DisableVSIDS: *noVSIDS, DisableRestarts: *noRestarts}
+	var opts sat.Options
 	if *timeout > 0 {
 		opts.Deadline = time.Now().Add(*timeout)
 	}
 	s := sat.New(opts)
-	for s.NumVars() < formula.NumVars() {
-		s.NewVar()
-	}
-	for _, c := range formula.Clauses {
-		if !s.AddClause(c...) {
-			break
-		}
-	}
+	s.AddFormula(formula)
 	start := time.Now()
 	res := s.Solve()
 	if *stats {

@@ -26,58 +26,22 @@ func NewCancelFlag() *CancelFlag { return &cancel.Flag{} }
 // parent is set. A nil parent yields a fresh root flag.
 func DeriveCancel(parent *CancelFlag) *CancelFlag { return cancel.Derived(parent) }
 
-// DefaultPortfolio is the engine set EnginePortfolio races when
-// Options.PortfolioEngines is empty: the three witness-producing SAT
-// procedures with complementary space/time profiles. The QBF engines
-// are omitted by default — on anything beyond toy instances they lose
-// every race (the observation that motivated jSAT in the first place) —
-// but may be opted in through PortfolioEngines.
+// DefaultPortfolio is the engine set EnginePortfolio races: the three
+// witness-producing SAT procedures with complementary space/time
+// profiles. The QBF engines are left out — on anything beyond toy
+// instances they lose every race (the observation that motivated jSAT
+// in the first place).
 func DefaultPortfolio() []Engine {
 	return []Engine{EngineSAT, EngineSATIncr, EngineJSAT}
 }
 
-// competitors resolves the configured portfolio, dropping any
-// EnginePortfolio entries (a portfolio does not race portfolios).
-func (o Options) competitors() []Engine {
-	list := o.PortfolioEngines
-	if len(list) == 0 {
-		list = DefaultPortfolio()
-	}
-	out := make([]Engine, 0, len(list))
-	for _, e := range list {
-		if e != EnginePortfolio {
-			out = append(out, e)
-		}
-	}
-	if len(out) == 0 {
-		out = DefaultPortfolio()
-	}
-	return out
-}
-
-// checkPortfolio races one bounded query across the configured engines,
-// each on its own solver over the shared read-only system. The first
+// checkPortfolio races one bounded query across DefaultPortfolio, each
+// engine on its own solver over the shared read-only system. The first
 // Reachable/Unreachable answer wins and the rest are cancelled; if every
 // competitor comes back Unknown (budget, timeout, or caller
 // cancellation), so does the portfolio.
 func checkPortfolio(sys *System, k int, opts Options) Result {
-	engines := opts.competitors()
-	// The squaring engine answers a non-power-of-two bound by rounding
-	// it up under at-most-k semantics — a different question than the
-	// one the other competitors race, so its answer must not win here.
-	// Deepening races are unaffected: every bound the squaring schedule
-	// queries is a power of two.
-	if k&(k-1) != 0 {
-		kept := engines[:0]
-		for _, e := range engines {
-			if e != EngineQBFSquaring {
-				kept = append(kept, e)
-			}
-		}
-		if len(kept) > 0 {
-			engines = kept
-		}
-	}
+	engines := DefaultPortfolio()
 	tasks := make([]portfolio.Task[Result], len(engines))
 	for i, eng := range engines {
 		eng := eng
@@ -106,11 +70,9 @@ func checkPortfolio(sys *System, k int, opts Options) Result {
 // deepenPortfolio races whole iterative-deepening runs. Racing the runs
 // rather than the individual bounds lets each engine keep its own
 // deepening advantage (the incremental engine its persistent solver,
-// jSAT its hopeless cache across bounds, an opted-in EngineQBFSquaring
-// its power-of-two squaring schedule — see Options.PortfolioEngines for
-// the FoundAt caveat when that arm wins).
+// jSAT its hopeless cache across bounds).
 func deepenPortfolio(sys *System, maxBound int, opts Options) DeepenResult {
-	engines := opts.competitors()
+	engines := DefaultPortfolio()
 	tasks := make([]portfolio.Task[DeepenResult], len(engines))
 	for i, eng := range engines {
 		eng := eng

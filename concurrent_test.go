@@ -238,20 +238,6 @@ func TestPortfolioParentCancelAbortsBatch(t *testing.T) {
 	settleGoroutines(t, before)
 }
 
-// TestPortfolioCustomEngineSet pins Options.PortfolioEngines: a
-// one-engine portfolio must be decided by exactly that engine, and
-// EnginePortfolio entries in the list must be ignored rather than
-// recursing.
-func TestPortfolioCustomEngineSet(t *testing.T) {
-	sys := circuits.Counter(3, 5)
-	r := sebmc.Check(sys, 5, sebmc.EnginePortfolio, sebmc.Options{
-		PortfolioEngines: []sebmc.Engine{sebmc.EngineSATIncr, sebmc.EnginePortfolio},
-	})
-	if r.Status != sebmc.Reachable || r.DecidedBy != "sat-incr" {
-		t.Fatalf("custom portfolio: %v decided by %q, want Reachable by sat-incr", r.Status, r.DecidedBy)
-	}
-}
-
 // TestPortfolioCheckManyMixedEngines runs a batch where every job names
 // a different engine, pinning per-item options and ordering.
 func TestPortfolioCheckManyMixedEngines(t *testing.T) {

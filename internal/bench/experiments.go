@@ -259,7 +259,7 @@ type AblationResult struct {
 
 // RunAblations measures design-choice impact on a fixed slice of the
 // suite: jSAT hopeless-cache on/off, exact vs at-most semantics for the
-// cache, Tseitin vs Plaisted–Greenbaum, CDCL features off.
+// cache, and Tseitin vs Plaisted–Greenbaum.
 func RunAblations(cfg Config) []AblationResult {
 	suite := Suite()
 	// A slice with both SAT and UNSAT instances, small enough to repeat.
@@ -297,8 +297,8 @@ func RunAblations(cfg Config) []AblationResult {
 	runJSAT("jsat/no-cache", func(o *jsat.Options) { o.DisableCache = true })
 	runJSAT("jsat/atmost-cache", func(o *jsat.Options) { o.Semantics = bmc.AtMost })
 
-	// CDCL/CNF ablations run on a combinatorially hard workload where
-	// heuristic differences actually show: embedded 22-bit factoring
+	// CNF ablations run on a combinatorially hard workload where
+	// encoding differences actually show: embedded 22-bit factoring
 	// plus the deep counter family.
 	hard := []Instance{
 		{Family: "factor22", Sys: circuits.Factorizer(22, 2039*2029), K: 1},
@@ -306,15 +306,15 @@ func RunAblations(cfg Config) []AblationResult {
 		{Family: "prime21", Sys: circuits.Factorizer(21, 2097143), K: 1},
 		{Family: "counter", Sys: circuits.Counter(10, 500), K: 20},
 	}
-	runSAT := func(name string, mode tseitin.Mode, sopt sat.Options, preprocess bool) {
+	runSAT := func(name string, mode tseitin.Mode) {
 		start := time.Now()
 		solved := 0
 		var conflicts int64
 		for _, in := range hard {
-			sopt.ConflictBudget = cfg.SATConflicts
-			sopt.Deadline = cfg.deadline()
 			r := bmc.SolveUnroll(in.Sys, in.K, bmc.UnrollOptions{
-				Mode: mode, SAT: sopt, Semantics: cfg.Semantics, Preprocess: preprocess,
+				Mode:      mode,
+				SAT:       sat.Options{ConflictBudget: cfg.SATConflicts, Deadline: cfg.deadline()},
+				Semantics: cfg.Semantics,
 			})
 			if r.Status != bmc.Unknown {
 				solved++
@@ -323,12 +323,8 @@ func RunAblations(cfg Config) []AblationResult {
 		}
 		out = append(out, AblationResult{Name: name, Solved: solved, Total: len(hard), Elapsed: time.Since(start), Conflicts: conflicts})
 	}
-	runSAT("sat/tseitin", tseitin.Full, sat.Options{}, false)
-	runSAT("sat/plaisted-greenbaum", tseitin.PlaistedGreenbaum, sat.Options{}, false)
-	runSAT("sat/preprocess", tseitin.Full, sat.Options{}, true)
-	runSAT("sat/no-vsids", tseitin.Full, sat.Options{DisableVSIDS: true}, false)
-	runSAT("sat/no-restarts", tseitin.Full, sat.Options{DisableRestarts: true}, false)
-	runSAT("sat/no-minimize", tseitin.Full, sat.Options{DisableMinimization: true}, false)
+	runSAT("sat/tseitin", tseitin.Full)
+	runSAT("sat/plaisted-greenbaum", tseitin.PlaistedGreenbaum)
 	return out
 }
 

@@ -57,24 +57,6 @@ func TestUnrollMatchesExplicit(t *testing.T) {
 	}
 }
 
-func TestUnrollWithPreprocessing(t *testing.T) {
-	for _, sys := range smallSystems() {
-		chk := explicit.New(sys)
-		for k := 0; k <= 5; k++ {
-			want := chk.ReachableExact(k)
-			r := bmc.SolveUnroll(sys, k, bmc.UnrollOptions{Preprocess: true})
-			if (r.Status == bmc.Reachable) != want || r.Status == bmc.Unknown {
-				t.Errorf("%s k=%d preprocessed: unroll=%v explicit=%v", sys.Name, k, r.Status, want)
-			}
-			if r.Status == bmc.Reachable {
-				if err := r.Witness.Validate(r.System); err != nil {
-					t.Errorf("%s k=%d preprocessed: invalid witness: %v", sys.Name, k, err)
-				}
-			}
-		}
-	}
-}
-
 func TestUnrollPlaistedGreenbaum(t *testing.T) {
 	for _, sys := range smallSystems() {
 		chk := explicit.New(sys)

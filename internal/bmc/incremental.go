@@ -14,9 +14,9 @@ import (
 type IncrementalOptions struct {
 	Semantics Semantics
 	Mode      tseitin.Mode
-	// SAT configures the persistent solver. Per-call budgets
-	// (ConflictBudget, PropagationBudget) apply to each CheckBound query
-	// individually; the Deadline, when set, caps the whole run.
+	// SAT configures the persistent solver. Its ConflictBudget applies
+	// to each CheckBound query individually; the Deadline, when set,
+	// caps the whole run.
 	SAT sat.Options
 	// QueryTimeout, when positive, re-arms the solver deadline before
 	// each CheckBound query — the same per-check timeout contract the

@@ -119,37 +119,14 @@ type UnrollOptions struct {
 	Semantics Semantics
 	Mode      tseitin.Mode
 	SAT       sat.Options
-	// Preprocess applies CNF preprocessing (subsumption + bounded
-	// variable elimination) before solving, protecting the state and
-	// input variables so witnesses remain readable.
-	Preprocess bool
 }
 
 // SolveUnroll runs classical SAT-based BMC at bound k.
 func SolveUnroll(sys *model.System, k int, opts UnrollOptions) Result {
 	prepared := Prepare(sys, opts.Semantics)
 	enc := EncodeUnroll(prepared, k, opts.Mode)
-
-	if opts.Preprocess {
-		var protect []cnf.Var
-		for t := 0; t <= k; t++ {
-			protect = append(protect, enc.StateVars[t]...)
-			protect = append(protect, enc.InputVars[t]...)
-		}
-		if st := enc.F.Preprocess(protect, cnf.PreprocessOptions{}); st.Result == cnf.SimplifyUnsat {
-			return Result{Status: Unreachable, K: k, Formula: enc.Stats(), System: prepared}
-		}
-	}
-
 	s := sat.New(opts.SAT)
-	for s.NumVars() < enc.F.NumVars() {
-		s.NewVar()
-	}
-	for _, c := range enc.F.Clauses {
-		if !s.AddClause(c...) {
-			break
-		}
-	}
+	s.AddFormula(enc.F) // a refuted load leaves Solve answering Unsat
 	res := Result{K: k, Formula: enc.Stats(), System: prepared}
 	switch s.Solve() {
 	case sat.Sat:

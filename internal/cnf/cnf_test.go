@@ -173,82 +173,3 @@ func randomFormula(rng *rand.Rand, n, m int) *Formula {
 	}
 	return f
 }
-
-// TestSimplifyPreservesModels checks on random formulas that complete
-// assignments extending the simplified formula's units satisfy the
-// original exactly when they satisfy the simplified one.
-func TestSimplifyPreservesModels(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for iter := 0; iter < 200; iter++ {
-		n := 6
-		orig := randomFormula(rng, n, 3+rng.Intn(12))
-		// Add a couple of unit clauses to make propagation interesting.
-		for u := 0; u < 2; u++ {
-			orig.Add(MkLit(Var(rng.Intn(n)+1), rng.Intn(2) == 0))
-		}
-		simp := orig.Clone()
-		res, units := simp.Simplify()
-
-		// Enumerate all complete assignments of the original.
-		for bits := 0; bits < 1<<n; bits++ {
-			a := NewAssignment(n)
-			for v := 1; v <= n; v++ {
-				a.Set(Var(v), BoolValue(bits>>(v-1)&1 == 1))
-			}
-			origSat := orig.Eval(a) == StatusSatisfied
-
-			// The assignment agrees with the derived units?
-			agrees := true
-			for v := 1; v <= n; v++ {
-				if u := units.Get(Var(v)); u != Undef && u != a.Get(Var(v)) {
-					agrees = false
-					break
-				}
-			}
-			var simpSat bool
-			switch res {
-			case SimplifyUnsat:
-				simpSat = false
-			case SimplifySat:
-				simpSat = agrees
-			default:
-				simpSat = agrees && simp.Eval(a) == StatusSatisfied
-			}
-			if origSat != simpSat {
-				t.Fatalf("iter %d bits %b: orig=%v simp=%v (res=%v units=%v)",
-					iter, bits, origSat, simpSat, res, units)
-			}
-		}
-	}
-}
-
-func TestSimplifyDetectsUnsat(t *testing.T) {
-	f := NewFormula(1)
-	f.Add(PosLit(1))
-	f.Add(NegLit(1))
-	res, _ := f.Simplify()
-	if res != SimplifyUnsat {
-		t.Fatalf("want unsat, got %v", res)
-	}
-}
-
-func TestSimplifyDetectsSat(t *testing.T) {
-	f := NewFormula(2)
-	f.Add(PosLit(1))
-	f.Add(PosLit(1), PosLit(2))
-	res, units := f.Simplify()
-	if res != SimplifySat {
-		t.Fatalf("want sat, got %v", res)
-	}
-	if units.Get(1) != True {
-		t.Fatalf("unit not recorded")
-	}
-}
-
-func TestSimplifyEmptyClauseUnsat(t *testing.T) {
-	f := NewFormula(1)
-	f.AddClause(Clause{})
-	if res, _ := f.Simplify(); res != SimplifyUnsat {
-		t.Fatalf("empty clause must be unsat")
-	}
-}

@@ -52,10 +52,6 @@ type Options struct {
 	Mode tseitin.Mode
 	// SAT configures every solver call.
 	SAT sat.Options
-	// SimplePath adds the pairwise-distinct-states constraint to the
-	// step case (on by default in Prove; this flag disables it for the
-	// E5 ablation).
-	DisableSimplePath bool
 }
 
 // Result reports a proof attempt.
@@ -96,7 +92,7 @@ func Prove(sys *model.System, maxK int, opts Options) Result {
 
 // stepCase checks satisfiability of
 //
-//	path(Z0..Zk+1) ∧ ¬bad(Z0..Zk) ∧ bad(Zk+1) [∧ all Zi distinct]
+//	path(Z0..Zk+1) ∧ ¬bad(Z0..Zk) ∧ bad(Zk+1) ∧ Z0..Zk pairwise distinct
 //
 // without the initial-state constraint. Unsat means the property is
 // k-inductive.
@@ -140,18 +136,11 @@ func stepCase(sys *model.System, k int, opts Options) sat.Status {
 	}
 	f.AddUnit(badLits[steps])
 
-	if !opts.DisableSimplePath {
-		addSimplePath(f, stateVars[:steps]) // states 0..k pairwise distinct
-	}
+	addSimplePath(f, stateVars[:steps]) // states 0..k pairwise distinct
 
 	s := sat.New(opts.SAT)
-	for s.NumVars() < f.NumVars() {
-		s.NewVar()
-	}
-	for _, c := range f.Clauses {
-		if !s.AddClause(c...) {
-			return sat.Unsat
-		}
+	if !s.AddFormula(f) {
+		return sat.Unsat
 	}
 	return s.Solve()
 }

@@ -86,11 +86,6 @@ func TestSimplePathNeeded(t *testing.T) {
 	if d := explicit.New(sys).ShortestCounterexample(); d != -1 {
 		t.Fatalf("loopy is unsafe at %d", d)
 	}
-	// Plain induction cannot close it.
-	plain := induction.Prove(sys, 8, induction.Options{DisableSimplePath: true})
-	if plain.Status == induction.Proved {
-		t.Fatalf("plain induction should not prove loopy (closed at k=%d)", plain.K)
-	}
 	// Simple-path induction closes it quickly.
 	sp := induction.Prove(sys, 8, induction.Options{})
 	if sp.Status != induction.Proved {
@@ -110,13 +105,13 @@ func TestProveWithPlaistedGreenbaum(t *testing.T) {
 }
 
 func TestUnknownOnDepthExhaustion(t *testing.T) {
-	// A safe system whose proof needs more depth than allowed: loopy
-	// without simple path and a tiny maxK.
+	// A safe system whose proof needs more depth than allowed:
+	// simple-path induction closes loopy at k=2, so maxK=1 is too shallow.
 	sys, err := msl.Load(loopySrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := induction.Prove(sys, 1, induction.Options{DisableSimplePath: true})
+	r := induction.Prove(sys, 1, induction.Options{})
 	if r.Status != induction.Unknown {
 		t.Fatalf("expected Unknown at maxK=1, got %v", r.Status)
 	}

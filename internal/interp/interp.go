@@ -20,32 +20,21 @@ type Options struct {
 	// (default 64). An exhausted cap returns the deepest bound proven,
 	// never UNKNOWN-with-nothing.
 	MaxWindow int
-	// MaxIterations caps image iterations per window (default 64).
-	MaxIterations int
-	// ProofBudgetBytes bounds each query's resolution log (default
-	// 64 MiB); an overrun degrades that query to "no interpolant".
-	ProofBudgetBytes int
 }
+
+const (
+	// maxIterations caps image iterations per window.
+	maxIterations = 64
+	// proofBudgetBytes bounds each query's resolution log; an overrun
+	// degrades that query to "no interpolant".
+	proofBudgetBytes = 64 << 20
+)
 
 func (o Options) maxWindow() int {
 	if o.MaxWindow > 0 {
 		return o.MaxWindow
 	}
 	return 64
-}
-
-func (o Options) maxIterations() int {
-	if o.MaxIterations > 0 {
-		return o.MaxIterations
-	}
-	return 64
-}
-
-func (o Options) proofBudget() int {
-	if o.ProofBudgetBytes > 0 {
-		return o.ProofBudgetBytes
-	}
-	return 64 << 20
 }
 
 // Result is the outcome of an unbounded proving attempt.
@@ -145,20 +134,10 @@ func Solve(sys *model.System, opts Options) Result {
 		enc := bmc.EncodeInterp(red, w, opts.Mode, emitR)
 		satOpts := opts.SAT
 		satOpts.LogProof = true
-		satOpts.ProofBudgetBytes = opts.proofBudget()
+		satOpts.ProofBudgetBytes = proofBudgetBytes
 		s := sat.New(satOpts)
-		for s.NumVars() < enc.F.NumVars() {
-			s.NewVar()
-		}
 		st := sat.Unsat
-		loaded := true
-		for _, c := range enc.F.Clauses {
-			if !s.AddClause(c...) {
-				loaded = false
-				break
-			}
-		}
-		if loaded {
+		if s.AddFormula(enc.F) {
 			st = s.Solve()
 		}
 		res.Conflicts += s.Stats.Conflicts
@@ -233,7 +212,7 @@ func Solve(sys *model.System, opts Options) Result {
 				epochStart = true
 				iters = 0
 			case sat.Sat:
-				if iters >= opts.maxIterations() {
+				if iters >= maxIterations {
 					return res.conclude(provenDepth)
 				}
 				r = rG.Or(r, itp)
@@ -268,13 +247,8 @@ func (r *Result) note(s *sat.Solver) {
 // was refuted during loading.
 func newSolver(opts sat.Options, f *cnf.Formula) *sat.Solver {
 	s := sat.New(opts)
-	for s.NumVars() < f.NumVars() {
-		s.NewVar()
-	}
-	for _, c := range f.Clauses {
-		if !s.AddClause(c...) {
-			return nil
-		}
+	if !s.AddFormula(f) {
+		return nil
 	}
 	return s
 }

@@ -142,13 +142,8 @@ func (inv *Invariant) Check(sys *model.System, opts sat.Options) error {
 // expectUnsat loads f into a fresh solver and demands a refutation.
 func expectUnsat(f *cnf.Formula, opts sat.Options, obligation string) error {
 	s := sat.New(opts)
-	for s.NumVars() < f.NumVars() {
-		s.NewVar()
-	}
-	for _, c := range f.Clauses {
-		if !s.AddClause(c...) {
-			return nil // refuted during loading
-		}
+	if !s.AddFormula(f) {
+		return nil // refuted during loading
 	}
 	switch s.Solve() {
 	case sat.Unsat:

@@ -225,7 +225,7 @@ func (s *Solver) buildStepSolver() {
 	f.Add(cnf.NegLit(s.actF), bad)
 
 	s.step = sat.New(s.opts.SAT)
-	loadFormula(s.step, f)
+	s.step.AddFormula(f)
 }
 
 func (s *Solver) buildInitSolver() {
@@ -251,18 +251,7 @@ func (s *Solver) buildInitSolver() {
 	f.Add(cnf.NegLit(s.actBad), bad)
 
 	s.init = sat.New(s.opts.SAT)
-	loadFormula(s.init, f)
-}
-
-func loadFormula(s *sat.Solver, f *cnf.Formula) {
-	for s.NumVars() < f.NumVars() {
-		s.NewVar()
-	}
-	for _, c := range f.Clauses {
-		if !s.AddClause(c...) {
-			return
-		}
-	}
+	s.init.AddFormula(f)
 }
 
 // MemBytes reports the solver's live formula memory: the single TR

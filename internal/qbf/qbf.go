@@ -48,9 +48,6 @@ type Options struct {
 	// Cancel, when non-nil, aborts the search with Unknown as soon as
 	// the flag is set. Polled at every search node, like NodeBudget.
 	Cancel *cancel.Flag
-	// DisablePure turns off the pure-literal rule (used in tests to
-	// exercise both configurations).
-	DisablePure bool
 }
 
 // Stats are cumulative search statistics.
@@ -288,10 +285,8 @@ func (s *Solver) propagate() (conflict, allSat bool) {
 		if allSat {
 			return false, true
 		}
-		if !s.opts.DisablePure {
-			if s.assignPure() {
-				changed = true
-			}
+		if s.assignPure() {
+			changed = true
 		}
 		if !changed {
 			return false, false

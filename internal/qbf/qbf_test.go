@@ -169,7 +169,7 @@ func randomPCNF(rng *rand.Rand, nVars, nClauses, width int) *cnf.PCNF {
 }
 
 // TestFuzzAgainstBruteForce is the master correctness test: many random
-// small QBFs, solver vs full expansion, with and without the pure rule.
+// small QBFs, solver vs full expansion.
 func TestFuzzAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(2005))
 	for iter := 0; iter < 400; iter++ {
@@ -177,12 +177,9 @@ func TestFuzzAgainstBruteForce(t *testing.T) {
 		nClauses := 2 + rng.Intn(3*nVars)
 		p := randomPCNF(rng, nVars, nClauses, 3)
 		want := bruteForce(p)
-		for _, opts := range []Options{{}, {DisablePure: true}} {
-			got := New(p, opts).Solve()
-			if (got == True) != want || got == Unknown {
-				t.Fatalf("iter %d (pure=%v): got %v want %v\nprefix %v\nclauses %v",
-					iter, !opts.DisablePure, got, want, p.Prefix, p.Matrix.Clauses)
-			}
+		if got := New(p, Options{}).Solve(); (got == True) != want || got == Unknown {
+			t.Fatalf("iter %d: got %v want %v\nprefix %v\nclauses %v",
+				iter, got, want, p.Prefix, p.Matrix.Clauses)
 		}
 	}
 }

@@ -85,7 +85,9 @@ func (s *Solver) analyze(confl ClauseRef) ([]cnf.Lit, int, uint32) {
 	// (lower-level ones); resolved current-level variables were cleared
 	// in the loop. That is the state minimization relies on.
 
-	if !s.opts.DisableMinimization {
+	// Minimization performs resolutions the proof chain would not
+	// record, so proof logging turns it off.
+	if !logging {
 		learnt = s.minimize(learnt)
 	}
 

@@ -198,7 +198,7 @@ func TestReduceDBCompactsWithOutstandingReasons(t *testing.T) {
 
 	// The solver must still be usable and agree with a fresh solver.
 	fresh := New(Options{})
-	addFormula(fresh, &f)
+	fresh.AddFormula(&f)
 	if got, ref := s.Solve(), fresh.Solve(); got != ref || got != want {
 		t.Fatalf("verdict drifted after compaction: got %v, fresh %v, first %v", got, ref, want)
 	}
@@ -238,7 +238,7 @@ func TestCompactionFuzz(t *testing.T) {
 
 		got := s.Solve()
 		fresh := New(Options{})
-		addFormula(fresh, &f)
+		fresh.AddFormula(&f)
 		if ref := fresh.Solve(); got != ref {
 			t.Fatalf("round %d: persistent solver says %v, fresh solver %v", round, got, ref)
 		}

@@ -62,7 +62,6 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 	}
 
 	startConflicts := s.Stats.Conflicts
-	startProps := s.Stats.Propagations
 	deadlineCheck := int64(0)
 	decisionCheck := int64(0)
 
@@ -102,9 +101,6 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 			if s.opts.ConflictBudget > 0 && s.Stats.Conflicts-startConflicts >= s.opts.ConflictBudget {
 				return Unknown
 			}
-			if s.opts.PropagationBudget > 0 && s.Stats.Propagations-startProps >= s.opts.PropagationBudget {
-				return Unknown
-			}
 			if s.canceled() {
 				return Unknown
 			}
@@ -116,7 +112,7 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 		}
 
 		// No conflict: restart, reduce, or extend the assignment.
-		if !s.opts.DisableRestarts && s.conflictsCur >= int64(s.restartBase*luby(s.lubyIndex)) {
+		if s.conflictsCur >= int64(s.restartBase*luby(s.lubyIndex)) {
 			s.lubyIndex++
 			s.conflictsCur = 0
 			s.Stats.Restarts++
@@ -196,14 +192,6 @@ func luby(x int) int {
 }
 
 func (s *Solver) pickBranchLit() cnf.Lit {
-	if s.opts.DisableVSIDS {
-		for v := cnf.Var(1); int(v) < len(s.assigns); v++ {
-			if s.assigns[v] == cnf.Undef {
-				return s.phasedLit(v)
-			}
-		}
-		return cnf.NoLit
-	}
 	for !s.order.empty() {
 		v := s.order.removeMax()
 		if s.assigns[v] == cnf.Undef {
@@ -214,7 +202,7 @@ func (s *Solver) pickBranchLit() cnf.Lit {
 }
 
 func (s *Solver) phasedLit(v cnf.Var) cnf.Lit {
-	if !s.opts.DisablePhaseSaving && s.polarity[v] {
+	if s.polarity[v] {
 		return cnf.PosLit(v)
 	}
 	return cnf.NegLit(v)

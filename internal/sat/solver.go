@@ -53,15 +53,12 @@ func (s Status) String() string {
 	return "UNKNOWN"
 }
 
-// Options configure a Solver. The zero value enables every feature with
-// library defaults; the Disable* switches exist for the E5 ablation
-// experiments.
+// Options configure a Solver. The zero value runs every feature with
+// library defaults.
 type Options struct {
 	// ConflictBudget, when positive, bounds the number of conflicts of a
 	// single Solve call; exceeding it yields Unknown.
 	ConflictBudget int64
-	// PropagationBudget, when positive, bounds literal propagations.
-	PropagationBudget int64
 	// Deadline, when non-zero, aborts the solve with Unknown once passed.
 	// It is polled every few dozen conflicts, every few hundred
 	// decisions, and at every restart, so conflict-free runs stop too.
@@ -80,18 +77,8 @@ type Options struct {
 	// mismatch — incremental clients that enumerate under a fixed
 	// prefix (jSAT's successor enumeration) then re-propagate nothing
 	// for the unchanged part. The switch exists for the reuse
-	// differential tests and ablations.
+	// differential tests.
 	DisableTrailReuse bool
-
-	// DisableVSIDS branches on the lowest-indexed unassigned variable
-	// instead of activity order.
-	DisableVSIDS bool
-	// DisableRestarts turns off Luby restarts.
-	DisableRestarts bool
-	// DisablePhaseSaving always branches negative first.
-	DisablePhaseSaving bool
-	// DisableMinimization turns off learnt-clause minimization.
-	DisableMinimization bool
 
 	// LogProof records a resolution derivation for every learnt clause
 	// and the final empty clause, so an Unsat answer comes with a
@@ -230,9 +217,8 @@ func New(opts Options) *Solver {
 	s.binWatches = append(s.binWatches, nil, nil)
 	s.order.solver = s
 	if opts.LogProof {
-		// Minimization performs resolutions the chains would not record,
-		// and a retained trail would leave root facts underived.
-		s.opts.DisableMinimization = true
+		// A retained trail would leave root facts underived. (analyze
+		// also skips minimization while logging: see proof.go.)
 		s.opts.DisableTrailReuse = true
 		s.proof = &Proof{EmptyID: -1, budget: opts.ProofBudgetBytes}
 		s.proofRef = make(map[ClauseRef]int32)
@@ -501,6 +487,22 @@ func (s *Solver) AddClause(lits ...cnf.Lit) bool {
 	return true
 }
 
+// AddFormula creates f's variables and adds its clauses in order. Like
+// AddClause it returns false once the clause set is trivially
+// unsatisfiable, and it stops loading at that clause: a later Solve
+// answers Unsat without searching.
+func (s *Solver) AddFormula(f *cnf.Formula) bool {
+	for s.NumVars() < f.NumVars() {
+		s.NewVar()
+	}
+	for _, c := range f.Clauses {
+		if !s.AddClause(c...) {
+			return false
+		}
+	}
+	return true
+}
+
 // pushWatch appends to a ≥3-literal watch list, keeping watchCapBytes
 // current when the append grows the backing array.
 func (s *Solver) pushWatch(li cnf.Lit, w watcher) {
@@ -570,9 +572,7 @@ func (s *Solver) cancelUntil(lvl int) {
 	for i := len(s.trail) - 1; i >= bound; i-- {
 		l := s.trail[i]
 		v := l.Var()
-		if !s.opts.DisablePhaseSaving {
-			s.polarity[v] = s.assigns[v] == cnf.True
-		}
+		s.polarity[v] = s.assigns[v] == cnf.True
 		s.assigns[v] = cnf.Undef
 		s.vals[l] = cnf.Undef
 		s.vals[l.Neg()] = cnf.Undef

@@ -82,22 +82,6 @@ func TestDeadlineRespected(t *testing.T) {
 	}
 }
 
-func TestPropagationBudget(t *testing.T) {
-	s := New(Options{PropagationBudget: 5})
-	v := mkVars(s, 40)
-	// Implication chain x1 -> x2 -> ... -> x40; solving propagates a lot.
-	for i := 1; i < 40; i++ {
-		s.AddClause(cnf.NegLit(v[i]), cnf.PosLit(v[i+1]))
-	}
-	s.AddClause(cnf.PosLit(v[1]))
-	s.AddClause(cnf.NegLit(v[40]))
-	// The instance is UNSAT; with a 5-propagation budget the solver may
-	// stop early — either answer must be Unsat or Unknown, never Sat.
-	if res := s.Solve(); res == Sat {
-		t.Fatalf("budgeted solve returned Sat on UNSAT instance")
-	}
-}
-
 // TestAddClauseUnderRetainedTrail replaces the old "AddClause during
 // search panics" contract: with trail reuse, adding clauses between
 // Solve calls while decision levels are retained is the normal
@@ -182,11 +166,11 @@ func TestLearntClauseSoundness(t *testing.T) {
 		n := 8 + rng.Intn(6)
 		f := randomCNF(rng, n, n*4, 3)
 		s1 := New(Options{})
-		addFormula(s1, f)
+		s1.AddFormula(f)
 		want := s1.Solve()
 
 		s2 := New(Options{})
-		addFormula(s2, f)
+		s2.AddFormula(f)
 		// Import s1's learnt clauses as problem clauses.
 		ok := true
 		for _, c := range s1.learnts {

@@ -265,17 +265,6 @@ func refSolve(f *cnf.Formula) bool {
 	return rec()
 }
 
-func addFormula(s *Solver, f *cnf.Formula) bool {
-	for s.NumVars() < f.NumVars() {
-		s.NewVar()
-	}
-	ok := true
-	for _, c := range f.Clauses {
-		ok = s.AddClause(c...) && ok
-	}
-	return ok
-}
-
 func randomCNF(rng *rand.Rand, nVars, nClauses, width int) *cnf.Formula {
 	f := cnf.NewFormula(nVars)
 	for i := 0; i < nClauses; i++ {
@@ -301,7 +290,9 @@ func TestFuzzAgainstReference(t *testing.T) {
 
 		want := refSolve(f)
 		s := New(Options{})
-		addFormula(s, f)
+		if !s.AddFormula(f) && want {
+			t.Fatalf("iter %d: loading refuted a satisfiable formula: %v", iter, f.Clauses)
+		}
 		got := s.Solve()
 		if (got == Sat) != want {
 			t.Fatalf("iter %d: cdcl=%v ref=%v\nformula: %v", iter, got, want, f.Clauses)
@@ -318,27 +309,43 @@ func TestFuzzAgainstReference(t *testing.T) {
 	}
 }
 
-// TestFuzzAblations re-runs the fuzz with each feature disabled; results
-// must not change (only performance may).
+// TestFuzzAblations checks every solver configuration against brute
+// force: the default, without trail reuse, and with proof logging (the
+// only path that skips minimization and suspends learnt deletion).
+// Every clause has three literals, near the 3-SAT threshold, so the
+// formulas reach the search instead of being refuted while loading.
+// The first two configurations answer a run of assumption vectors that
+// share prefixes, where trail reuse acts; proof logging answers its one
+// query without assumptions.
 func TestFuzzAblations(t *testing.T) {
-	optsList := []Options{
-		{DisableVSIDS: true},
-		{DisableRestarts: true},
-		{DisablePhaseSaving: true},
-		{DisableMinimization: true},
-		{DisableVSIDS: true, DisableRestarts: true, DisablePhaseSaving: true, DisableMinimization: true},
-	}
 	rng := rand.New(rand.NewSource(77))
 	for iter := 0; iter < 120; iter++ {
-		nVars := 4 + rng.Intn(7)
-		nClauses := int(float64(nVars) * 4)
-		f := randomCNF(rng, nVars, nClauses, 3)
-		want := refSolve(f)
-		for oi, opts := range optsList {
+		nVars := 10 + rng.Intn(6)
+		lit := func() cnf.Lit { return cnf.MkLit(cnf.Var(1+rng.Intn(nVars)), rng.Intn(2) == 0) }
+		f := cnf.NewFormula(nVars)
+		for i := 0; i < nVars*43/10; i++ {
+			f.Add(lit(), lit(), lit())
+		}
+		prefix := []cnf.Lit{lit(), lit(), lit()}
+		queries := [][]cnf.Lit{nil, prefix[:1], prefix[:2], prefix, prefix[:2], nil}
+		want := make([]bool, len(queries))
+		for qi, assumps := range queries {
+			ext := f.Clone()
+			for _, l := range assumps {
+				ext.Add(l)
+			}
+			want[qi] = refSolve(ext)
+		}
+		for oi, opts := range []Options{{}, {DisableTrailReuse: true}, {LogProof: true}} {
 			s := New(opts)
-			addFormula(s, f)
-			if got := s.Solve(); (got == Sat) != want {
-				t.Fatalf("iter %d opts %d: got %v want sat=%v", iter, oi, got, want)
+			s.AddFormula(f)
+			for qi, assumps := range queries {
+				if opts.LogProof && qi > 0 {
+					break
+				}
+				if got := s.Solve(assumps...); (got == Sat) != want[qi] {
+					t.Fatalf("iter %d opts %d query %d: got %v want sat=%v", iter, oi, qi, got, want[qi])
+				}
 			}
 		}
 	}
@@ -363,7 +370,7 @@ func TestFuzzAssumptionsAgainstReference(t *testing.T) {
 		want := refSolve(fExt)
 
 		s := New(Options{})
-		addFormula(s, f)
+		s.AddFormula(f)
 		got := s.Solve(assumps...)
 		if (got == Sat) != want {
 			t.Fatalf("iter %d: got %v want sat=%v (assumps %v)", iter, got, want, assumps)

@@ -57,6 +57,7 @@ package service
 // restart wants to see.
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -277,7 +278,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		clampDeadline(r, j)
 		items[i] = j
 	}
-	parent := newBatchCancel(r)
+	// A client disconnect cancels every item. The request context also
+	// ends when the handler returns, by which time every item is done.
+	parent := sebmc.NewCancelFlag()
+	context.AfterFunc(r.Context(), parent.Set)
 	for _, j := range items {
 		j.cancel = sebmc.DeriveCancel(parent)
 	}
@@ -320,18 +324,6 @@ func (s *Server) batchHits(items []*job, hits []*JobResult) {
 	for i, j := range items {
 		hits[i], _ = s.cached(j)
 	}
-}
-
-// newBatchCancel returns a flag that is set when the request's client
-// disconnects (the request context also ends when the handler returns,
-// so the watcher never outlives the batch by more than a moment).
-func newBatchCancel(r *http.Request) *sebmc.CancelFlag {
-	parent := sebmc.NewCancelFlag()
-	go func() {
-		<-r.Context().Done()
-		parent.Set()
-	}()
-	return parent
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

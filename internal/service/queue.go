@@ -194,7 +194,7 @@ func (j *job) setState(s JobState) {
 
 // finish publishes the result and drops the model text and its parse:
 // nothing reads them once the answer is out, and the job history keeps
-// up to MaxJobs finished jobs.
+// up to maxJobs finished jobs.
 func (j *job) finish(res *JobResult) {
 	j.mu.Lock()
 	j.state = JobDone

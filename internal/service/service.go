@@ -70,9 +70,6 @@ type Config struct {
 	// DefaultSchedule is the deepening schedule for requests that name
 	// none (zero value = linear).
 	DefaultSchedule sebmc.Schedule
-	// MaxJobs bounds the finished-job history kept for status queries
-	// (0 = 4096). Oldest finished jobs are evicted first.
-	MaxJobs int
 
 	// MaxTimeout caps every request's solving budget: a client
 	// timeout_ms above it is clamped, and a request with no timeout at
@@ -110,9 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SessionBytes == 0 {
 		c.SessionBytes = 64 << 20
-	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 4096
 	}
 	if c.QuarantineThreshold == 0 {
 		c.QuarantineThreshold = 3
@@ -422,8 +416,12 @@ func (s *Server) newJob(req CheckRequest, raw []byte) (*job, error) {
 	}, nil
 }
 
+// maxJobs bounds the finished-job history kept for status queries.
+// Oldest finished jobs are evicted first.
+const maxJobs = 4096
+
 // registerLocked assigns an id and stores the job in the history,
-// evicting the oldest finished jobs beyond the cap. Callers hold s.mu.
+// evicting the oldest finished jobs beyond maxJobs. Callers hold s.mu.
 func (s *Server) registerLocked(j *job) {
 	s.nextID++
 	j.id = fmt.Sprintf("job-%06d", s.nextID)
@@ -439,7 +437,7 @@ func (s *Server) registerLocked(j *job) {
 // front-to-back rescan or slice shift per submission. Callers hold
 // s.mu.
 func (s *Server) evictHistoryLocked() {
-	for len(s.jobs) > s.cfg.MaxJobs {
+	for len(s.jobs) > maxJobs {
 		evicted := false
 		for i := s.head; i < len(s.order); i++ {
 			id := s.order[i]

@@ -172,26 +172,3 @@ func (e *Encoding) encodeNode(node uint32, pol uint8) {
 		e.F.Add(n, la.Neg(), lb.Neg())
 	}
 }
-
-// EncodeRoots is a convenience: it binds each leaf of g (inputs then
-// latches, in declaration order) to fresh variables of f, encodes the
-// given root literals (both polarities), and returns the root CNF
-// literals together with the input and latch variable vectors.
-func EncodeRoots(g *aig.Graph, f *cnf.Formula, mode Mode, roots ...aig.Lit) (rootLits []cnf.Lit, inputVars, latchVars []cnf.Var) {
-	e := New(g, f, mode)
-	inputVars = make([]cnf.Var, g.NumInputs())
-	for i, il := range g.Inputs() {
-		inputVars[i] = f.NewVar()
-		e.BindLit(il, inputVars[i])
-	}
-	latchVars = make([]cnf.Var, g.NumLatches())
-	for i := 0; i < g.NumLatches(); i++ {
-		latchVars[i] = f.NewVar()
-		e.BindLit(g.LatchLit(i), latchVars[i])
-	}
-	rootLits = make([]cnf.Lit, len(roots))
-	for i, r := range roots {
-		rootLits[i] = e.Lit(r)
-	}
-	return rootLits, inputVars, latchVars
-}

@@ -200,29 +200,3 @@ func mustPanic(t *testing.T, name string, fn func()) {
 	}()
 	fn()
 }
-
-func TestEncodeRoots(t *testing.T) {
-	g := aig.New()
-	in := g.AddInput("i")
-	l := g.AddLatch("l", aig.Init0)
-	g.SetNext(l, g.Xor(l, in))
-	f := &cnf.Formula{}
-	roots, inVars, latchVars := EncodeRoots(g, f, Full, l.Not(), g.And(l, in))
-	if len(roots) != 2 || len(inVars) != 1 || len(latchVars) != 1 {
-		t.Fatalf("shape wrong: %v %v %v", roots, inVars, latchVars)
-	}
-	// ¬l with l bound false must be satisfiable together.
-	s := sat.New(sat.Options{})
-	for s.NumVars() < f.NumVars() {
-		s.NewVar()
-	}
-	for _, c := range f.Clauses {
-		s.AddClause(c...)
-	}
-	if s.Solve(cnf.NegLit(latchVars[0]), roots[0]) != sat.Sat {
-		t.Fatalf("root literal inconsistent with binding")
-	}
-	if s.Solve(cnf.PosLit(latchVars[0]), roots[0]) != sat.Unsat {
-		t.Fatalf("¬l should conflict with l=1")
-	}
-}

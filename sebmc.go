@@ -27,9 +27,8 @@
 //     built-in search-based QBF solver.
 //   - EngineQBFSquaring: the paper's formula (3); iterative squaring,
 //     with quantifier alternation depth growing as log k.
-//   - EnginePortfolio: races a configurable set of the engines above
-//     (default sat, sat-incr, jsat) concurrently on one query, each on
-//     its own solver. The first decisive answer wins, the result is
+//   - EnginePortfolio: races sat, sat-incr and jsat concurrently on one
+//     query, each on its own solver. The first decisive answer wins, the result is
 //     tagged with the winning engine (Result.DecidedBy), and the losing
 //     solvers are stopped through a cooperative cancellation flag they
 //     poll alongside their deadlines. Because the competitors have
@@ -248,22 +247,12 @@ type Options struct {
 	// PlaistedGreenbaum selects the polarity-aware CNF transformation
 	// instead of full Tseitin.
 	PlaistedGreenbaum bool
-	// DisableJSATCache turns off jSAT's hopeless-state cache.
-	DisableJSATCache bool
 	// Cancel, when non-nil, aborts the check cooperatively: the flag is
 	// polled by every solver loop on the same schedule as its deadline,
 	// so a cancelled check returns Unknown within a few conflicts. The
 	// portfolio engine derives per-competitor flags from it, and batch
 	// jobs may share one parent flag to cancel a whole run.
 	Cancel *CancelFlag
-	// PortfolioEngines selects the competitors EnginePortfolio races.
-	// Empty means DefaultPortfolio. EnginePortfolio itself is ignored in
-	// the list (a portfolio does not race portfolios). EngineQBFSquaring
-	// may be opted in as a deep-bug arm: its deepening runs follow the
-	// at-most-k squaring schedule, so when it wins a Deepen race,
-	// FoundAt is the first power-of-two bound covering the
-	// counterexample rather than the exact shortest depth.
-	PortfolioEngines []Engine
 	// Schedule selects the deepening bound schedule (Deepen, Session
 	// deepening, DeepenMany). ScheduleGeometric implies at-most-k
 	// semantics. EngineQBFSquaring ignores it and always follows its
@@ -328,13 +317,12 @@ func checkSingle(sys *System, k int, engine Engine, opts Options) Result {
 		// cutoffs for the same check.
 		d := opts.deadline()
 		s := jsat.New(sys, jsat.Options{
-			Semantics:    opts.Semantics,
-			Mode:         opts.mode(),
-			QueryBudget:  opts.QueryBudget,
-			Deadline:     d,
-			Cancel:       opts.Cancel,
-			DisableCache: opts.DisableJSATCache,
-			SAT:          sat.Options{ConflictBudget: opts.ConflictBudget, Deadline: d},
+			Semantics:   opts.Semantics,
+			Mode:        opts.mode(),
+			QueryBudget: opts.QueryBudget,
+			Deadline:    d,
+			Cancel:      opts.Cancel,
+			SAT:         sat.Options{ConflictBudget: opts.ConflictBudget, Deadline: d},
 		})
 		return s.Check(k)
 	case EngineQBFLinear:

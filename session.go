@@ -110,12 +110,11 @@ func NewSession(sys *System, engine Engine, opts Options) (*Session, error) {
 		s.incr = bmc.NewIncrementalUnroller(sys, io)
 	case EngineJSAT:
 		s.js = jsat.New(sys, jsat.Options{
-			Semantics:    opts.Semantics,
-			Mode:         opts.mode(),
-			QueryBudget:  opts.QueryBudget,
-			Cancel:       opts.Cancel,
-			DisableCache: opts.DisableJSATCache,
-			SAT:          sat.Options{ConflictBudget: opts.ConflictBudget},
+			Semantics:   opts.Semantics,
+			Mode:        opts.mode(),
+			QueryBudget: opts.QueryBudget,
+			Cancel:      opts.Cancel,
+			SAT:         sat.Options{ConflictBudget: opts.ConflictBudget},
 		})
 	default:
 		return nil, fmt.Errorf("sebmc: engine %v cannot run as a session (want sat-incr or jsat)", engine)
