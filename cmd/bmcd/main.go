@@ -41,10 +41,10 @@
 // internal/faultpoint. Production runs leave it unset: every site is
 // then a single atomic load.
 //
-// Endpoints (all JSON): POST /v1/check, POST /v1/batch,
-// GET /v1/jobs/{id}, GET /v1/results/{id}, DELETE /v1/jobs/{id},
-// GET /metrics, GET /healthz. See the README's "Running as a service"
-// section for a worked curl session.
+// Endpoints (all JSON): POST /v1/check, POST /v1/batch, GET /metrics,
+// GET /healthz. A check answers on the connection that sent it, and a
+// client that disconnects first cancels it. See the README's "Running
+// as a service" section for a worked curl session.
 //
 // Terminal verdicts: a check with {"prove":true} or {"engine":"interp"}
 // can answer SAFE — safe at every depth, with a replayable invariant
@@ -163,8 +163,8 @@ func main() {
 		log.Fatal(err)
 	}
 	// Header/read/idle timeouts keep a slow or stalled client from
-	// pinning a connection forever; no WriteTimeout, because a wait=true
-	// check legitimately holds its response for the whole solve.
+	// pinning a connection forever; no WriteTimeout, because a check
+	// legitimately holds its response for the whole solve.
 	httpSrv := &http.Server{
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,

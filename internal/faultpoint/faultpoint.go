@@ -187,16 +187,6 @@ func Arm(name string, s Schedule) {
 	sites[name] = &site{sched: s}
 }
 
-// Disarm removes the named site's schedule.
-func Disarm(name string) {
-	mu.Lock()
-	defer mu.Unlock()
-	if _, ok := sites[name]; ok {
-		delete(sites, name)
-		armedCount.Add(-1)
-	}
-}
-
 // Reset disarms every site.
 func Reset() {
 	mu.Lock()

@@ -65,18 +65,6 @@ func (inv *Invariant) bindTo(f *cnf.Formula, state []cnf.Var) cnf.Lit {
 	return e.Lit(inv.Root())
 }
 
-// Holds evaluates the predicate on a concrete state vector.
-func (inv *Invariant) Holds(state []bool) bool {
-	ev := aig.NewEvaluator(inv.G)
-	words := make([]aig.Word, len(state))
-	for i, b := range state {
-		if b {
-			words[i] = 1
-		}
-	}
-	return ev.Run(words, nil).LitBool(inv.Root())
-}
-
 // Check replays the certificate against a transition system by
 // substitution alone — no prover state, no trust in how the invariant
 // was produced. The three obligations, each one plain SAT call:

@@ -160,14 +160,24 @@ func TestManySolveCallsStableState(t *testing.T) {
 // TestLearntClauseSoundness: every learnt clause must be implied by the
 // original formula. We check it the cheap way: adding all learnt clauses
 // to a fresh solver must not change satisfiability of random instances.
+// A run that records no conflict, or imports no learnt clause, checks
+// nothing, and fails.
 func TestLearntClauseSoundness(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for iter := 0; iter < 60; iter++ {
+	var conflicts int64
+	sat, imported := 0, 0
+	const iters = 60
+	for iter := 0; iter < iters; iter++ {
 		n := 8 + rng.Intn(6)
 		f := randomCNF(rng, n, n*4, 3)
 		s1 := New(Options{})
 		s1.AddFormula(f)
 		want := s1.Solve()
+		conflicts += s1.Stats.Conflicts
+		if want == Sat {
+			sat++
+		}
+		imported += len(s1.learnts) + len(s1.binLearnts)
 
 		s2 := New(Options{})
 		s2.AddFormula(f)
@@ -186,6 +196,10 @@ func TestLearntClauseSoundness(t *testing.T) {
 		if want == Unsat && got == Sat {
 			t.Fatalf("iter %d: learnt clauses changed UNSAT to SAT", iter)
 		}
+	}
+	t.Logf("%d SAT, %d UNSAT, %d conflicts, %d learnt clauses imported", sat, iters-sat, conflicts, imported)
+	if conflicts == 0 || imported == 0 {
+		t.Fatal("the run recorded no conflict or imported no learnt clause: it checked nothing")
 	}
 }
 

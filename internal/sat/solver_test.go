@@ -265,12 +265,14 @@ func refSolve(f *cnf.Formula) bool {
 	return rec()
 }
 
+// randomCNF draws nClauses clauses of exactly width literals each. A
+// shorter clause would let unit clauses refute most formulas while they
+// load, before the search the fuzz tests exist to exercise.
 func randomCNF(rng *rand.Rand, nVars, nClauses, width int) *cnf.Formula {
 	f := cnf.NewFormula(nVars)
 	for i := 0; i < nClauses; i++ {
-		w := 1 + rng.Intn(width)
-		c := make(cnf.Clause, 0, w)
-		for j := 0; j < w; j++ {
+		c := make(cnf.Clause, 0, width)
+		for j := 0; j < width; j++ {
 			v := cnf.Var(rng.Intn(nVars) + 1)
 			c = append(c, cnf.MkLit(v, rng.Intn(2) == 0))
 		}
@@ -280,10 +282,14 @@ func randomCNF(rng *rand.Rand, nVars, nClauses, width int) *cnf.Formula {
 }
 
 // TestFuzzAgainstReference cross-checks CDCL against the reference DPLL
-// on many small random formulas, near the phase-transition ratio.
+// on many small random formulas, near the phase-transition ratio. A run
+// that records no conflict never reached the search, and fails.
 func TestFuzzAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2005))
-	for iter := 0; iter < 400; iter++ {
+	var conflicts int64
+	sat := 0
+	const iters = 400
+	for iter := 0; iter < iters; iter++ {
 		nVars := 4 + rng.Intn(9)
 		nClauses := int(float64(nVars)*3.5) + rng.Intn(8)
 		f := randomCNF(rng, nVars, nClauses, 3)
@@ -294,10 +300,12 @@ func TestFuzzAgainstReference(t *testing.T) {
 			t.Fatalf("iter %d: loading refuted a satisfiable formula: %v", iter, f.Clauses)
 		}
 		got := s.Solve()
+		conflicts += s.Stats.Conflicts
 		if (got == Sat) != want {
 			t.Fatalf("iter %d: cdcl=%v ref=%v\nformula: %v", iter, got, want, f.Clauses)
 		}
 		if got == Sat {
+			sat++
 			// Verify the model actually satisfies the formula.
 			m := s.Model()
 			for _, c := range f.Clauses {
@@ -306,6 +314,10 @@ func TestFuzzAgainstReference(t *testing.T) {
 				}
 			}
 		}
+	}
+	t.Logf("%d SAT, %d UNSAT, %d conflicts", sat, iters-sat, conflicts)
+	if conflicts == 0 {
+		t.Fatal("the run recorded no conflict: no formula reached the search")
 	}
 }
 
@@ -352,10 +364,14 @@ func TestFuzzAblations(t *testing.T) {
 }
 
 // TestFuzzAssumptionsAgainstReference checks Solve-under-assumptions by
-// comparing with the reference on the formula extended by units.
+// comparing with the reference on the formula extended by units. A run
+// that records no conflict never reached the search, and fails.
 func TestFuzzAssumptionsAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for iter := 0; iter < 200; iter++ {
+	var conflicts int64
+	sat := 0
+	const iters = 200
+	for iter := 0; iter < iters; iter++ {
 		nVars := 5 + rng.Intn(6)
 		f := randomCNF(rng, nVars, nVars*3, 3)
 		nAssume := 1 + rng.Intn(3)
@@ -375,11 +391,19 @@ func TestFuzzAssumptionsAgainstReference(t *testing.T) {
 		if (got == Sat) != want {
 			t.Fatalf("iter %d: got %v want sat=%v (assumps %v)", iter, got, want, assumps)
 		}
+		if got == Sat {
+			sat++
+		}
 		// The solver must remain reusable: base formula result unchanged.
 		baseWant := refSolve(f)
 		if got2 := s.Solve(); (got2 == Sat) != baseWant {
 			t.Fatalf("iter %d: solver state corrupted after assumption solve", iter)
 		}
+		conflicts += s.Stats.Conflicts
+	}
+	t.Logf("%d SAT, %d UNSAT under assumptions, %d conflicts", sat, iters-sat, conflicts)
+	if conflicts == 0 {
+		t.Fatal("the run recorded no conflict: no formula reached the search")
 	}
 }
 

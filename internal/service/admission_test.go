@@ -44,14 +44,14 @@ func openKey(t *testing.T, url string) {
 }
 
 // pinWorker occupies s's one worker with a long jSAT job until the job
-// is cancelled.
+// is cancelled. The queue is empty once the worker has taken it.
 func pinWorker(t *testing.T, s *Server) *job {
 	t.Helper()
 	blocker, err := s.submit(CheckRequest{Model: aagSource(t, circuits.ParityGuard(10)), Format: "aag", Bound: 8, Engine: "jsat"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, 30*time.Second, "the blocker to start", func() bool { return blocker.State() == JobRunning })
+	waitUntil(t, 30*time.Second, "the blocker to start", func() bool { return len(s.queue) == 0 })
 	return blocker
 }
 
@@ -88,15 +88,13 @@ const (
 )
 
 type admissionColumn struct {
-	name                       string
-	hit, async, batch, proxied bool
+	name                string
+	hit, batch, proxied bool
 }
 
-var admissionColumns = [7]admissionColumn{
+var admissionColumns = [5]admissionColumn{
 	{name: "miss"},
 	{name: "hit", hit: true},
-	{name: "async-miss", async: true},
-	{name: "async-hit", hit: true, async: true},
 	{name: "batch-miss", batch: true},
 	{name: "batch-hit", hit: true, batch: true},
 	{name: "proxied-miss", proxied: true},
@@ -112,7 +110,7 @@ type admissionRow struct {
 	set      func(t *testing.T, s *Server, url string) (release func())
 	halfOpen bool // after the cell, one decided probe must close the key
 	overload bool // a set-level refusal counts in overload.rejected too
-	want     [7]outcome
+	want     [5]outcome
 }
 
 // TestServiceAdmissionMatrix: rows are the conditions that can refuse a
@@ -135,13 +133,13 @@ func TestServiceAdmissionMatrix(t *testing.T) {
 		openKey(t, url)
 		time.Sleep(matrixTTL + 10*time.Millisecond)
 	}
-	allSet := [7]outcome{setRefused, setRefused, setRefused, setRefused, setRefused, setRefused, entryServed}
-	queueFull := [7]outcome{setRefused, admitted, setRefused, admitted, setRefused, admitted, entryServed}
+	allSet := [5]outcome{setRefused, setRefused, setRefused, setRefused, entryServed}
+	queueFull := [5]outcome{setRefused, admitted, setRefused, admitted, entryServed}
 	rows := []admissionRow{
 		{
 			name: "open-key", cfg: quar(time.Hour),
 			set:  func(t *testing.T, _ *Server, url string) func() { openKey(t, url); return nil },
-			want: [7]outcome{keyRefused, admitted, keyRefused, admitted, keyRefused, admitted, keyRefused},
+			want: [5]outcome{keyRefused, admitted, keyRefused, admitted, keyRefused},
 		},
 		{
 			name: "half-open-key", cfg: quar(matrixTTL), halfOpen: true,
@@ -220,7 +218,6 @@ func admissionCell(t *testing.T, row admissionRow, col admissionColumn, want out
 	if col.hit {
 		req, verdict = matrixHit, "UNREACHABLE"
 	}
-	req.Wait = !col.async
 	path := "/v1/check"
 	var body any = req
 	if col.batch {
@@ -236,7 +233,6 @@ func admissionCell(t *testing.T, row admissionRow, col admissionColumn, want out
 		t.Fatal(err)
 	}
 	var res *JobResult // the check's answer when one came back
-	var asyncJob *job  // an admitted async miss, still to finish
 	switch {
 	case want == setRefused || (want == keyRefused && !col.batch):
 		if resp.StatusCode != http.StatusServiceUnavailable {
@@ -249,20 +245,11 @@ func admissionCell(t *testing.T, row admissionRow, col admissionColumn, want out
 		}
 		res = br.Results[0]
 	default:
-		code := http.StatusOK
-		if col.async {
-			code = http.StatusAccepted
-		}
-		var st jobStatus
-		if resp.StatusCode != code || json.Unmarshal(raw, &st) != nil {
-			t.Fatalf("HTTP %d (%s), want %d", resp.StatusCode, raw, code)
+		var st checkResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(raw, &st) != nil {
+			t.Fatalf("HTTP %d (%s), want 200", resp.StatusCode, raw)
 		}
 		res = st.Result
-		if col.async && !col.hit {
-			if asyncJob = s.lookup(st.ID); asyncJob == nil {
-				t.Fatalf("admitted async miss %q is not registered", st.ID)
-			}
-		}
 	}
 	keyHeader := resp.Header.Get(rejectHeader)
 	if wantHeader := want == keyRefused && !col.batch; wantHeader != (keyHeader == "quarantined") {
@@ -274,19 +261,13 @@ func admissionCell(t *testing.T, row admissionRow, col admissionColumn, want out
 			t.Errorf("refused batch item: %+v, want a quarantined ERROR", res)
 		}
 	case want == admitted || want == entryServed:
-		if asyncJob == nil && (res == nil || res.Status != verdict || res.Cached != col.hit) {
+		if res == nil || res.Status != verdict || res.Cached != col.hit {
 			t.Errorf("answer %+v, want %s with cached=%v", res, verdict, col.hit)
 		}
 	}
 
 	if release != nil {
 		release()
-	}
-	if asyncJob != nil {
-		<-asyncJob.done
-		if r := asyncJob.Result(); r.Status != verdict {
-			t.Errorf("async miss finished %s, want %s", r.Status, verdict)
-		}
 	}
 
 	// The counters of the shard under test: one count per item.
@@ -374,7 +355,7 @@ func TestServiceQueuedProbeAnsweredFromCache(t *testing.T) {
 	s.cache.put(probe.key(), JobResult{Status: "UNREACHABLE", Bound: matrixHit.Bound, FoundAt: -1})
 	blocker.cancel.Set()
 	<-probe.done
-	if r := probe.Result(); !r.Cached || r.Status != "UNREACHABLE" {
+	if r := probe.result; !r.Cached || r.Status != "UNREACHABLE" {
 		t.Fatalf("probe: %+v, want a cached UNREACHABLE", r)
 	}
 	if r := checkWait(t, url, matrixMiss); r.Status != "REACHABLE" {

@@ -11,11 +11,15 @@ package service
 //   - /healthz stays answerable throughout the storm;
 //   - a (model, engine) key driven into quarantine heals after the
 //     fault is fixed and the TTL passes;
+//   - a client that closes its request mid-solve cancels the check,
+//     which counts as cancelled, not timed out;
 //   - a drain started mid-chaos exits cleanly, and the goroutine count
 //     settles back to the baseline (newTestServer's cleanup asserts
 //     both).
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
 	"net/http"
@@ -194,7 +198,6 @@ func TestServiceChaosClustered(t *testing.T) {
 					Format:  "aag",
 					Bound:   rng.Intn(7),
 					Engine:  engines[rng.Intn(len(engines))],
-					Wait:    true,
 					Witness: rng.Intn(2) == 0,
 				}
 				if rng.Intn(3) == 0 {
@@ -205,7 +208,7 @@ func TestServiceChaosClustered(t *testing.T) {
 				} else if rng.Intn(2) == 0 {
 					req.Semantics = "atmost"
 				}
-				var st jobStatus
+				var st checkResponse
 				code := postJSON(t, urls[i%2]+"/v1/check", req, &st)
 				chaosVerify(t, req, code, st.Result, exact[si], shortest[si])
 			}
@@ -334,7 +337,6 @@ func TestServiceChaos(t *testing.T) {
 					Format:  "aag",
 					Bound:   rng.Intn(9),
 					Engine:  engines[rng.Intn(len(engines))],
-					Wait:    true,
 					Witness: rng.Intn(2) == 0,
 				}
 				if rng.Intn(3) == 0 {
@@ -348,7 +350,7 @@ func TestServiceChaos(t *testing.T) {
 				if rng.Intn(6) == 0 {
 					req.TimeoutMS = 1 + rng.Intn(30)
 				}
-				var st jobStatus
+				var st checkResponse
 				code := postJSON(t, url+"/v1/check", req, &st)
 				chaosVerify(t, req, code, st.Result, exact[si], shortest[si])
 			}
@@ -360,28 +362,6 @@ func TestServiceChaos(t *testing.T) {
 	close(work)
 	wg.Wait()
 
-	// Async submissions + cancels ride along: a DELETE mid-run is
-	// answered, and a DELETE after completion is a no-op that says so.
-	for i := 0; i < 8; i++ {
-		var st jobStatus
-		if code := postJSON(t, url+"/v1/check", CheckRequest{Model: srcs[0], Format: "aag", Bound: i % 4}, &st); code != http.StatusAccepted {
-			continue // queue full under chaos is acceptable
-		}
-		delReq, _ := http.NewRequest(http.MethodDelete, url+"/v1/jobs/"+st.ID, nil)
-		resp, err := http.DefaultClient.Do(delReq)
-		if err != nil {
-			t.Fatalf("cancel %s: %v", st.ID, err)
-		}
-		var cr cancelResponse
-		if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
-			t.Fatalf("cancel %s: %v", st.ID, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("cancel %s: HTTP %d", st.ID, resp.StatusCode)
-		}
-	}
-
 	// Phase 2: drive one (model, engine) key into quarantine with a
 	// repeat panic, then fix the fault and prove the key heals through
 	// a half-open probe.
@@ -389,10 +369,10 @@ func TestServiceChaos(t *testing.T) {
 	faultpoint.Arm("jsat.query", faultpoint.Schedule{Kind: faultpoint.KindPanic, On: 1, Repeat: true})
 	// Bound 9 is outside the storm's 0..8 range, so this exact question
 	// is never in the verdict cache and every attempt reaches the solver.
-	doomed := CheckRequest{Model: srcs[0], Format: "aag", Bound: 9, Engine: "jsat", Semantics: "atmost", Wait: true}
+	doomed := CheckRequest{Model: srcs[0], Format: "aag", Bound: 9, Engine: "jsat", Semantics: "atmost"}
 	sawQuarantine := false
 	for i := 0; i < 16 && !sawQuarantine; i++ {
-		var st jobStatus
+		var st checkResponse
 		switch code := postJSON(t, url+"/v1/check", doomed, &st); code {
 		case http.StatusServiceUnavailable:
 			sawQuarantine = true
@@ -410,7 +390,7 @@ func TestServiceChaos(t *testing.T) {
 	faultpoint.Reset()
 	healDeadline := time.Now().Add(10 * time.Second)
 	for {
-		var st jobStatus
+		var st checkResponse
 		code := postJSON(t, url+"/v1/check", doomed, &st)
 		if code == http.StatusOK && st.Result != nil && st.Result.Status == "REACHABLE" {
 			break // the half-open probe decided; the key is clean again
@@ -419,6 +399,44 @@ func TestServiceChaos(t *testing.T) {
 			t.Fatalf("quarantined key never healed after the fault was fixed (last: HTTP %d %+v)", code, st.Result)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+
+	// Cancellations: a client that closes its request while the check
+	// runs cancels it. ParityGuard under jSAT at this bound outlasts the
+	// 2 s cap, so only the disconnect finishes these checks early, and
+	// each counts as cancelled, not timed out.
+	before := s.Metrics()
+	pg, err := json.Marshal(CheckRequest{Model: aagSource(t, circuits.ParityGuard(10)), Format: "aag", Bound: 8, Engine: "jsat"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= 4; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/check", bytes.NewReader(pg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		errc := make(chan error, 1)
+		go func() {
+			resp, err := http.DefaultClient.Do(req)
+			if err == nil {
+				resp.Body.Close()
+			}
+			errc <- err
+		}()
+		waitUntil(t, 30*time.Second, "the check to start", func() bool {
+			return s.Metrics().Submitted == before.Submitted+i && len(s.queue) == 0
+		})
+		cancel()
+		if err := <-errc; err == nil {
+			t.Fatalf("closed request %d was answered", i)
+		}
+	}
+	waitUntil(t, 30*time.Second, "the closed checks to be cancelled", func() bool {
+		return s.Metrics().Cancelled == before.Cancelled+4
+	})
+	if m := s.Metrics(); m.TimedOut != before.TimedOut {
+		t.Fatalf("closed checks timed out (%d -> %d) instead of being cancelled", before.TimedOut, m.TimedOut)
 	}
 
 	close(healthStop)
@@ -450,8 +468,8 @@ func TestServiceChaos(t *testing.T) {
 				default:
 				}
 				si := rng.Intn(len(systems))
-				req := CheckRequest{Model: srcs[si], Format: "aag", Bound: rng.Intn(9), Semantics: "atmost", Wait: true}
-				var st jobStatus
+				req := CheckRequest{Model: srcs[si], Format: "aag", Bound: rng.Intn(9), Semantics: "atmost"}
+				var st checkResponse
 				code := postJSON(t, url+"/v1/check", req, &st)
 				chaosVerify(t, req, code, st.Result, exact[si], shortest[si])
 			}

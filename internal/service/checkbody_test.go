@@ -12,7 +12,7 @@ var decodeCases = []struct {
 	body    string
 	scanned bool
 }{
-	{"marshaled", `{"model":"aag 1 0 1 0 0\n2 3\n","format":"aag","bound":3,"engine":"sat","wait":true}`, true},
+	{"marshaled", `{"model":"aag 1 0 1 0 0\n2 3\n","format":"aag","bound":3,"engine":"sat"}`, true},
 	{"spaced", " \t\r\n{ \"model\" :\n\"model m\\nvar x : 1 = 0;\\n\" , \"bound\" : 4 }\n", true},
 	{"escapes and a lone surrogate", `{"model":"\ud800 é€\/\b\f\r\t\"\\\u00e9"}`, true},
 	{"invalid UTF-8", "{\"model\":\"a\xff\xfe\xc3b\",\"engine\":\"\xe2\x82\"}", true},
@@ -41,6 +41,7 @@ var decodeCases = []struct {
 	{"empty object", `{}`, false},
 	{"not an object", `["model","m"]`, false},
 	{"empty body", ``, false},
+	{"an earlier release's wait flag", `{"model":"m","bound":1,"wait":true}`, true},
 }
 
 // TestDecodeCheckScans pins which bodies skip decoding their model; the
@@ -51,7 +52,7 @@ func TestDecodeCheckScans(t *testing.T) {
 			t.Errorf("%s: scanned %v, want %v", c.name, raw != nil, c.scanned)
 		}
 	}
-	body, err := json.Marshal(CheckRequest{Model: "model m\n\tvar x : 1 = 0; <&>\n", Bound: 2, Deepen: true, Wait: true})
+	body, err := json.Marshal(CheckRequest{Model: "model m\n\tvar x : 1 = 0; <&>\n", Bound: 2, Deepen: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,6 +23,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -92,18 +93,18 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("service: server answered %d: %s", e.StatusCode, e.Message)
 }
 
-// Check submits one request and blocks for its result (Wait is forced
-// on). An ERROR result is a final server answer, not a client error.
+// Check runs one request and returns its result; cancelling ctx closes
+// the request, which cancels the check on the server. An ERROR result
+// is a final server answer, not a client error.
 func (c *Client) Check(ctx context.Context, req CheckRequest) (*JobResult, error) {
-	req.Wait = true
-	var st jobStatus
-	if err := c.do(ctx, http.MethodPost, "/v1/check", req, &st); err != nil {
+	var resp checkResponse
+	if err := c.do(ctx, http.MethodPost, "/v1/check", req, &resp); err != nil {
 		return nil, err
 	}
-	if st.Result == nil {
-		return nil, fmt.Errorf("service: job %s finished without a result", st.ID)
+	if resp.Result == nil {
+		return nil, errors.New("service: check answered without a result")
 	}
-	return st.Result, nil
+	return resp.Result, nil
 }
 
 // Batch submits several requests at once and blocks for all results.

@@ -54,7 +54,7 @@ func TestClientReusesConnections(t *testing.T) {
 			t.Fatalf("healthz %d: %v", i, err)
 		}
 		var ae *APIError
-		if err := c.do(ctx, http.MethodGet, "/v1/jobs/no-such-job", nil, nil); !errors.As(err, &ae) || ae.StatusCode != http.StatusNotFound {
+		if err := c.do(ctx, http.MethodGet, "/v1/no-such-path", nil, nil); !errors.As(err, &ae) || ae.StatusCode != http.StatusNotFound {
 			t.Fatalf("lookup %d: want 404 APIError, got %v", i, err)
 		}
 	}

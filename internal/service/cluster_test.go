@@ -368,7 +368,8 @@ func TestServiceClusterBatchBadItemKeepsOwner(t *testing.T) {
 
 // TestServiceClusterProxiesRawBody: a miss for a key another shard owns
 // is forwarded as the client sent it — the body byte for byte, not a
-// re-marshal of the decoded request, and the query string with it. The
+// re-marshal of the decoded request — to the owner's /v1/check, without
+// the query string: an earlier release's ?wait=1 means nothing now. The
 // owner here is a stand-in that records what it receives.
 func TestServiceClusterProxiesRawBody(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -388,7 +389,7 @@ func TestServiceClusterProxiesRawBody(t *testing.T) {
 		b, _ := io.ReadAll(r.Body)
 		got <- received{b, r.URL.RawQuery}
 		w.Header().Set(shardHeader, standin.URL)
-		writeJSON(w, http.StatusOK, jobStatus{State: JobDone, Result: &JobResult{Status: "UNREACHABLE", Bound: 4, FoundAt: -1}})
+		writeJSON(w, http.StatusOK, checkResponse{Result: &JobResult{Status: "UNREACHABLE", Bound: 4, FoundAt: -1}})
 	})
 	urls := []string{ts.URL, standin.URL}
 	if err := s.JoinCluster(ClusterConfig{Self: ts.URL, Shards: urls, GossipInterval: 50 * time.Millisecond}); err != nil {
@@ -432,8 +433,8 @@ func TestServiceClusterProxiesRawBody(t *testing.T) {
 		if !bytes.Equal(rec.body, body) {
 			t.Errorf("owner received\n%s\nwant the client's bytes\n%s", rec.body, body)
 		}
-		if rec.query != "wait=1" {
-			t.Errorf("owner received query %q, want wait=1", rec.query)
+		if rec.query != "" {
+			t.Errorf("owner received query %q, want none", rec.query)
 		}
 	default:
 		t.Fatal("the stand-in owner received nothing")
@@ -772,7 +773,6 @@ func TestServiceClusterDrainStorm(t *testing.T) {
 					Format: "aag",
 					Bound:  rng.Intn(7),
 					Engine: []string{"sat", "sat-incr"}[rng.Intn(2)],
-					Wait:   true,
 				}
 				if rng.Intn(3) == 0 {
 					req.Deepen = true
@@ -780,7 +780,7 @@ func TestServiceClusterDrainStorm(t *testing.T) {
 				// After the drain begins, the drained shard sheds to the
 				// survivor; before it, both entries work. Spray both.
 				url := urls[i%2]
-				var st jobStatus
+				var st checkResponse
 				code := postJSON(t, url+"/v1/check", req, &st)
 				chaosVerify(t, req, code, st.Result, exact[si], shortest[si])
 			}

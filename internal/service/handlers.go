@@ -2,12 +2,11 @@ package service
 
 // The HTTP face of bmcd. All endpoints speak JSON:
 //
-//	POST   /v1/check        submit one job; {"wait":true} (or ?wait=1)
-//	                        blocks for the result and cancels the job if
-//	                        the client disconnects. 202 + job id
-//	                        otherwise. A verdict-cache hit is answered
-//	                        at once, on the handler goroutine: 200, or
-//	                        202 with the result already in the status.
+//	POST   /v1/check        run one check and answer 200 with its result
+//	                        on the same connection; a client that
+//	                        disconnects first cancels the check. A
+//	                        verdict-cache hit is answered at once, on
+//	                        the handler goroutine, without a worker.
 //	                        The body is one JSON object; trailing data
 //	                        is a 400. A body that opens with its model
 //	                        string has it checked in one scan
@@ -37,9 +36,6 @@ package service
 //	                        queue room for every miss refuse it whole with
 //	                        503. An item the breaker refuses is answered
 //	                        in place with ERROR while the rest run.
-//	GET    /v1/jobs/{id}    job status (result embedded once done)
-//	GET    /v1/results/{id} result only; 202 while still running
-//	DELETE /v1/jobs/{id}    cooperative cancel
 //	GET    /metrics         MetricsSnapshot JSON
 //	GET    /healthz         200 ok / 503 draining
 //
@@ -52,7 +48,9 @@ package service
 // Every check that enters a shard, /v1/check (a set of one) or the
 // items of a /v1/batch, passes one admission gate (Server.admit); a
 // cached check differs only in needing no queue slot and not meeting
-// the quarantine breaker. Submissions during a drain get 503 with
+// the quarantine breaker. A check lives as long as its request: there
+// is no job ID to poll or cancel, and a timeout_ms or a disconnect is
+// how a client stops one early. Submissions during a drain get 503 with
 // Retry-After, which is what a load balancer in front of a rolling
 // restart wants to see.
 
@@ -76,9 +74,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/check", s.handleCheck)
 	mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	mux.HandleFunc("GET /v1/results/{id}", s.handleResult)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/cluster/health", s.handleClusterHealth)
@@ -146,9 +141,6 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad request: %w", err))
 		return
 	}
-	if r.URL.Query().Get("wait") == "1" {
-		req.Wait = true
-	}
 	j, err := s.newJob(req, raw)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
@@ -183,14 +175,9 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, submitCode(err), err)
 		return
 	}
-	if !req.Wait {
-		writeJSON(w, http.StatusAccepted, j.status()) // a hit's status carries its result
-		return
-	}
-	// Synchronous mode: the client going away cancels the job — the
-	// worker observes the flag within a few conflicts and publishes an
-	// UNKNOWN result, so the queue never clogs with abandoned work. A
-	// hit is finished already.
+	// The client going away cancels the job: the worker observes the
+	// flag within a few conflicts and finishes it UNKNOWN, so the queue
+	// never clogs with abandoned work. A hit is finished already.
 	select {
 	case <-j.done:
 	case <-r.Context().Done():
@@ -198,7 +185,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		<-j.done
 		return // client is gone; nothing to write
 	}
-	writeJSON(w, http.StatusOK, j.status())
+	writeJSON(w, http.StatusOK, j.response())
 }
 
 // clampDeadline clamps j's solving budget to the remaining budget a
@@ -307,7 +294,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		<-j.done
-		out[i] = j.Result()
+		out[i] = j.result
 	}
 	writeJSON(w, http.StatusOK, BatchResponse{Results: out})
 }
@@ -324,51 +311,6 @@ func (s *Server) batchHits(items []*job, hits []*JobResult) {
 	for i, j := range items {
 		hits[i], _ = s.cached(j)
 	}
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
-		s.writeError(w, http.StatusNotFound, errors.New("service: unknown job"))
-		return
-	}
-	writeJSON(w, http.StatusOK, j.status())
-}
-
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
-		s.writeError(w, http.StatusNotFound, errors.New("service: unknown job"))
-		return
-	}
-	if res := j.Result(); res != nil {
-		writeJSON(w, http.StatusOK, res)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, j.status())
-}
-
-// cancelResponse is DELETE /v1/jobs/{id}'s body: the job status plus
-// whether the cancel arrived after the job had already finished — in
-// which case nothing was stopped and the published result stands.
-type cancelResponse struct {
-	jobStatus
-	AlreadyDone bool `json:"already_done,omitempty"`
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
-		s.writeError(w, http.StatusNotFound, errors.New("service: unknown job"))
-		return
-	}
-	// Cancelling a finished job is a no-op: nothing is running to stop,
-	// the published result stands, and the client is told so.
-	done := j.Result() != nil
-	if !done {
-		j.cancel.Set()
-	}
-	writeJSON(w, http.StatusOK, cancelResponse{jobStatus: j.status(), AlreadyDone: done})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -146,7 +146,7 @@ func TestServiceClusterHitParsesNothing(t *testing.T) {
 // hitBody is a width-10 factorizer check, the model serve-hit sends most.
 func hitBody(t *testing.T) []byte {
 	t.Helper()
-	b, err := json.Marshal(CheckRequest{Model: aagSource(t, circuits.Factorizer(10, 249989)), Bound: 2, Engine: "sat", Wait: true})
+	b, err := json.Marshal(CheckRequest{Model: aagSource(t, circuits.Factorizer(10, 249989)), Bound: 2, Engine: "sat"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,10 +160,10 @@ func serveCheck(h http.Handler, body []byte) *httptest.ResponseRecorder {
 	return rec
 }
 
-// checkRecorded decodes a recorded synchronous check.
+// checkRecorded decodes a recorded check's 200 answer.
 func checkRecorded(t *testing.T, rec *httptest.ResponseRecorder) *JobResult {
 	t.Helper()
-	var st jobStatus
+	var st checkResponse
 	if rec.Code != http.StatusOK {
 		t.Fatalf("check: HTTP %d: %s", rec.Code, rec.Body.String())
 	}
@@ -225,8 +225,9 @@ func TestServiceHitByteBudget(t *testing.T) {
 	}
 }
 
-// TestServiceFinishedJobsReleaseModels: the job history keeps every
-// finished job's answer, not its model text or parse.
+// TestServiceFinishedJobsReleaseModels: the server keeps nothing of a
+// finished check, so 1,024 cached checks leave the live heap under
+// 4 MiB.
 func TestServiceFinishedJobsReleaseModels(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap measurements are not meaningful under the race detector")

@@ -157,7 +157,7 @@ type MetricsSnapshot struct {
 	Submitted int64 `json:"jobs_submitted"`
 	Completed int64 `json:"jobs_completed"`
 	Rejected  int64 `json:"jobs_rejected"`
-	// Cancelled counts jobs stopped by a client (DELETE or disconnect);
+	// Cancelled counts jobs stopped by a client disconnect;
 	// TimedOut counts jobs stopped by their own timeout_ms budget.
 	Cancelled int64 `json:"jobs_cancelled"`
 	TimedOut  int64 `json:"jobs_timed_out"`

@@ -8,7 +8,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -101,7 +100,7 @@ func TestServiceWatermarkRejectsWhenSheddingFallsShort(t *testing.T) {
 		t.Fatalf("warmup: %s (%q)", r.Status, r.Error)
 	}
 
-	code := postJSON(t, url+"/v1/check", CheckRequest{Model: safeMSL, Bound: 3, Wait: true}, nil)
+	code := postJSON(t, url+"/v1/check", CheckRequest{Model: safeMSL, Bound: 3}, nil)
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("over-watermark submit: HTTP %d, want 503", code)
 	}
@@ -169,47 +168,6 @@ type firstRead struct {
 func (b *firstRead) Read(p []byte) (int, error) {
 	b.once.Do(func() { b.reading <- struct{}{} })
 	return b.ReadCloser.Read(p)
-}
-
-func TestServiceCancelFinishedJobNoOp(t *testing.T) {
-	_, url := newTestServer(t, Config{Workers: 1, DefaultEngine: sebmc.EngineSAT})
-
-	var st jobStatus
-	if code := postJSON(t, url+"/v1/check", CheckRequest{Model: cexMSL, Bound: 5, Wait: true}, &st); code != http.StatusOK {
-		t.Fatalf("submit: HTTP %d", code)
-	}
-	want := st.Result.Status
-
-	del := func() cancelResponse {
-		req, err := http.NewRequest(http.MethodDelete, url+"/v1/jobs/"+st.ID, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("cancel: HTTP %d", resp.StatusCode)
-		}
-		var cr cancelResponse
-		if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
-			t.Fatal(err)
-		}
-		return cr
-	}
-
-	cr := del()
-	if !cr.AlreadyDone {
-		t.Fatal("cancel of a finished job must report already_done")
-	}
-	if cr.Result == nil || cr.Result.Status != want {
-		t.Fatalf("cancel of a finished job must leave the result standing, got %+v", cr.Result)
-	}
-	if cr2 := del(); !cr2.AlreadyDone { // idempotent
-		t.Fatal("second cancel must still report already_done")
-	}
 }
 
 func TestServiceClientBackoffHonorsRetryAfter(t *testing.T) {

@@ -115,7 +115,7 @@ func TestServiceQuarantineEndToEnd(t *testing.T) {
 	// Third request: rejected at admission with 503 + live Retry-After,
 	// no worker runs (the armed faultpoint records no new hits).
 	hitsBefore := faultpoint.Hits("sat.propagate")
-	body, _ := json.Marshal(CheckRequest{Model: cexMSL, Bound: 5, Wait: true})
+	body, _ := json.Marshal(CheckRequest{Model: cexMSL, Bound: 5})
 	resp, err := http.Post(url+"/v1/check", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestServiceQuarantineEndToEnd(t *testing.T) {
 
 	// Disarming the fault does not un-quarantine the key: the TTL does.
 	faultpoint.Reset()
-	if code := postJSON(t, url+"/v1/check", CheckRequest{Model: cexMSL, Bound: 5, Wait: true}, nil); code != http.StatusServiceUnavailable {
+	if code := postJSON(t, url+"/v1/check", CheckRequest{Model: cexMSL, Bound: 5}, nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("key must stay quarantined until TTL: HTTP %d", code)
 	}
 
@@ -185,7 +185,7 @@ func TestServiceClusterQuarantineRelayed(t *testing.T) {
 	})
 
 	// One contained panic on the owner opens the key's breaker there.
-	req := CheckRequest{Model: cexMSL, Bound: 5, Engine: "sat", Wait: true}
+	req := CheckRequest{Model: cexMSL, Bound: 5, Engine: "sat"}
 	faultpoint.Arm("sat.propagate", faultpoint.Schedule{Kind: faultpoint.KindPanic, On: 1, Repeat: true})
 	if r := checkWait(t, urls[owner], req); r.Status != StatusError {
 		t.Fatalf("check under a panicking solver: %s, want ERROR", r.Status)

@@ -1,15 +1,15 @@
 package service
 
-// The job lifecycle: queued -> running -> done, with cancellation
-// riding a one-shot sebmc.CancelFlag that timeout, client disconnect
-// and DELETE all share. Jobs are the unit the bounded queue holds and
-// the worker pool executes; CheckRequest/JobResult are the JSON wire
-// types.
+// A job lives as long as the request that submitted it: the handler
+// queues it (or answers it from the cache), a worker runs it, and the
+// handler writes its result to the connection that asked. Cancellation
+// rides a one-shot sebmc.CancelFlag that the timeout and a client
+// disconnect share. Jobs are the unit the bounded queue holds and the
+// worker pool executes; CheckRequest/JobResult are the JSON wire types.
 
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -23,16 +23,6 @@ import (
 // means a resource budget (timeout, cancellation, conflict cap) ran
 // out. ERROR results are never cached and count toward quarantine.
 const StatusError = "ERROR"
-
-// JobState is the lifecycle phase of a submitted job.
-type JobState string
-
-// Job lifecycle phases.
-const (
-	JobQueued  JobState = "queued"
-	JobRunning JobState = "running"
-	JobDone    JobState = "done"
-)
 
 // CheckRequest is one checking request as submitted over HTTP.
 type CheckRequest struct {
@@ -71,9 +61,6 @@ type CheckRequest struct {
 	Certificate bool `json:"certificate,omitempty"`
 	// PlaistedGreenbaum selects the polarity-aware CNF transformation.
 	PlaistedGreenbaum bool `json:"pg,omitempty"`
-	// Wait makes the submission synchronous: the response carries the
-	// result, and closing the connection cancels the job.
-	Wait bool `json:"wait,omitempty"`
 }
 
 func (r CheckRequest) timeout() time.Duration {
@@ -135,7 +122,6 @@ func (r *JobResult) decided() bool {
 
 // job is one queue entry.
 type job struct {
-	id  string
 	req CheckRequest
 	// sys is nil when the model memo supplied the hash; answer parses the
 	// model on a verdict-cache miss.
@@ -154,11 +140,10 @@ type job struct {
 	// separately (a timeout spike and an abandonment spike mean very
 	// different things to an operator).
 	timedOut atomic.Bool
-	done     chan struct{} // closed when result is set
-
-	mu     sync.Mutex
-	state  JobState
+	// result is written once, by finish, before it closes done; it is
+	// read only after done is closed.
 	result *JobResult
+	done   chan struct{}
 }
 
 // key is the job's verdict-cache identity: everything that determines
@@ -180,42 +165,18 @@ func terminalKey(hash string) verdictKey {
 	return verdictKey{sessionKey: sessionKey{Hash: hash, Engine: sebmc.EngineInterp}, Bound: -1}
 }
 
-func (j *job) State() JobState {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
-
-func (j *job) setState(s JobState) {
-	j.mu.Lock()
-	j.state = s
-	j.mu.Unlock()
-}
-
 // finish publishes the result and drops the model text and its parse:
-// nothing reads them once the answer is out, and the job history keeps
-// up to maxJobs finished jobs.
+// nothing reads them once the answer is out, so a long batch holds only
+// the models of its unfinished items.
 func (j *job) finish(res *JobResult) {
-	j.mu.Lock()
-	j.state = JobDone
 	j.result = res
 	j.sys = nil
 	j.req.Model = ""
-	j.mu.Unlock()
 	close(j.done)
 }
 
-// Result returns the job's result, nil while unfinished.
-func (j *job) Result() *JobResult {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.result
-}
-
-// status is the JSON status view of a job.
-type jobStatus struct {
-	ID     string     `json:"id"`
-	State  JobState   `json:"state"`
+// checkResponse is the /v1/check answer.
+type checkResponse struct {
 	Engine string     `json:"engine"`
 	Bound  int        `json:"bound"`
 	Deepen bool       `json:"deepen,omitempty"`
@@ -223,12 +184,9 @@ type jobStatus struct {
 	Result *JobResult `json:"result,omitempty"`
 }
 
-func (j *job) status() jobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return jobStatus{
-		ID:     j.id,
-		State:  j.state,
+// response is a finished job's answer; call it only once done is closed.
+func (j *job) response() checkResponse {
+	return checkResponse{
 		Engine: j.engine.String(),
 		Bound:  j.req.Bound,
 		Deepen: j.req.Deepen,

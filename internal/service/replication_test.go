@@ -108,21 +108,20 @@ func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
 // checkWaitShard is checkWait, capturing which shard answered.
 func checkWaitShard(t *testing.T, base string, req CheckRequest) (*JobResult, string) {
 	t.Helper()
-	req.Wait = true
 	resp, err := http.Post(base+"/v1/check", "application/json", jsonBody(t, req))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("wait submit: HTTP %d", resp.StatusCode)
+		t.Fatalf("check: HTTP %d", resp.StatusCode)
 	}
-	var st jobStatus
+	var st checkResponse
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.State != JobDone || st.Result == nil {
-		t.Fatalf("wait submit came back %q without a result", st.State)
+	if st.Result == nil {
+		t.Fatal("check answered without a result")
 	}
 	return st.Result, resp.Header.Get(shardHeader)
 }
@@ -224,7 +223,6 @@ func TestServiceClusterRestartedShardCatchesUp(t *testing.T) {
 
 	// The repaired verdict is really resident: a forwarded request
 	// (served locally by contract) answers it as a validated cache hit.
-	req.Wait = true
 	hreq, err := http.NewRequest(http.MethodPost, urls[dead]+"/v1/check", jsonBody(t, req))
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +234,7 @@ func TestServiceClusterRestartedShardCatchesUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st jobStatus
+	var st checkResponse
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +414,7 @@ func TestServiceClusterDeadlineClamp(t *testing.T) {
 
 	// ParityGuard at this bound runs far past the deadline under jsat;
 	// the clamp must cut it off as a timeout.
-	req := CheckRequest{Model: aagSource(t, circuits.ParityGuard(10)), Format: "aag", Bound: 8, Engine: "jsat", Wait: true}
+	req := CheckRequest{Model: aagSource(t, circuits.ParityGuard(10)), Format: "aag", Bound: 8, Engine: "jsat"}
 	hreq, err := http.NewRequest(http.MethodPost, url+"/v1/check", jsonBody(t, req))
 	if err != nil {
 		t.Fatal(err)
@@ -429,7 +427,7 @@ func TestServiceClusterDeadlineClamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st jobStatus
+	var st checkResponse
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +456,7 @@ func TestServiceClusterDeadlineClamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp2.Body.Close()
-	st = jobStatus{}
+	st = checkResponse{}
 	if err := json.NewDecoder(resp2.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}

@@ -315,7 +315,7 @@ const proxyGrace = 2 * time.Second
 // clustered server. Returns true when the request was fully handled
 // remotely (proxied); false when the caller should serve it locally.
 // body is the request body as the client sent it: a proxied request
-// forwards it, and the query string, unchanged.
+// forwards it unchanged.
 func (s *Server) routeCheck(w http.ResponseWriter, r *http.Request, j *job, body []byte) bool {
 	cs := s.clusterView()
 	if cs == nil {
@@ -349,11 +349,7 @@ func (s *Server) routeCheck(w http.ResponseWriter, r *http.Request, j *job, body
 		}
 		cands = append(cands, prefs[i])
 	}
-	path := "/v1/check"
-	if q := r.URL.RawQuery; q != "" {
-		path += "?" + q
-	}
-	if cs.proxyWalk(ctx, w, cands, path, body) {
+	if cs.proxyWalk(ctx, w, cands, body) {
 		s.metrics.clusterProxied.Add(1)
 		return true
 	}
@@ -397,10 +393,10 @@ func (s *Server) noteLocal(r *http.Request, items []*job, hits []*JobResult) {
 	}
 }
 
-// proxyWalk forwards one check along the candidate preference list, one
-// POST at a time, and relays the first answer that is not a bounce. The
-// forward marker makes the receiver serve the check itself, and a
-// deadline on ctx travels as the receiver's remaining budget. A
+// proxyWalk forwards one /v1/check body along the candidate preference
+// list, one POST at a time, and relays the first answer that is not a
+// bounce. The forward marker makes the receiver serve the check itself,
+// and a deadline on ctx travels as the receiver's remaining budget. A
 // candidate that bounces (a transport error, or a 503 the next
 // preference should absorb instead of the client) is demoted in the
 // tracker at once, so the next request skips it without waiting for a
@@ -409,12 +405,12 @@ func (s *Server) noteLocal(r *http.Request, items []*job, hits []*JobResult) {
 // Returns false, having written nothing, when every candidate bounced
 // or ctx ended; the caller then serves locally. A candidate that
 // accepts the request but stalls holds it until ctx's deadline.
-func (cs *clusterState) proxyWalk(ctx context.Context, w http.ResponseWriter, cands []cluster.Shard, path string, payload []byte) bool {
+func (cs *clusterState) proxyWalk(ctx context.Context, w http.ResponseWriter, cands []cluster.Shard, payload []byte) bool {
 	for _, sh := range cands {
 		if ctx.Err() != nil {
 			return false // budget exhausted: the local clamp answers fastest
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, sh.URL+path, bytes.NewReader(payload))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, sh.URL+"/v1/check", bytes.NewReader(payload))
 		if err != nil {
 			continue
 		}

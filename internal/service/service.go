@@ -11,9 +11,10 @@
 //   - a bounded job queue fanned over a fixed worker pool — the one
 //     path a verdict-cache miss takes: a batch submission is just
 //     several queued jobs — with cooperative cancellation on client
-//     disconnect, per-request timeout, and explicit cancel. Every check
-//     enters through one admission gate (admit), single or batch, hit
-//     or miss;
+//     disconnect and per-request timeout. Every check enters through
+//     one admission gate (admit), single or batch, hit or miss, and is
+//     answered on the connection that sent it: the server keeps no job
+//     once its answer is written;
 //   - a verdict cache keyed by (model content hash, bound, semantics,
 //     engine, deepen, CNF mode) under an LRU byte budget, accounted the
 //     same honest way as the solvers' ClauseDBBytes/MemBytes. A hit is
@@ -144,10 +145,6 @@ type Server struct {
 	mu       sync.Mutex
 	draining bool
 	queue    chan *job
-	jobs     map[string]*job
-	order    []string // submission order, for history eviction
-	head     int      // rolling eviction cursor into order
-	nextID   uint64
 
 	wg sync.WaitGroup
 }
@@ -163,7 +160,6 @@ func New(cfg Config) *Server {
 		quar:     newQuarantine(cfg.QuarantineThreshold, cfg.QuarantineTTL),
 		models:   newModelMemo(modelMemoCap),
 		queue:    make(chan *job, cfg.QueueDepth),
-		jobs:     make(map[string]*job),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -235,8 +231,8 @@ func (s *Server) Draining() bool {
 //
 // err is the set-level refusal. Otherwise refused[i] is the breaker's
 // refusal of item i (refused is nil when it refused none), and every
-// other item is admitted: registered, counted in jobs_submitted, and
-// queued if a miss or finished, after the lock is released, if a hit.
+// other item is admitted: counted in jobs_submitted, and queued if a
+// miss or finished, after the lock is released, if a hit.
 // Each item counts once, in jobs_submitted or jobs_rejected.
 func (s *Server) admit(items []*job, hits []*JobResult) (refused []error, err error) {
 	n := int64(len(items))
@@ -287,10 +283,6 @@ func (s *Server) admit(items []*job, hits []*JobResult) (refused []error, err er
 				continue
 			}
 		}
-		// Register first, then queue: a worker may start the job the
-		// instant it lands in the channel, and by then it must already
-		// have its id and be visible to status queries.
-		s.registerLocked(j)
 		s.metrics.submitted.Add(1)
 		if hits[i] == nil {
 			s.queue <- j // room was checked above, and every send holds s.mu
@@ -337,12 +329,12 @@ func (s *Server) retryAfterSeconds() int {
 	return secs
 }
 
-// newJob validates a request into a runnable job, without registering
-// it: the cluster router needs the model hash first, and registers only
-// what this shard runs. The hash comes from the model memo; the model is
-// parsed here only when the memo does not know it. raw is the model's
-// JSON string when a /v1/check body carried it (decodeCheck), nil
-// otherwise; on a memo hit for it the job's Model stays empty.
+// newJob validates a request into a runnable job, which admit queues
+// or the cluster router proxies away. The hash comes from the model
+// memo; the model is parsed here only when the memo does not know it.
+// raw is the model's JSON string when a /v1/check body carried it
+// (decodeCheck), nil otherwise; on a memo hit for it the job's Model
+// stays empty.
 func (s *Server) newJob(req CheckRequest, raw []byte) (*job, error) {
 	hash, sys, err := s.modelHash(&req, raw)
 	if err != nil {
@@ -412,72 +404,7 @@ func (s *Server) newJob(req CheckRequest, raw []byte) (*job, error) {
 		cancel:  sebmc.NewCancelFlag(),
 		timeout: timeout,
 		done:    make(chan struct{}),
-		state:   JobQueued,
 	}, nil
-}
-
-// maxJobs bounds the finished-job history kept for status queries.
-// Oldest finished jobs are evicted first.
-const maxJobs = 4096
-
-// registerLocked assigns an id and stores the job in the history,
-// evicting the oldest finished jobs beyond maxJobs. Callers hold s.mu.
-func (s *Server) registerLocked(j *job) {
-	s.nextID++
-	j.id = fmt.Sprintf("job-%06d", s.nextID)
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.evictHistoryLocked()
-}
-
-// evictHistoryLocked drops the oldest finished jobs once the history
-// cap is exceeded. The rolling head cursor keeps the common case O(1):
-// jobs finish in rough submission order, so the oldest entry is almost
-// always the evictable one and the scan stops immediately — no
-// front-to-back rescan or slice shift per submission. Callers hold
-// s.mu.
-func (s *Server) evictHistoryLocked() {
-	for len(s.jobs) > maxJobs {
-		evicted := false
-		for i := s.head; i < len(s.order); i++ {
-			id := s.order[i]
-			old, ok := s.jobs[id]
-			if !ok {
-				// Slot already evicted; advance past a cleared prefix.
-				if i == s.head {
-					s.head++
-				}
-				continue
-			}
-			if old.State() != JobDone {
-				continue // still live; keep it, try a later entry
-			}
-			delete(s.jobs, id)
-			if i == s.head {
-				s.head++
-			} else {
-				s.order[i] = "" // cleared out of order; skipped above
-			}
-			evicted = true
-			break
-		}
-		if !evicted {
-			break // everything live; let the history run long
-		}
-	}
-	// Compact once the consumed prefix dominates, so order does not
-	// grow without bound over the server's lifetime.
-	if s.head > 1024 && s.head > len(s.order)/2 {
-		s.order = append(s.order[:0:0], s.order[s.head:]...)
-		s.head = 0
-	}
-}
-
-// lookup returns a job by id.
-func (s *Server) lookup(id string) *job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jobs[id]
 }
 
 // worker drains the queue until it is closed and empty.
@@ -493,7 +420,6 @@ func (s *Server) worker() {
 // path runs inside finishContained's recover: this is a worker
 // goroutine, so an escaped panic here would kill the process.
 func (s *Server) run(j *job) {
-	j.setState(JobRunning)
 	start := time.Now()
 	res := s.finishContained(j)
 	elapsed := time.Since(start)
@@ -579,11 +505,11 @@ func (s *Server) answer(j *job) *JobResult {
 		j.sys = sys
 	}
 
-	// Per-request timeout rides the cancellation flag, so timeout,
-	// client disconnect and explicit cancel all stop the solver the
-	// same way — and none of them poisons a warm session. The timedOut
-	// mark keeps the two apart in /metrics. j.timeout is the clamped
-	// effective budget, not the raw client ask.
+	// Per-request timeout rides the cancellation flag, so a timeout and
+	// a client disconnect stop the solver the same way — and neither
+	// poisons a warm session. The timedOut mark keeps the two apart in
+	// /metrics. j.timeout is the clamped effective budget, not the raw
+	// client ask.
 	if d := j.timeout; d > 0 {
 		t := time.AfterFunc(d, func() {
 			j.timedOut.Store(true)

@@ -11,11 +11,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -90,8 +92,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, string) {
 
 // submit validates one request and passes it through the admission gate
 // as a miss, the way a /v1/check that is not cached enters: the job is
-// queued and visible to status queries, or the gate's refusal comes
-// back.
+// queued, or the gate's refusal comes back.
 func (s *Server) submit(req CheckRequest) (*job, error) {
 	j, err := s.newJob(req, nil)
 	if err != nil {
@@ -138,16 +139,16 @@ func getJSON(t *testing.T, url string, out any) int {
 	return resp.StatusCode
 }
 
-// checkWait runs one synchronous submission and returns the result.
+// checkWait posts one check, waits for its 200 answer and returns the
+// result.
 func checkWait(t *testing.T, base string, req CheckRequest) *JobResult {
 	t.Helper()
-	req.Wait = true
-	var st jobStatus
+	var st checkResponse
 	if code := postJSON(t, base+"/v1/check", req, &st); code != http.StatusOK {
-		t.Fatalf("wait submit: HTTP %d", code)
+		t.Fatalf("check: HTTP %d", code)
 	}
-	if st.State != JobDone || st.Result == nil {
-		t.Fatalf("wait submit came back %q without a result", st.State)
+	if st.Result == nil {
+		t.Fatal("check answered without a result")
 	}
 	return st.Result
 }
@@ -366,9 +367,8 @@ func TestServiceCacheMixedBoundsAndSemantics(t *testing.T) {
 }
 
 // TestServiceSubmitStorm mirrors the batch-layer stress test at the
-// HTTP layer: a storm of asynchronous submissions across several
-// models and bounds, polled to completion and every verdict checked
-// against the oracle.
+// HTTP layer: a storm of concurrent checks across several models and
+// bounds, every verdict checked against the oracle.
 func TestServiceSubmitStorm(t *testing.T) {
 	_, url := newTestServer(t, Config{Workers: 4, QueueDepth: 512, DefaultEngine: sebmc.EnginePortfolio})
 
@@ -380,62 +380,41 @@ func TestServiceSubmitStorm(t *testing.T) {
 		circuits.FIFO(2),
 	}
 	const maxK = 6
-	type pending struct {
-		id  string
-		sys int
-		k   int
-		eng string
-	}
-	var jobs []pending
 	engines := []string{"portfolio", "sat-incr", "jsat"}
+	var wg sync.WaitGroup
 	for si, sys := range systems {
 		src := aagSource(t, sys)
+		oracle := explicit.New(sys)
 		for k := 0; k <= maxK; k++ {
 			eng := engines[(si+k)%len(engines)]
-			var st jobStatus
-			code := postJSON(t, url+"/v1/check", CheckRequest{Model: src, Format: "aag", Bound: k, Engine: eng}, &st)
-			if code != http.StatusAccepted {
-				t.Fatalf("async submit: HTTP %d", code)
-			}
-			if st.ID == "" {
-				t.Fatal("async submit returned no job id")
-			}
-			jobs = append(jobs, pending{id: st.ID, sys: si, k: k, eng: eng})
+			want := oracle.ReachableExact(k)
+			body := jsonBody(t, CheckRequest{Model: src, Format: "aag", Bound: k, Engine: eng})
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := http.Post(url+"/v1/check", "application/json", body)
+				if err != nil {
+					t.Errorf("sys %d %s k=%d: %v", si, eng, k, err)
+					return
+				}
+				defer resp.Body.Close()
+				var st checkResponse
+				if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || resp.StatusCode != http.StatusOK || st.Result == nil {
+					t.Errorf("sys %d %s k=%d: HTTP %d (%v), result %v", si, eng, k, resp.StatusCode, err, st.Result)
+					return
+				}
+				switch res := st.Result; {
+				case res.Status == "UNKNOWN":
+					t.Errorf("sys %d %s k=%d: UNKNOWN without a budget", si, eng, k)
+				case (res.Status == "REACHABLE") != want:
+					t.Errorf("sys %d %s k=%d: server says %s, oracle says reachable=%v", si, eng, k, res.Status, want)
+				case res.Status == "REACHABLE" && !res.WitnessValidated:
+					t.Errorf("sys %d %s k=%d: reachable verdict without witness replay", si, eng, k)
+				}
+			}()
 		}
 	}
-
-	oracles := make([]*explicit.Checker, len(systems))
-	for i, sys := range systems {
-		oracles[i] = explicit.New(sys)
-	}
-	deadline := time.Now().Add(120 * time.Second)
-	for _, p := range jobs {
-		var res JobResult
-		for {
-			code := getJSON(t, url+"/v1/results/"+p.id, &res)
-			if code == http.StatusOK {
-				break
-			}
-			if code != http.StatusAccepted {
-				t.Fatalf("job %s: result poll HTTP %d", p.id, code)
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("job %s still unfinished", p.id)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		want := oracles[p.sys].ReachableExact(p.k)
-		if res.Status == "UNKNOWN" {
-			t.Fatalf("job %s (%s k=%d): UNKNOWN without a budget", p.id, p.eng, p.k)
-		}
-		if got := res.Status == "REACHABLE"; got != want {
-			t.Fatalf("job %s (sys %d, %s, k=%d): server says %s, oracle says reachable=%v",
-				p.id, p.sys, p.eng, p.k, res.Status, want)
-		}
-		if res.Status == "REACHABLE" && !res.WitnessValidated {
-			t.Fatalf("job %s: reachable verdict without witness replay", p.id)
-		}
-	}
+	wg.Wait()
 }
 
 func TestServiceBatch(t *testing.T) {
@@ -575,68 +554,40 @@ func TestServiceBatchDisconnectCancels(t *testing.T) {
 }
 
 // TestServiceCancelRunningJob pins cooperative cancellation through the
-// HTTP layer: ParityGuard's fan-out makes jSAT effectively
-// non-terminating at this bound, so only a working DELETE -> CancelFlag
-// -> solver-poll chain lets this test finish.
+// Go client: ParityGuard's fan-out makes jSAT effectively
+// non-terminating at this bound, so only a working context -> closed
+// request -> CancelFlag -> solver-poll chain lets this test finish, and
+// the job counts as cancelled, not timed out.
 func TestServiceCancelRunningJob(t *testing.T) {
-	_, url := newTestServer(t, Config{Workers: 1})
+	s, url := newTestServer(t, Config{Workers: 1})
 
 	src := aagSource(t, circuits.ParityGuard(10))
-	var st jobStatus
-	if code := postJSON(t, url+"/v1/check", CheckRequest{Model: src, Format: "aag", Bound: 8, Engine: "jsat"}, &st); code != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d", code)
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, err := NewClient(url).Check(ctx, CheckRequest{Model: src, Format: "aag", Bound: 8, Engine: "jsat"})
+		errc <- err
+	}()
+	waitUntil(t, 30*time.Second, "the job to start", func() bool {
+		return s.Metrics().Submitted == 1 && len(s.queue) == 0
+	})
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled check: %v, want context.Canceled", err)
 	}
-
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		var js jobStatus
-		getJSON(t, url+"/v1/jobs/"+st.ID, &js)
-		if js.State == JobRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never started running")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-
-	req, _ := http.NewRequest(http.MethodDelete, url+"/v1/jobs/"+st.ID, nil)
-	if resp, err := http.DefaultClient.Do(req); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("cancel: HTTP %d", resp.StatusCode)
-		}
-	}
-
-	for {
-		var res JobResult
-		if code := getJSON(t, url+"/v1/results/"+st.ID, &res); code == http.StatusOK {
-			if res.Status != "UNKNOWN" {
-				t.Fatalf("cancelled job finished %s, want UNKNOWN", res.Status)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("cancelled job never finished — cancellation lost")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	var m MetricsSnapshot
-	getJSON(t, url+"/metrics", &m)
-	if m.Cancelled != 1 {
-		t.Fatalf("cancelled counter: %d, want 1", m.Cancelled)
+	waitUntil(t, 30*time.Second, "the cancelled job to finish", func() bool { return s.Metrics().Completed == 1 })
+	if m := s.Metrics(); m.Cancelled != 1 || m.TimedOut != 0 {
+		t.Fatalf("cancel accounting: cancelled=%d timed_out=%d, want 1/0", m.Cancelled, m.TimedOut)
 	}
 }
 
-// TestServiceWaitDisconnectCancels: a synchronous client going away
-// must cancel its job the same way an explicit DELETE does.
+// TestServiceWaitDisconnectCancels: a client going away must cancel its
+// check and free the worker.
 func TestServiceWaitDisconnectCancels(t *testing.T) {
 	_, url := newTestServer(t, Config{Workers: 1})
 
 	src := aagSource(t, circuits.ParityGuard(10))
-	body, _ := json.Marshal(CheckRequest{Model: src, Format: "aag", Bound: 8, Engine: "jsat", Wait: true})
+	body, _ := json.Marshal(CheckRequest{Model: src, Format: "aag", Bound: 8, Engine: "jsat"})
 	ctx, cancel := context.WithCancel(context.Background())
 	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/check", strings.NewReader(string(body)))
 	req.Header.Set("Content-Type", "application/json")
@@ -681,23 +632,24 @@ func TestServiceWaitDisconnectCancels(t *testing.T) {
 func TestServiceDrain(t *testing.T) {
 	s, url := newTestServer(t, Config{Workers: 1, QueueDepth: 8})
 
-	var ids []string
+	var jobs []*job
 	for i := 0; i < 4; i++ {
 		j, err := s.submit(CheckRequest{Model: safeMSL, Bound: 6, Deepen: true, Engine: "sat"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, j.id)
+		jobs = append(jobs, j)
 	}
 	drain(t, s)
 
-	for _, id := range ids {
-		j := s.lookup(id)
-		if j == nil || j.State() != JobDone {
-			t.Fatalf("job %s not finished by the drain", id)
+	for i, j := range jobs {
+		select {
+		case <-j.done:
+		default:
+			t.Fatalf("job %d not finished by the drain", i)
 		}
-		if got := j.Result().Status; got != "UNREACHABLE" {
-			t.Fatalf("job %s drained with %s, want UNREACHABLE", id, got)
+		if got := j.result.Status; got != "UNREACHABLE" {
+			t.Fatalf("job %d drained with %s, want UNREACHABLE", i, got)
 		}
 	}
 	if _, err := s.submit(CheckRequest{Model: safeMSL, Bound: 2}); err != ErrDraining {
@@ -735,13 +687,7 @@ func TestServiceQueueFullRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for blocker.State() != JobRunning {
-		if time.Now().After(deadline) {
-			t.Fatal("blocker never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, 30*time.Second, "the blocker to start", func() bool { return len(s.queue) == 0 })
 	if _, err := s.submit(CheckRequest{Model: safeMSL, Bound: 2, Engine: "sat"}); err != nil {
 		t.Fatalf("filling the queue: %v", err)
 	}
@@ -782,7 +728,7 @@ func TestServiceHitAnsweredWhileQueueFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer blocker.cancel.Set()
-	waitUntil(t, 30*time.Second, "the blocker to start", func() bool { return blocker.State() == JobRunning })
+	waitUntil(t, 30*time.Second, "the blocker to start", func() bool { return len(s.queue) == 0 })
 	if _, err := s.submit(CheckRequest{Model: safeMSL, Bound: 2, Engine: "sat"}); err != nil {
 		t.Fatalf("filling the queue: %v", err)
 	}
@@ -801,36 +747,60 @@ func TestServiceHitAnsweredWhileQueueFull(t *testing.T) {
 			t.Fatalf("batch item %d: %+v, want a cached REACHABLE", i, r)
 		}
 	}
-	if blocker.State() == JobDone {
+	select {
+	case <-blocker.done:
 		t.Fatal("the blocker finished early; the queue was not held full")
+	default:
 	}
 }
 
-// TestServiceAsyncHit: an async submission that hits the verdict cache
-// is answered 202 with the result already in the status, and the job is
-// registered like any other: GET /v1/jobs/{id} reports it done.
-func TestServiceAsyncHit(t *testing.T) {
-	_, url := newTestServer(t, Config{Workers: 1})
+// TestServiceCheckAnswersOnItsConnection: a check lives as long as its
+// request. A body without "wait", which earlier releases answered 202
+// with a job ID, is answered 200 with its result, miss and hit alike;
+// the answer names no job, and the job endpoints answer 404.
+func TestServiceCheckAnswersOnItsConnection(t *testing.T) {
+	s, url := newTestServer(t, Config{Workers: 1})
 	req := CheckRequest{Model: cexMSL, Bound: 5, Engine: "sat"}
-	checkWait(t, url, req)
-
-	var st jobStatus
-	if code := postJSON(t, url+"/v1/check", req, &st); code != http.StatusAccepted {
-		t.Fatalf("async hit: HTTP %d, want 202", code)
+	for _, cached := range []bool{false, true} {
+		resp, err := http.Post(url+"/v1/check", "application/json", jsonBody(t, req))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var fields map[string]json.RawMessage
+		if err != nil || resp.StatusCode != http.StatusOK || json.Unmarshal(raw, &fields) != nil {
+			t.Fatalf("cached=%v: HTTP %d (%s), want 200", cached, resp.StatusCode, raw)
+		}
+		for _, name := range []string{"id", "state"} {
+			if _, ok := fields[name]; ok {
+				t.Errorf("cached=%v: the answer carries %q: %s", cached, name, raw)
+			}
+		}
+		var st checkResponse
+		if json.Unmarshal(raw, &st) != nil || st.Result == nil || st.Result.Status != "REACHABLE" || st.Result.Cached != cached {
+			t.Fatalf("cached=%v: %s, want a REACHABLE result with cached=%v", cached, raw, cached)
+		}
 	}
-	if st.State != JobDone || st.Result == nil || !st.Result.Cached || st.Result.Status != "REACHABLE" {
-		t.Fatalf("async hit status: %+v, want done with a cached REACHABLE embedded", st)
+	for _, ep := range [][2]string{
+		{http.MethodGet, "/v1/jobs/job-000001"},
+		{http.MethodGet, "/v1/results/job-000001"},
+		{http.MethodDelete, "/v1/jobs/job-000001"},
+	} {
+		hreq, err := http.NewRequest(ep[0], url+ep[1], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(hreq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: HTTP %d, want 404", ep[0], ep[1], resp.StatusCode)
+		}
 	}
-	var got jobStatus
-	if code := getJSON(t, url+"/v1/jobs/"+st.ID, &got); code != http.StatusOK {
-		t.Fatalf("GET /v1/jobs/%s: HTTP %d", st.ID, code)
-	}
-	if got.State != JobDone || got.Result == nil || *got.Result != *st.Result {
-		t.Fatalf("GET /v1/jobs/%s: %+v, want the submission's done status", st.ID, got)
-	}
-	var m MetricsSnapshot
-	getJSON(t, url+"/metrics", &m)
-	if m.Submitted != 2 || m.Completed != 2 {
+	if m := s.Metrics(); m.Submitted != 2 || m.Completed != 2 {
 		t.Fatalf("jobs submitted=%d completed=%d, want 2/2", m.Submitted, m.Completed)
 	}
 }
@@ -840,7 +810,7 @@ func TestServiceAsyncHit(t *testing.T) {
 // for a /v1/check hit and for /metrics alike.
 func TestServiceCompactJSON(t *testing.T) {
 	_, url := newTestServer(t, Config{Workers: 1})
-	req := CheckRequest{Model: cexMSL, Bound: 5, Engine: "sat", Wait: true}
+	req := CheckRequest{Model: cexMSL, Bound: 5, Engine: "sat"}
 	checkWait(t, url, req)
 	get := map[string]func() (*http.Response, error){
 		"hit": func() (*http.Response, error) {
@@ -866,7 +836,7 @@ func TestServiceCompactJSON(t *testing.T) {
 		if !bytes.Equal(body, compact.Bytes()) {
 			t.Errorf("%s body is not compact JSON:\n%s", name, body)
 		}
-		var st jobStatus
+		var st checkResponse
 		if name == "hit" && (json.Unmarshal(body, &st) != nil || st.Result == nil || !st.Result.Cached) {
 			t.Errorf("hit: %s, want a cached answer", body)
 		}
@@ -885,7 +855,6 @@ func TestServiceDrainingRefusesHits(t *testing.T) {
 	}
 	drain(t, s)
 	hits := s.Metrics().Cache.Hits
-	req.Wait = true
 	if code := postJSON(t, url+"/v1/check", req, nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("cached key while draining: HTTP %d, want 503", code)
 	}
@@ -1035,9 +1004,6 @@ func TestServiceBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s with data after the JSON object: HTTP %d, want 400", path, resp.StatusCode)
 		}
-	}
-	if code := getJSON(t, url+"/v1/jobs/job-999999", nil); code != http.StatusNotFound {
-		t.Fatalf("unknown job: HTTP %d, want 404", code)
 	}
 	var m MetricsSnapshot
 	getJSON(t, url+"/metrics", &m)
