@@ -27,14 +27,15 @@
 // saturated peers; a proxied request that its owner bounces walks on to
 // the next preference, and one its owner holds past the request's
 // deadline is served by the shard that received it. Fresh verdicts
-// replicate write-behind to the key's failover shard, and anti-entropy
-// repair pulls whatever a shard missed — a push dropped while it was
-// down included — so a kill -9 of the owner still gets warm answers
-// from the survivor. Replication is also how a SIGTERM drain
-// hands warm state over: the drain flushes the replication queue, and
-// the next owner resumes each key's proven prefix from the replicated
-// deepen verdicts. See the README's "Running a cluster" and "Failure
-// and recovery" sections.
+// replicate write-behind to every peer, so a kill -9 of the owner still
+// gets warm answers from the survivor. A shard pulls a peer's whole
+// verdict cache when it first hears from the peer after starting, and
+// again when the peer reports dropping a push meant for it, so a
+// restarted shard catches up on what it missed. Replication is also how
+// a SIGTERM drain hands warm state over: the drain flushes the
+// replication queue, and the next owner resumes each key's proven
+// prefix from the replicated deepen verdicts. See the README's "Running
+// a cluster" and "Failure and recovery" sections.
 //
 // The BMCD_FAULTPOINTS environment variable arms fault-injection sites
 // for chaos drills (e.g. "sat.propagate=panic@3"); see

@@ -24,7 +24,7 @@ import (
 // Status is one shard's self-reported health, exchanged over
 // GET /v1/cluster/health. It is intentionally a fraction of /metrics:
 // gossip runs every second against every peer, so the payload carries
-// only what routing decisions read.
+// only what routing and replication decisions read.
 type Status struct {
 	ID       string `json:"id"`
 	Draining bool   `json:"draining"`
@@ -40,20 +40,10 @@ type Status struct {
 	// Sessions is the live warm-session count, for operators reading
 	// locality off the gossip view.
 	Sessions int `json:"sessions"`
-	// CacheDigest summarizes the shard's verdict cache per key range
-	// for anti-entropy: a peer whose range digest disagrees pulls the
-	// difference via /v1/cluster/repair.
-	CacheDigest []RangeDigest `json:"cache_digest,omitempty"`
-}
-
-// RangeDigest is one key range's verdict-cache summary: how many
-// entries live in the range and an order-independent XOR hash of their
-// identities. Equal digests mean (with overwhelming probability) equal
-// range contents; unequal digests pick out exactly which ranges a
-// repair pull must fetch.
-type RangeDigest struct {
-	Count uint64 `json:"n"`
-	Hash  uint64 `json:"h"`
+	// Dropped counts, per peer ID, the replicate pushes this shard has
+	// dropped for that peer since it started. A peer that sees its count
+	// change pulls this shard's verdict cache via /v1/cluster/repair.
+	Dropped map[string]int64 `json:"dropped,omitempty"`
 }
 
 // Overloaded reports whether a shard in this state should be skipped

@@ -42,9 +42,9 @@
 //	service.witness.validate witness replay before serving
 //	service.certificate.validate
 //	                         invariant-certificate replay before serving
-//	service.replicate.send   verdict write-behind push to the failover
-//	                         peer (fires on the worker goroutine)
-//	service.repair.pull      anti-entropy repair pull
+//	service.replicate.send   verdict write-behind push to one peer
+//	                         (fires on the worker goroutine)
+//	service.repair.pull      catch-up pull of a peer's verdict cache
 package faultpoint
 
 import (

@@ -6,16 +6,15 @@ package service
 // solvers' ClauseDBBytes/MemBytes: every retained allocation is
 // counted (key strings, witness text, entry struct, list and map
 // bookkeeping), so the configured budget is a real bound on resident
-// verdict memory, not an entry count with a guessed multiplier.
+// verdict memory, not an entry count with a guessed multiplier. The
+// cache knows nothing of replication: a push or a pull stores through
+// add, and a peer's pull reads a snapshot.
 
 import (
 	"container/list"
-	"hash/fnv"
-	"strconv"
 	"sync"
 
 	sebmc "repro"
-	"repro/internal/cluster"
 	"repro/internal/faultpoint"
 )
 
@@ -48,68 +47,14 @@ type cacheEntry struct {
 	sz  int
 }
 
-// digestRanges partitions the key space for anti-entropy: entries are
-// bucketed by the first hex character of the model hash, so two shards
-// comparing digests localize a divergence to a sixteenth of the cache
-// before pulling anything.
-const digestRanges = 16
-
-// rangeOf maps a key to its digest bucket.
-func rangeOf(k verdictKey) int {
-	if len(k.Hash) == 0 {
-		return 0
-	}
-	c := k.Hash[0]
-	switch {
-	case c >= '0' && c <= '9':
-		return int(c - '0')
-	case c >= 'a' && c <= 'f':
-		return int(c-'a') + 10
-	default:
-		return int(c) % digestRanges
-	}
-}
-
-// identityHash is an entry's anti-entropy fingerprint: the question
-// plus the deterministic half of the answer (status, depth). Run
-// statistics (conflicts, peak bytes, deciding engine) are deliberately
-// excluded — two shards that independently solved the same question
-// hold entries with different stats but the same identity, and repair
-// must see them as already converged.
-func identityHash(k verdictKey, v JobResult) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(k.Hash))
-	buf := make([]byte, 0, 64)
-	buf = strconv.AppendInt(buf, int64(k.Bound), 10)
-	buf = append(buf, '|')
-	buf = append(buf, byte(k.Engine), byte(k.Sem), byte(k.Sched))
-	buf = append(buf, boolByte(k.Deepen), boolByte(k.PG), '|')
-	buf = append(buf, v.Status...)
-	buf = append(buf, '|')
-	buf = strconv.AppendInt(buf, int64(v.FoundAt), 10)
-	_, _ = h.Write(buf)
-	return h.Sum64()
-}
-
-func boolByte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // verdictCache is a mutex-guarded LRU over a byte budget. budget < 0
-// disables it entirely. Alongside the entries it maintains an
-// incremental per-range digest (count + XOR of identity hashes) that
-// gossip piggybacks for anti-entropy: insert XORs an entry in, evict
-// XORs it out, so reading the digest is O(ranges), never a scan.
+// disables it entirely.
 type verdictCache struct {
 	mu      sync.Mutex
 	budget  int
 	bytes   int
 	ll      *list.List // front = most recently used
 	entries map[verdictKey]*list.Element
-	digests [digestRanges]cluster.RangeDigest
 }
 
 func newVerdictCache(budget int) *verdictCache {
@@ -120,39 +65,15 @@ func newVerdictCache(budget int) *verdictCache {
 	}
 }
 
-// digestToggleLocked folds an entry into or out of its range digest
-// (XOR is its own inverse, so one body serves insert and remove).
-func (c *verdictCache) digestToggleLocked(k verdictKey, v JobResult, insert bool) {
-	r := rangeOf(k)
-	c.digests[r].Hash ^= identityHash(k, v)
-	if insert {
-		c.digests[r].Count++
-	} else {
-		c.digests[r].Count--
-	}
-}
-
-// digest snapshots the per-range summaries for gossip.
-func (c *verdictCache) digest() []cluster.RangeDigest {
+// snapshot returns copies of every entry, most recently used first —
+// the catch-up pull's answer. Does not touch recency: answering a
+// peer's pull is not a use.
+func (c *verdictCache) snapshot() []cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]cluster.RangeDigest, digestRanges)
-	copy(out, c.digests[:])
-	return out
-}
-
-// rangeEntries returns copies of every entry whose key falls in one of
-// the requested ranges — the repair-pull payload. Does not touch
-// recency: answering a peer's anti-entropy pull is not a use.
-func (c *verdictCache) rangeEntries(ranges map[int]bool) []cacheEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []cacheEntry
+	out := make([]cacheEntry, 0, len(c.entries))
 	for el := c.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		if ranges[rangeOf(e.key)] {
-			out = append(out, *e)
-		}
+		out = append(out, *el.Value.(*cacheEntry))
 	}
 	return out
 }
@@ -252,16 +173,12 @@ func (c *verdictCache) store(k verdictKey, v JobResult, replace bool) bool {
 			return false
 		}
 		e := el.Value.(*cacheEntry)
-		c.digestToggleLocked(e.key, e.v, false)
 		c.bytes += sz - e.sz
 		e.v, e.sz = v, sz
 		c.ll.MoveToFront(el)
-		c.digestToggleLocked(k, v, true)
 	} else {
-		e := &cacheEntry{key: k, v: v, sz: sz}
-		c.entries[k] = c.ll.PushFront(e)
+		c.entries[k] = c.ll.PushFront(&cacheEntry{key: k, v: v, sz: sz})
 		c.bytes += sz
-		c.digestToggleLocked(k, v, true)
 	}
 	for c.bytes > c.budget {
 		back := c.ll.Back()
@@ -272,7 +189,6 @@ func (c *verdictCache) store(k verdictKey, v JobResult, replace bool) bool {
 		c.ll.Remove(back)
 		delete(c.entries, e.key)
 		c.bytes -= e.sz
-		c.digestToggleLocked(e.key, e.v, false)
 	}
 	return true
 }

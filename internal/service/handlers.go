@@ -40,9 +40,11 @@ package service
 //	GET    /healthz         200 ok / 503 draining
 //
 // Clustered shards additionally expose the peer-to-peer endpoints
-// GET /v1/cluster/health (gossip), POST /v1/cluster/replicate (verdict
-// write-behind, also what carries warm state off a draining shard) and
-// GET /v1/cluster/repair (anti-entropy pulls); see router.go and
+// GET /v1/cluster/health (gossip, with the per-peer counts of dropped
+// pushes), POST /v1/cluster/replicate (verdict write-behind to every
+// peer, also what carries warm state off a draining shard) and
+// GET /v1/cluster/repair (a shard's whole verdict cache, pulled on
+// first contact and after a dropped push); see router.go and
 // replication.go.
 //
 // Every check that enters a shard, /v1/check (a set of one) or the
@@ -148,11 +150,11 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	}
 	clampDeadline(r, j)
 	// A verdict-cache hit is answered on this shard, from its own cache
-	// (its own fills plus what replication and repair delivered): no
-	// proxy hop, no queue slot, no worker. Only a miss is routed:
-	// clustered, the model hash decides which shard runs it, and
-	// routeCheck answers true when the request was proxied away. What
-	// stays here is a set of one for the admission gate.
+	// (its own fills plus what peers pushed or it pulled): no proxy hop,
+	// no queue slot, no worker. Only a miss is routed: clustered, the
+	// model hash decides which shard runs it, and routeCheck answers
+	// true when the request was proxied away. What stays here is a set
+	// of one for the admission gate.
 	items, hits := [1]*job{j}, [1]*JobResult{}
 	s.batchHits(items[:], hits[:])
 	if hits[0] != nil {

@@ -74,12 +74,12 @@ type metrics struct {
 	clusterReplicaServed atomic.Int64
 
 	// Warm-failover accounting: the verdict replication write-behind
-	// (out = entries a failover peer stored, in = entries stored from
-	// peers) and anti-entropy repair.
+	// (out = entries peers stored, in = entries stored from peers) and
+	// the catch-up pulls.
 	replicatedOut     atomic.Int64
 	replicatedIn      atomic.Int64
 	replicateRejected atomic.Int64 // receiver dropped an invalid entry
-	replicateDropped  atomic.Int64 // sender did not deliver an entry
+	replicateDropped  atomic.Int64 // sender did not deliver an entry to a peer
 	repairPulls       atomic.Int64
 	repairedEntries   atomic.Int64
 
@@ -258,22 +258,24 @@ type ClusterSnapshot struct {
 }
 
 // ReplicationSnapshot is the /metrics replication section: the verdict
-// write-behind and anti-entropy repair.
+// write-behind and the catch-up pulls.
 type ReplicationSnapshot struct {
-	// ReplicatedOut counts entries a failover peer stored from this
-	// shard's pushes; ReplicatedIn counts entries this shard stored from
-	// peers (replicate pushes and repair pulls both land here). An entry
-	// the receiver already held counts in neither.
+	// ReplicatedOut counts entries peers stored from this shard's
+	// pushes; ReplicatedIn counts entries this shard stored from peers
+	// (replicate pushes and repair pulls both land here). An entry the
+	// receiver already held counts in neither.
 	ReplicatedOut int64 `json:"replicated_out"`
 	ReplicatedIn  int64 `json:"replicated_in"`
-	// ReplicateDropped: entries the push did not deliver: queue
-	// overflow, target down or failed send; repair delivers them.
+	// ReplicateDropped: entries the push did not deliver, once per
+	// peer: queue overflow, peer down or failed send. Each peer
+	// learns its count through gossip and pulls this shard's cache.
 	// ReplicateRejected: receiver-side entries dropped for failing
 	// validation (hash mismatch, witness that does not replay).
 	ReplicateDropped  int64 `json:"replicate_dropped"`
 	ReplicateRejected int64 `json:"replicate_rejected"`
 
-	// RepairPulls counts anti-entropy pull requests issued;
+	// RepairPulls counts catch-up pull requests issued: one per peer on
+	// first contact, and one per peer report of a dropped push;
 	// RepairedEntries counts entries stored through them.
 	RepairPulls     int64 `json:"repair_pulls"`
 	RepairedEntries int64 `json:"repaired_entries"`

@@ -4,35 +4,31 @@ package service
 // verdict survive the death of the shard that computed it, and the one
 // way warm state leaves a shard.
 //
-//   - Replication: every fresh verdict-cache fill is write-behind
-//     replicated to the key's first failover shard (the next entry in
-//     rendezvous preference order). The enqueue is a non-blocking
-//     channel send — a full queue drops the entry and counts it, it
-//     never delays the request path — and a background worker batches
-//     queued entries per target into POST /v1/cluster/replicate. The
-//     receiver re-derives the model hash from the shipped AAG (through
-//     its model memo, memo.go) and replay-validates witness-bearing
-//     REACHABLE entries before adopting them, exactly like served
-//     verdicts: a corrupt or dishonest replica is dropped, not cached.
-//     A drain flushes what the queue still holds before the shard
-//     stops. Replicated deepen verdicts are also what carries a proven
-//     prefix to the key's next owner: a session built there seeds
-//     itself from them (solve, verdictCache.provenBelow). An entry
-//     the push cannot deliver — queue overflow, a target the gossip
-//     tracker calls unhealthy, a failed send — is dropped and counted;
-//     anti-entropy delivers it.
+//   - Push: every fresh verdict-cache fill is write-behind replicated to
+//     every peer. The enqueue is a non-blocking channel send — a full
+//     queue drops the entry and counts it, it never delays the request
+//     path — and a background worker batches queued entries into one
+//     POST /v1/cluster/replicate per peer. The push ships the model the
+//     verdict was computed on; the receiver re-derives the model hash
+//     from it (through its model memo, memo.go) and replay-validates
+//     REACHABLE witnesses and SAFE certificates before adopting them,
+//     exactly like served verdicts: a corrupt or dishonest replica is
+//     dropped, not cached. A drain flushes what the queue still holds
+//     before the shard stops. Replicated deepen verdicts are also what
+//     carries a proven prefix to the key's next owner: a session built
+//     there seeds itself from them (solve, verdictCache.provenBelow).
 //
-//   - Anti-entropy: each shard piggybacks a per-range verdict-cache
-//     digest (count + XOR identity hash, cache.go) on its gossip
-//     status. A shard whose view of a peer's range disagrees with its
-//     own issues GET /v1/cluster/repair?ranges=... and merges the
-//     difference — union merge, so repeated exchange converges after
-//     partitions, kill -9 crashes, and rolling restarts, and it is the
-//     one way a restarted shard catches up on what it missed. A
-//     per-(peer, range) memo of the last digest pulled keeps the
-//     exchange quiescent once the caches stop changing: divergence a
-//     pull cannot close (entries past the LRU budget, run-stat-only
-//     differences) is pulled once, not every tick.
+//   - Catch-up: an entry a peer cannot take — queue overflow, a peer the
+//     gossip tracker calls unhealthy, a failed send — is dropped and
+//     counted for that peer, and gossip carries the per-peer counts
+//     (cluster.Status.Dropped). A shard pulls a peer's whole verdict
+//     cache (GET /v1/cluster/repair) when it first hears from the peer
+//     after starting, and again only when the peer's count of pushes
+//     dropped for it changes: so a restarted shard catches up on its
+//     first gossip round, and a partition heals on the round after.
+//     Adoption is a union merge, so every shard holds every verdict
+//     its own cache budget keeps; an entry that budget evicted is not
+//     sent to it again.
 //
 // Both paths run under the replicate/repair faultpoints, so the chaos
 // storm exercises them; a panic injected into the background worker is
@@ -43,10 +39,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
-	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	sebmc "repro"
@@ -109,9 +105,9 @@ func parseSem(s string) (sebmc.Semantics, error) {
 // record's own "bound" is shadowed by the key's and travels as
 // result_bound. Replicate pushes attach the model source, so the
 // receiver can check the content hash and replay the witness or
-// certificate; repair pulls omit it (the cache does not retain it) and
-// only carry entries whose artifacts were validated at original fill
-// or replicate time.
+// certificate; pulls omit it (the cache does not retain it) and only
+// carry entries whose artifacts were validated at original fill or
+// replicate time.
 type replicaEntry struct {
 	wireKey
 	Bound  int  `json:"bound"`
@@ -131,7 +127,8 @@ func (e replicaEntry) entryKey() (verdictKey, error) {
 	return verdictKey{sessionKey: sk, Bound: e.Bound, Deepen: e.Deepen}, err
 }
 
-// replicatePayload is the POST /v1/cluster/replicate body.
+// replicatePayload is the POST /v1/cluster/replicate body, and the
+// GET /v1/cluster/repair answer, whose entries carry no model.
 type replicatePayload struct {
 	Entries []replicaEntry `json:"entries"`
 }
@@ -142,17 +139,9 @@ type replicateResponse struct {
 	Accepted int `json:"accepted"`
 }
 
-// repairPayload is the GET /v1/cluster/repair answer. Truncated means
-// the response hit its size cap; the puller must not memoize the
-// digest it pulled against, so the next gossip tick pulls the rest.
-type repairPayload struct {
-	Entries   []replicaEntry `json:"entries"`
-	Truncated bool           `json:"truncated,omitempty"`
-}
-
 // replTask is one queued write-behind replication: the cache entry
-// plus the parsed system it answers for (serialized to AAG on the
-// worker goroutine, never on the request path).
+// plus the parsed system it answers for, as submitted (serialized to
+// AAG on the worker goroutine, never on the request path).
 type replTask struct {
 	key verdictKey
 	v   JobResult
@@ -170,43 +159,67 @@ const replQueueDepth = 1024
 const replSendTimeout = 10 * time.Second
 
 // replicator is the warm-failover engine of one clustered shard: the
-// bounded write-behind queue and its worker, and the anti-entropy pull
-// memos.
+// bounded write-behind queue and its worker, the per-peer drop counts
+// gossip advertises, and what each peer had dropped for this shard when
+// this shard last pulled from it.
 type replicator struct {
 	s  *Server
 	cs *clusterState
 
 	queue chan replTask
 
-	mu         sync.Mutex
-	lastPulled map[string]map[int]uint64 // peer ID -> range -> digest hash pulled
+	// dropped counts, per peer ID, the entries the push dropped for that
+	// peer. The map is fixed at construction, so reading it takes no
+	// lock.
+	dropped map[string]*atomic.Int64
+	// pulled holds, per peer ID, the peer's drop count for this shard
+	// as of the last successful pull. Only the gossip loop touches it.
+	pulled map[string]int64
 }
 
 func newReplicator(s *Server, cs *clusterState) *replicator {
-	return &replicator{
-		s:          s,
-		cs:         cs,
-		queue:      make(chan replTask, replQueueDepth),
-		lastPulled: make(map[string]map[int]uint64),
+	r := &replicator{s: s, cs: cs, queue: make(chan replTask, replQueueDepth),
+		dropped: make(map[string]*atomic.Int64), pulled: make(map[string]int64)}
+	for _, p := range cs.peers {
+		r.dropped[p.ID] = new(atomic.Int64)
 	}
+	return r
 }
 
 // enqueue hands one fresh cache fill to the write-behind worker. Non-
 // blocking by construction: this is called from the request path, and
-// a replication storm must degrade to dropped replicas (anti-entropy
-// will catch them up), never to queue-depth latency on /v1/check.
+// a replication storm must degrade to dropped replicas (every peer then
+// pulls them), never to queue-depth latency on /v1/check.
 func (r *replicator) enqueue(t replTask) {
 	select {
 	case r.queue <- t:
 	default:
-		r.s.metrics.replicateDropped.Add(1)
+		r.drop(1, r.cs.peers...)
 	}
 }
 
-// loop is the write-behind worker: it drains the queue in batches,
-// groups entries by their failover target, and sends. Runs under the
-// cluster's WaitGroup; exits when the cluster stops, leaving whatever
-// is still queued to flush.
+// drop counts n entries the push did not deliver to each of peers: in
+// the peer's gossiped count, and once per peer in replicate_dropped.
+func (r *replicator) drop(n int, peers ...cluster.Shard) {
+	for _, p := range peers {
+		r.dropped[p.ID].Add(int64(n))
+	}
+	r.s.metrics.replicateDropped.Add(int64(n * len(peers)))
+}
+
+// droppedCounts is the gossip view of the drop counts.
+func (r *replicator) droppedCounts() map[string]int64 {
+	out := make(map[string]int64, len(r.dropped))
+	for id, c := range r.dropped {
+		out[id] = c.Load()
+	}
+	return out
+}
+
+// loop is the write-behind worker: it drains the queue in batches and
+// pushes each batch to every peer. Runs under the cluster's WaitGroup;
+// exits when the cluster stops, leaving whatever is still queued to
+// flush.
 func (r *replicator) loop() {
 	defer r.cs.wg.Done()
 	for {
@@ -236,8 +249,8 @@ func (r *replicator) collect(batch ...replTask) []replTask {
 // flush sends whatever the queue still holds, batch by batch, until it
 // is empty or ctx ends. Drain calls it after the workers have exited,
 // so no new fill arrives while it runs; a send that fails drops its
-// entries (counted), and they leave with the draining shard unless a
-// peer's repair pull fetches them first.
+// entries (counted), and they leave with the draining shard unless the
+// peer pulls them before it stops.
 func (r *replicator) flush(ctx context.Context) {
 	for ctx.Err() == nil {
 		batch := r.collect()
@@ -248,57 +261,46 @@ func (r *replicator) flush(ctx context.Context) {
 	}
 }
 
-// target picks the entry's first failover shard: the first shard in
-// rendezvous preference order that is not this one. Nil on a
-// single-shard "cluster" — nobody to replicate to.
-func (r *replicator) target(hash string) *cluster.Shard {
-	prefs := r.cs.ring.Prefs(hash)
-	for i := range prefs {
-		if prefs[i].ID != r.cs.self.ID {
-			return &prefs[i]
-		}
-	}
-	return nil
-}
-
-// sendBatch groups one drained batch by failover target and pushes
-// each group, dropping (and counting) the entries for a target that is
-// unhealthy or refuses the send. Contained: a panic injected at the
-// send faultpoint (or a bug in the serialization path) is swallowed
-// here — the replicator is an accelerator, and its worker must survive
-// anything.
+// sendBatch pushes one drained batch to every peer, its entries
+// serialized once, each with the model its verdict was computed on. An
+// entry a peer cannot take — the peer is unhealthy or refuses the send —
+// is dropped for that peer and counted. Contained: a panic injected at
+// the send faultpoint (or a bug in the serialization path) is swallowed
+// here and counts the whole batch dropped for every peer — the
+// replicator is an accelerator, and its worker must survive anything.
 func (r *replicator) sendBatch(ctx context.Context, batch []replTask) {
-	defer func() { _ = recover() }()
-	groups := make(map[cluster.Shard][]replicaEntry)
+	defer func() {
+		if recover() != nil {
+			r.drop(len(batch), r.cs.peers...)
+		}
+	}()
+	entries := make([]replicaEntry, 0, len(batch))
 	for _, t := range batch {
-		sh := r.target(t.key.Hash)
-		if sh == nil {
-			continue
-		}
 		var aag strings.Builder
-		if err := t.sys.Reduce().Circ.WriteAAG(&aag); err != nil {
+		if err := t.sys.Circ.WriteAAG(&aag); err != nil {
 			continue
 		}
-		groups[*sh] = append(groups[*sh], newReplicaEntry(t.key, t.v, aag.String()))
+		entries = append(entries, newReplicaEntry(t.key, t.v, aag.String()))
 	}
-	for sh, entries := range groups {
+	for _, sh := range r.cs.peers {
 		if !r.cs.tracker.Healthy(sh.ID) {
-			r.s.metrics.replicateDropped.Add(int64(len(entries)))
+			r.drop(len(entries), sh)
 			continue
 		}
 		accepted, err := r.push(ctx, sh, entries)
 		if err != nil {
-			// The target looked healthy but the send bounced: demote it
+			// The peer looked healthy but the send bounced: demote it
 			// now (direct refusal evidence, no hysteresis).
 			r.cs.tracker.NoteDown(sh.ID)
-			r.s.metrics.replicateDropped.Add(int64(len(entries)))
+			r.drop(len(entries), sh)
 			continue
 		}
 		r.s.metrics.replicatedOut.Add(int64(accepted))
 	}
 }
 
-// push POSTs one batch of entries to a peer's replicate endpoint.
+// push POSTs one batch of entries to a peer's replicate endpoint and
+// reports how many the peer stored.
 func (r *replicator) push(ctx context.Context, target cluster.Shard, entries []replicaEntry) (int, error) {
 	// Fault-injection site: an injected error simulates the network
 	// eating the send (the entries drop); an injected delay simulates a
@@ -306,150 +308,101 @@ func (r *replicator) push(ctx context.Context, target cluster.Shard, entries []r
 	if err := faultpoint.Hit("service.replicate.send"); err != nil {
 		return 0, err
 	}
-	payload, err := json.Marshal(replicatePayload{Entries: entries})
-	if err != nil {
-		return 0, err
+	var rr replicateResponse
+	err := r.call(ctx, http.MethodPost, target.URL+"/v1/cluster/replicate", replicatePayload{Entries: entries}, &rr)
+	return rr.Accepted, err
+}
+
+// call makes one replicate or repair exchange with a peer: it sends
+// body as JSON (none when nil) and decodes at most repairAnswerMax
+// bytes of a 200 answer into out.
+func (r *replicator) call(ctx context.Context, method, url string, body, out any) error {
+	var payload io.Reader
+	if body != nil {
+		b, err := json.Marshal(body)
+		if err != nil {
+			return err
+		}
+		payload = bytes.NewReader(b)
 	}
 	ctx, cancel := context.WithTimeout(ctx, replSendTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target.URL+"/v1/cluster/replicate", bytes.NewReader(payload))
+	req, err := http.NewRequestWithContext(ctx, method, url, payload)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := r.cs.client.Do(req)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
-		return 0, &APIError{StatusCode: resp.StatusCode, Message: readMessage(resp.Body)}
+		return &APIError{StatusCode: resp.StatusCode, Message: readMessage(resp.Body)}
 	}
-	var rr replicateResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-		return 0, err
-	}
-	return rr.Accepted, nil
+	return json.NewDecoder(io.LimitReader(resp.Body, repairAnswerMax)).Decode(out)
 }
 
-// antiEntropy compares a freshly-heard peer digest against the local
-// cache and pulls the ranges that disagree. The lastPulled memo keeps
-// the exchange quiescent: a range is re-pulled only when the peer's
-// digest differs both from ours and from what we last pulled from that
-// peer — so divergence a pull cannot close (their entries fell to our
-// LRU budget, or the entries differ only in run statistics) costs one
-// pull, not one per tick.
-func (r *replicator) antiEntropy(target cluster.Shard, st cluster.Status) {
+// catchUp runs after each successful poll of a peer. It pulls the
+// peer's whole verdict cache when this shard has not pulled from the
+// peer since it started, or when the peer's count of pushes dropped for
+// this shard differs from the count at the last successful pull. A
+// failed pull records nothing, so the next round retries it.
+func (r *replicator) catchUp(peer cluster.Shard, st cluster.Status) {
 	defer func() { _ = recover() }()
-	if len(st.CacheDigest) == 0 {
+	dropped := st.Dropped[r.cs.self.ID]
+	if last, ok := r.pulled[peer.ID]; ok && last == dropped {
 		return
 	}
-	local := r.s.cache.digest()
-	r.mu.Lock()
-	memo := r.lastPulled[target.ID]
-	var ranges []int
-	for i := 0; i < len(st.CacheDigest) && i < len(local); i++ {
-		peer := st.CacheDigest[i]
-		if peer.Count == 0 || peer.Hash == local[i].Hash {
-			continue // nothing to pull, or already converged
-		}
-		if memo != nil {
-			if h, ok := memo[i]; ok && h == peer.Hash {
-				continue // already pulled this exact divergence
-			}
-		}
-		ranges = append(ranges, i)
-	}
-	r.mu.Unlock()
-	if len(ranges) == 0 {
-		return
-	}
-	// Fault-injection site: an injected error blackholes the pull —
-	// divergence persists until the site disarms, exactly a partition.
+	// Fault-injection site: an injected error blackholes the pull, as a
+	// partition would; the next round retries it.
 	if err := faultpoint.Hit("service.repair.pull"); err != nil {
 		return
 	}
 	r.s.metrics.repairPulls.Add(1)
-	pulled, truncated, err := r.pull(target, ranges)
-	if err != nil {
-		return // next tick retries; the memo was not updated
+	var p replicatePayload
+	if err := r.call(context.Background(), http.MethodGet, peer.URL+"/v1/cluster/repair", nil, &p); err != nil {
+		return
 	}
-	adopted := 0
-	for _, e := range pulled {
-		stored, err := r.s.adoptReplica(e, false)
-		if err != nil {
-			r.s.metrics.replicateRejected.Add(1)
-		} else if stored {
-			adopted++
-		}
-	}
-	r.s.metrics.repairedEntries.Add(int64(adopted))
-	r.s.metrics.replicatedIn.Add(int64(adopted))
-	if truncated {
-		return // more to pull; leave the memo stale so the next tick continues
-	}
-	r.mu.Lock()
-	if r.lastPulled[target.ID] == nil {
-		r.lastPulled[target.ID] = make(map[int]uint64)
-	}
-	for _, i := range ranges {
-		r.lastPulled[target.ID][i] = st.CacheDigest[i].Hash
-	}
-	r.mu.Unlock()
-}
-
-// pull fetches a peer's entries for the given ranges.
-func (r *replicator) pull(target cluster.Shard, ranges []int) ([]replicaEntry, bool, error) {
-	parts := make([]string, len(ranges))
-	for i, rg := range ranges {
-		parts[i] = strconv.Itoa(rg)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), replSendTimeout)
-	defer cancel()
-	url := target.URL + "/v1/cluster/repair?ranges=" + strings.Join(parts, ",")
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	resp, err := r.cs.client.Do(req)
-	if err != nil {
-		return nil, false, err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, false, &APIError{StatusCode: resp.StatusCode, Message: readMessage(resp.Body)}
-	}
-	var rp repairPayload
-	if err := json.NewDecoder(resp.Body).Decode(&rp); err != nil {
-		return nil, false, err
-	}
-	return rp.Entries, rp.Truncated, nil
+	r.s.metrics.repairedEntries.Add(int64(r.s.adoptAll(p.Entries, false)))
+	r.pulled[peer.ID] = dropped
 }
 
 // replicateFill hands one fresh verdict-cache fill to the write-behind
 // replicator, under the same key the local cache used (bound-free for
 // terminal verdicts). Called on the request path, so it must stay O(1):
-// a channel send or a dropped-counter bump, nothing else. A terminal
-// verdict without a certificate (the k-induction arm proves without an
-// artifact) is not replicated — receivers adopt terminal claims only
-// after replaying a certificate, so the send would just bounce.
+// a channel send or a dropped-counter bump, nothing else. A verdict
+// whose claim was not validated here (the k-induction arm proves SAFE
+// without a certificate) is not replicated: receivers adopt a claim
+// only after replaying its artifact, so the send would just bounce.
 func (s *Server) replicateFill(j *job, key verdictKey, res *JobResult) {
 	cs := s.clusterView()
-	if cs == nil {
-		return
-	}
-	if res.Terminal && res.Certificate == "" {
+	if cs == nil || len(cs.peers) == 0 || !res.validated() {
 		return
 	}
 	cs.repl.enqueue(replTask{key: key, v: *res, sys: j.sys})
+}
+
+// validated reports whether a verdict's claim was replayed on the shard
+// that holds it: a REACHABLE's witness, a terminal SAFE's certificate.
+// Only such verdicts leave a shard, and a pulled entry, which ships no
+// model to replay against, is adopted only if it is one.
+func (r *JobResult) validated() bool {
+	switch r.Status {
+	case sebmc.Reachable.String():
+		return r.Witness == "" || r.WitnessValidated
+	case sebmc.Safe.String():
+		return r.CertificateValidated
+	}
+	return true
 }
 
 // adoptReplica validates one wire entry and adopts it into the local
 // verdict cache, reporting whether it stored the entry: a valid entry
 // whose key is already resident is not stored, and not an error.
 // withModel distinguishes replicate pushes (model attached: check the
-// content hash, replay the witness) from repair pulls (no model: only
-// entries validated at original fill time are accepted).
+// content hash, replay the witness or certificate) from pulls (no
+// model: only entries validated where they were held are accepted).
 func (s *Server) adoptReplica(e replicaEntry, withModel bool) (bool, error) {
 	k, err := e.entryKey()
 	if err != nil {
@@ -462,66 +415,85 @@ func (s *Server) adoptReplica(e replicaEntry, withModel bool) (bool, error) {
 		// sender's budget and ERROR must never be replayed.
 		return false, fmt.Errorf("service: replica entry with undecided status %q", e.Status)
 	}
-	if withModel {
-		sys, err := s.shippedModel(e)
+	if !withModel {
+		if !v.validated() {
+			return false, fmt.Errorf("service: pulled entry carries an unvalidated %s claim", e.Status)
+		}
+		return s.cache.add(k, v), nil
+	}
+	sys, err := s.shippedModel(e)
+	if err != nil {
+		return false, err
+	}
+	if e.Status == sebmc.Safe.String() {
+		// A terminal claim short-circuits every future bound for the
+		// model, so it is held to the strictest adoption bar: the
+		// shipped invariant certificate must replay here, by
+		// substitution against this receiver's own parse of the
+		// model. No certificate, no adoption.
+		if e.Certificate == "" {
+			return false, fmt.Errorf("service: terminal replica entry without certificate")
+		}
+		cert, err := sebmc.ParseCertificate(e.Certificate)
 		if err != nil {
-			return false, err
+			return false, fmt.Errorf("service: bad replica certificate: %w", err)
 		}
-		if e.Status == sebmc.Safe.String() {
-			// A terminal claim short-circuits every future bound for the
-			// model, so it is held to the strictest adoption bar: the
-			// shipped invariant certificate must replay here, by
-			// substitution against this receiver's own parse of the
-			// model. No certificate, no adoption.
-			if e.Certificate == "" {
-				return false, fmt.Errorf("service: terminal replica entry without certificate")
-			}
-			cert, err := sebmc.ParseCertificate(e.Certificate)
-			if err != nil {
-				return false, fmt.Errorf("service: bad replica certificate: %w", err)
-			}
-			if cert.Kind != sebmc.CertInvariant {
-				return false, fmt.Errorf("service: terminal replica entry with %s certificate", cert.Kind)
-			}
-			if err := cert.Validate(sys.Reduce()); err != nil {
-				return false, fmt.Errorf("service: replica certificate does not replay: %w", err)
-			}
-			v.CertificateValidated = true
+		if cert.Kind != sebmc.CertInvariant {
+			return false, fmt.Errorf("service: terminal replica entry with %s certificate", cert.Kind)
 		}
-		if e.Status == sebmc.Reachable.String() && e.Witness != "" {
-			// Replay the witness locally, exactly like a served verdict:
-			// REACHABLE claims are never taken on faith across shards.
-			// At-most-k runs (and the deepening schedules that force that
-			// semantics internally) record their traces against the
-			// self-looped transform — one extra input selecting the
-			// stutter step — so a plain-system replay is tried first and
-			// the transform second. A trace that replays on neither (the
-			// cone-of-influence reduction can also change widths) is
-			// rejected here; such entries still reach the peer through
-			// anti-entropy repair, which trusts the fill-time validation.
-			wit, err := sebmc.ParseWitness(e.Witness)
-			if err != nil {
-				return false, fmt.Errorf("service: bad replica witness: %w", err)
-			}
-			if err := wit.Validate(sys); err != nil {
-				if err2 := wit.Validate(sebmc.AddSelfLoop(sys)); err2 != nil {
-					return false, fmt.Errorf("service: replica witness does not replay: %w", err)
-				}
-			}
-			v.WitnessValidated = true
+		if err := cert.Validate(sys.Reduce()); err != nil {
+			return false, fmt.Errorf("service: replica certificate does not replay: %w", err)
 		}
-	} else if e.Status == sebmc.Reachable.String() && e.Witness != "" && !e.WitnessValidated {
-		// Repair entries carry no model to replay against; only
-		// witnesses already validated by the shard that computed or
-		// received them are trusted.
-		return false, fmt.Errorf("service: repair entry carries an unvalidated witness")
-	} else if e.Status == sebmc.Safe.String() && !e.CertificateValidated {
-		// The same bar for terminal claims: without a model to replay
-		// against, only certificates already validated by the shard
-		// that computed or adopted them cross on repair.
-		return false, fmt.Errorf("service: repair entry carries an unvalidated terminal claim")
+		v.CertificateValidated = true
+	}
+	if e.Status == sebmc.Reachable.String() && e.Witness != "" {
+		// Replay the witness locally, exactly like a served verdict:
+		// REACHABLE claims are never taken on faith across shards.
+		wit, err := sebmc.ParseWitness(e.Witness)
+		if err != nil {
+			return false, fmt.Errorf("service: bad replica witness: %w", err)
+		}
+		if err := replayAny(wit, sys); err != nil {
+			return false, fmt.Errorf("service: replica witness does not replay: %w", err)
+		}
+		v.WitnessValidated = true
 	}
 	return s.cache.add(k, v), nil // idempotent: the resident entry wins
+}
+
+// adoptAll adopts a pushed or pulled batch of entries, counts those it
+// refuses and those it stores, and returns how many it stored.
+func (s *Server) adoptAll(entries []replicaEntry, withModel bool) int {
+	adopted := 0
+	for _, e := range entries {
+		stored, err := s.adoptReplica(e, withModel)
+		if err != nil {
+			s.metrics.replicateRejected.Add(1)
+		} else if stored {
+			adopted++
+		}
+	}
+	s.metrics.replicatedIn.Add(int64(adopted))
+	return adopted
+}
+
+// replayAny replays a pushed witness on each system its trace may have
+// been recorded against, and returns the plain replay's error if none
+// takes it. The push ships the model as submitted: a bounded engine
+// records its trace against that model, interpolation against its
+// cone-of-influence reduction, and an at-most-k run (or a deepening
+// schedule, which forces that semantics) against the self-looped
+// transform of either, with one extra input selecting the stutter step.
+func replayAny(wit *sebmc.Witness, sys *sebmc.System) error {
+	err := wit.Validate(sys)
+	if err == nil || wit.Validate(sebmc.AddSelfLoop(sys)) == nil {
+		return nil
+	}
+	red := sys.Reduce()
+	if wit.Validate(red) == nil || wit.Validate(sebmc.AddSelfLoop(red)) == nil {
+		return nil
+	}
+	return err
 }
 
 // shippedModel re-derives the content hash of a replicate entry's
@@ -550,8 +522,8 @@ func (s *Server) shippedModel(e replicaEntry) (*sebmc.System, error) {
 	return sys, nil
 }
 
-// handleClusterReplicate is POST /v1/cluster/replicate: a failover
-// peer pushing verdict-cache entries at this shard.
+// handleClusterReplicate is POST /v1/cluster/replicate: a peer pushing
+// verdict-cache entries at this shard.
 func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
 		s.writeError(w, http.StatusServiceUnavailable, ErrDraining)
@@ -564,54 +536,42 @@ func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) 
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad replicate payload: %w", err))
 		return
 	}
-	accepted := 0
-	for _, e := range p.Entries {
-		stored, err := s.adoptReplica(e, true)
-		if err != nil {
-			s.metrics.replicateRejected.Add(1)
-		} else if stored {
-			accepted++
-		}
-	}
-	s.metrics.replicatedIn.Add(int64(accepted))
-	writeJSON(w, http.StatusOK, replicateResponse{Accepted: accepted})
+	writeJSON(w, http.StatusOK, replicateResponse{Accepted: s.adoptAll(p.Entries, true)})
 }
 
-// repairEntryMax caps one repair response; a peer further behind pulls
-// again next tick (the response says so via Truncated).
-const repairEntryMax = 4096
+// repairAnswerMax caps a pull answer's bytes, and how much of one a
+// puller reads. An entry's JSON runs to at most about 1.3 times its
+// accounted cache bytes (TestServiceRepairAnswerHoldsDefaultCache), so
+// twice the default cache budget answers a default cache whole.
+const repairAnswerMax = 32 << 20
 
-// handleClusterRepair is GET /v1/cluster/repair?ranges=0,3,15: the
-// anti-entropy pull endpoint, answering this shard's entries in the
-// requested digest ranges (no model attached — only entries whose
-// witnesses were validated at fill time leave through here).
+// handleClusterRepair is GET /v1/cluster/repair: the catch-up pull. It
+// answers every entry a model-less adoption accepts (see
+// JobResult.validated), most recently used first, and stops before the
+// answer passes repairAnswerMax bytes. The answer is streamed one
+// encoded entry at a time, so its JSON is never held whole.
 func (s *Server) handleClusterRepair(w http.ResponseWriter, r *http.Request) {
 	release := s.guardClusterBody(w, r)
 	defer release()
-	ranges := make(map[int]bool)
-	spec := r.URL.Query().Get("ranges")
-	if spec == "" {
-		for i := 0; i < digestRanges; i++ {
-			ranges[i] = true
+	w.Header().Set("Content-Type", "application/json")
+	size, sep := len(`{"entries":[]}`+"\n"), ""
+	_, _ = io.WriteString(w, `{"entries":[`)
+	for _, e := range s.cache.snapshot() {
+		if !e.v.validated() {
+			continue
 		}
-	} else {
-		for _, part := range strings.Split(spec, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n < 0 || n >= digestRanges {
-				s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad repair range %q", part))
-				return
-			}
-			ranges[n] = true
+		b, err := json.Marshal(newReplicaEntry(e.key, e.v, ""))
+		if err != nil {
+			continue
 		}
-	}
-	entries := s.cache.rangeEntries(ranges)
-	out := repairPayload{}
-	for _, e := range entries {
-		if len(out.Entries) >= repairEntryMax {
-			out.Truncated = true
+		if size += len(sep) + len(b); size > repairAnswerMax {
 			break
 		}
-		out.Entries = append(out.Entries, newReplicaEntry(e.key, e.v, ""))
+		_, _ = io.WriteString(w, sep)
+		if _, err := w.Write(b); err != nil {
+			return // the puller hung up
+		}
+		sep = ","
 	}
-	writeJSON(w, http.StatusOK, out)
+	_, _ = io.WriteString(w, "]}\n")
 }

@@ -8,9 +8,8 @@ package service
 // client happened to hit:
 //
 //   - a verdict-cache hit is answered by the shard that received it,
-//     from its own cache — its own fills plus the entries replication
-//     and repair delivered (replication.go). Only /v1/check misses
-//     are routed;
+//     from its own cache — its own fills plus the entries peers pushed
+//     or it pulled (replication.go). Only /v1/check misses are routed;
 //   - a miss for a model this shard owns is served locally;
 //   - a miss for a model another shard owns is proxied there, its
 //     request body forwarded as the client sent it, so clients may talk
@@ -30,18 +29,19 @@ package service
 //     the PR-7 "degrade, don't fail" ladder generalized from "back
 //     off" to "go somewhere that can take the work";
 //   - warm state leaves a shard one way: write-behind verdict
-//     replication (replication.go), with anti-entropy repair as the one
-//     way a shard catches up on what it missed. A drain flushes the
-//     replication queue, and the key's next owner seeds each new
-//     session from the deepen verdicts it holds for that key, so a
-//     rolling restart resumes proven prefixes instead of re-solving
-//     them.
+//     replication to every peer (replication.go). A shard catches up on
+//     what it missed by pulling a peer's cache, on first contact after
+//     it starts and after the peer reports a dropped push. A drain
+//     flushes the replication queue, and the key's next owner seeds
+//     each new session from the deepen verdicts it holds for that key,
+//     so a rolling restart resumes proven prefixes instead of
+//     re-solving them.
 //
 // Trust: answering a hit from a replica trusts nothing the entry shard
 // did not trust before. It already relays the owner's answer unchecked,
 // and already serves these same entries whenever it sheds a key or the
 // owner is down. A pushed REACHABLE replica was replayed on adoption, a
-// repaired one carries its fill-time validation, and a terminal SAFE is
+// pulled one carries its fill-time validation, and a terminal SAFE is
 // adopted only after its certificate replays; a bounded UNREACHABLE is
 // trusted, as it is everywhere. A replica answers what the owner would,
 // except that run statistics (decided_by, conflicts, iterations) can
@@ -192,10 +192,10 @@ func (cs *clusterState) clusterStop() {
 // gossipLoop polls every peer's /v1/cluster/health once per interval.
 // One poll round runs concurrently across peers and is joined before
 // the next tick is considered, so a slow peer delays gossip, never
-// stacks it. Anti-entropy rides each round: a cache-digest
-// disagreement with a peer the round just heard from triggers a repair
-// pull — so a restarted shard catches up, and caches converge after a
-// partition heals, within gossip intervals, not by traffic.
+// stacks it. Catch-up rides each round: a peer the round just heard from
+// is pulled on first contact and after it reports a dropped push — so a
+// restarted shard catches up, and caches converge after a partition
+// heals, within gossip intervals, not by traffic.
 func (cs *clusterState) gossipLoop(s *Server) {
 	defer cs.wg.Done()
 	t := time.NewTicker(cs.interval)
@@ -203,7 +203,7 @@ func (cs *clusterState) gossipLoop(s *Server) {
 	for {
 		for _, p := range cs.pollPeers() {
 			if p.ok {
-				cs.repl.antiEntropy(p.shard, p.st)
+				cs.repl.catchUp(p.shard, p.st)
 			}
 		}
 		select {
@@ -274,12 +274,11 @@ func (s *Server) clusterHealth() cluster.Status {
 	}
 	if cs := s.clusterView(); cs != nil {
 		st.ID = cs.self.ID
+		st.Dropped = cs.repl.droppedCounts()
 	}
 	st.QuarantineOpen, _, _ = s.quar.stats()
 	live, _, _ := s.sessions.stats()
 	st.Sessions = live
-	// The verdict-cache digest anti-entropy compares.
-	st.CacheDigest = s.cache.digest()
 	return st
 }
 

@@ -175,12 +175,12 @@ func New(cfg Config) *Server {
 // case. Idempotent.
 //
 // On a clustered server the tail of a successful drain hands warm state
-// over: whatever the replication queue still holds is sent to the
-// failover shards (best effort, within ctx), then the gossip loop
-// stops. The earlier fills were replicated as they happened, so a
-// deeper request for one of this shard's keys resumes from its proven
-// prefix there. Peers shed new requests for this shard's keys as soon
-// as gossip (or a bounced proxy) notices the drain.
+// over: whatever the replication queue still holds is sent to every
+// peer (best effort, within ctx), then the gossip loop stops. The
+// earlier fills were replicated as they happened, so a deeper request
+// for one of this shard's keys resumes from its proven prefix there.
+// Peers shed new requests for this shard's keys as soon as gossip (or a
+// bounced proxy) notices the drain.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
@@ -546,9 +546,9 @@ func (s *Server) finishResult(j *job, res *JobResult) *JobResult {
 			key = terminalKey(j.hash)
 		}
 		s.cache.put(key, *res)
-		// Write-behind replicate the fresh fill to the key's first
-		// failover shard (no-op standalone). A non-blocking enqueue:
-		// replication must never add latency to the request path.
+		// Write-behind replicate the fresh fill to every peer (no-op
+		// standalone). A non-blocking enqueue: replication must never
+		// add latency to the request path.
 		s.replicateFill(j, key, res)
 		// Fresh computes only: a cache hit re-serves the recorded
 		// savings without skipping any new solver work.
