@@ -1,44 +1,48 @@
 package aig
 
-// ConeOfInfluence returns a new graph containing only the logic that the
-// given output indices transitively depend on (through combinational
-// fanin and latch next-state functions). Latches and inputs outside the
-// cone are dropped. The second return value maps old latch indices to new
-// ones (-1 when dropped).
-func ConeOfInfluence(g *Graph, outputIdx ...int) (*Graph, []int) {
+// Cone returns the cone of influence of the given root literals as a
+// per-node membership table: the nodes they transitively depend on
+// through combinational fanin and latch next-state functions. The
+// constant node is always a member. The graph is only read, so
+// concurrent calls on one graph are safe.
+func Cone(g *Graph, roots ...Lit) []bool {
 	inCone := make([]bool, g.NumNodes())
 	inCone[0] = true
-
-	var mark func(l Lit)
-	mark = func(l Lit) {
-		n := l.Node()
+	next := make(map[uint32]Lit, len(g.latches))
+	for _, l := range g.latches {
+		next[l.Node] = l.Next
+	}
+	stack := append([]Lit(nil), roots...)
+	for len(stack) > 0 {
+		n := stack[len(stack)-1].Node()
+		stack = stack[:len(stack)-1]
 		if inCone[n] {
-			return
+			continue
 		}
 		inCone[n] = true
-		if g.kinds[n] == KindAnd {
-			a := g.ands[n]
-			mark(a.a)
-			mark(a.b)
+		switch g.kinds[n] {
+		case KindAnd:
+			stack = append(stack, g.ands[n].a, g.ands[n].b)
+		case KindLatch:
+			stack = append(stack, next[n])
 		}
 	}
-	for _, oi := range outputIdx {
-		mark(g.outputs[oi].L)
-	}
-	// Latches pull in their next-state cones; iterate to fixpoint since
-	// marking a latch's next function can reach further latches.
-	for changed := true; changed; {
-		changed = false
-		for i := range g.latches {
-			l := &g.latches[i]
-			if inCone[l.Node] && !litMarked(inCone, l.Next, g) {
-				mark(l.Next)
-				changed = true
-			}
-		}
-	}
+	return inCone
+}
 
-	// Rebuild.
+// ConeOfInfluence returns a new graph containing only the logic that the
+// given outputs depend on (see Cone), with those outputs as its own, in
+// order. The outputs need not be outputs of g: any literal of g may be
+// named. Latches and inputs outside the cone are dropped; the kept ones
+// keep their relative order. The second return value maps old latch
+// indices to new ones (-1 when dropped).
+func ConeOfInfluence(g *Graph, outs ...Output) (*Graph, []int) {
+	roots := make([]Lit, len(outs))
+	for i, o := range outs {
+		roots[i] = o.L
+	}
+	inCone := Cone(g, roots...)
+
 	out := New()
 	newLit := make([]Lit, g.NumNodes())
 	mapped := make([]bool, g.NumNodes())
@@ -80,13 +84,8 @@ func ConeOfInfluence(g *Graph, outputIdx ...int) (*Graph, []int) {
 			out.SetNext(newLit[g.latches[i].Node], rebuild(g.latches[i].Next))
 		}
 	}
-	for _, oi := range outputIdx {
-		o := g.outputs[oi]
+	for _, o := range outs {
 		out.AddOutput(o.Name, rebuild(o.L))
 	}
 	return out, latchMap
-}
-
-func litMarked(inCone []bool, l Lit, g *Graph) bool {
-	return inCone[l.Node()]
 }

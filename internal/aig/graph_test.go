@@ -242,7 +242,7 @@ func TestConeOfInfluence(t *testing.T) {
 	g.SetNext(b0, b0.Not())
 	g.AddOutput("o", g.And(a0, a1))
 
-	red, latchMap := ConeOfInfluence(g, 0)
+	red, latchMap := ConeOfInfluence(g, g.Output(0))
 	if red.NumLatches() != 2 {
 		t.Fatalf("cone should keep 2 latches, has %d", red.NumLatches())
 	}
@@ -273,7 +273,7 @@ func TestConeOfInfluenceChainedLatches(t *testing.T) {
 	g.SetNext(l1, l2)
 	g.SetNext(l2, l2.Not())
 	g.AddOutput("o", l0)
-	red, _ := ConeOfInfluence(g, 0)
+	red, _ := ConeOfInfluence(g, g.Output(0))
 	if red.NumLatches() != 3 {
 		t.Fatalf("chained cone should keep 3 latches, has %d", red.NumLatches())
 	}

@@ -14,6 +14,12 @@
 // All encoders answer "is a bad state reachable in exactly k steps?".
 // The ≤k variant is obtained by adding a self-loop to every state
 // (model.AddSelfLoop), exactly as the paper suggests.
+//
+// The engines encode Prepare's output, not the caller's model: the cone
+// of influence of the bad predicate, self-looped under ≤k. Their
+// results name that system and their witnesses replay on it; Lift
+// carries both back to the caller's model, which is what the sebmc
+// facade returns.
 package bmc
 
 import (
@@ -69,15 +75,6 @@ func (s Semantics) String() string {
 	return "exact"
 }
 
-// Prepare returns the system to encode under the given semantics: the
-// system itself for Exact, the self-looped system for AtMost.
-func Prepare(sys *model.System, sem Semantics) *model.System {
-	if sem == AtMost {
-		return model.AddSelfLoop(sys)
-	}
-	return sys
-}
-
 // FormulaStats describe the size of an encoded instance — the quantities
 // compared by the formula-growth experiment (E2).
 type FormulaStats struct {
@@ -94,9 +91,11 @@ type Result struct {
 	Status  Status
 	K       int
 	Witness *Witness // populated by witness-producing engines on Reachable
-	// System is the transition system that was actually encoded — the
-	// self-looped transform under AtMost semantics. Witnesses validate
-	// against it.
+	// System is the transition system the witness validates against.
+	// From this package's engines and jsat it is the system they
+	// encoded, Prepare's output: the cone of influence, self-looped
+	// under AtMost. The sebmc facade lifts both (Lift), so there it is
+	// the caller's model itself, self-looped under AtMost.
 	System  *model.System
 	Formula FormulaStats
 	// Effort counters (whichever the engine fills).

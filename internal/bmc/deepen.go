@@ -16,8 +16,8 @@ type DeepenResult struct {
 	Iterations  int // solver invocations performed
 	BoundsTried []int
 	// Witness is the counterexample trace, when the deciding engine
-	// produces one; it validates against System (the transition system
-	// actually encoded, post-transform under at-most-k semantics).
+	// produces one; it validates against System, which is named as in
+	// Result.System.
 	Witness *Witness
 	System  *model.System
 	// DecidedBy names the engine that completed the run. The sebmc

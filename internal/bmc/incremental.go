@@ -47,18 +47,20 @@ type IncrStats struct {
 // deleted. Classical deepening re-unrolls from scratch and does O(k²)
 // total encoding work to reach depth k; this engine does O(k).
 type IncrementalUnroller struct {
-	sys  *model.System // prepared (self-looped under AtMost)
+	sys  *model.System // prepared (cone of influence, self-looped under AtMost)
 	mode tseitin.Mode
 	s    *sat.Solver
-	f    *cnf.Formula // the growing shared formula; frames append to it
+	// f stages the clauses frames emit until flush loads them into the
+	// solver and drops them; only its variable counter keeps growing.
+	f *cnf.Formula
 
 	queryTimeout time.Duration
 	runDeadline  time.Time // the construction-time SAT.Deadline, if any
 
-	pushed int     // clauses of f already loaded into the solver
-	frames []frame // frames[t] is time step t
-	acts   []cnf.Lit
-	stats  IncrStats
+	literals int     // literal occurrences of every clause flushed so far
+	frames   []frame // frames[t] is time step t
+	acts     []cnf.Lit
+	stats    IncrStats
 }
 
 // NewIncrementalUnroller builds an empty unroller for sys. Frames are
@@ -74,8 +76,8 @@ func NewIncrementalUnroller(sys *model.System, opts IncrementalOptions) *Increme
 	}
 }
 
-// System returns the system actually encoded (post-transform under
-// AtMost semantics). Witnesses validate against it.
+// System returns the system actually encoded: the cone of influence,
+// self-looped under AtMost (Prepare). Witnesses validate against it.
 func (u *IncrementalUnroller) System() *model.System { return u.sys }
 
 // SetCancel replaces the persistent solver's cooperative cancellation
@@ -100,16 +102,20 @@ func (u *IncrementalUnroller) Stats() IncrStats { return u.stats }
 func (u *IncrementalUnroller) NumFrames() int { return len(u.frames) }
 
 // flush loads everything newly emitted into f — variables first, then
-// clauses — into the persistent solver.
+// clauses — into the persistent solver, which copies each clause, and
+// drops the staged clauses: the solver's copy is the only one kept.
 func (u *IncrementalUnroller) flush() {
 	for u.s.NumVars() < u.f.NumVars() {
 		u.s.NewVar()
 		u.stats.VarsAdded++
 	}
-	for ; u.pushed < len(u.f.Clauses); u.pushed++ {
+	for _, c := range u.f.Clauses {
 		u.stats.ClausesAdded++
-		u.s.AddClause(u.f.Clauses[u.pushed]...)
+		u.literals += len(c)
+		u.s.AddClause(c...)
 	}
+	clear(u.f.Clauses)
+	u.f.Clauses = u.f.Clauses[:0]
 	if b := u.s.ClauseDBBytes(); b > u.stats.PeakBytes {
 		u.stats.PeakBytes = b
 	}
@@ -191,13 +197,14 @@ func (u *IncrementalUnroller) CheckBound(k int) Result {
 	return res
 }
 
-// formulaStats sizes the cumulative formula pushed so far.
+// formulaStats sizes the cumulative formula pushed so far, from the
+// running counts flush keeps.
 func (u *IncrementalUnroller) formulaStats() FormulaStats {
 	return FormulaStats{
 		Vars:     u.f.NumVars(),
-		Clauses:  u.f.NumClauses(),
-		Literals: u.f.NumLiterals(),
-		Bytes:    u.f.SizeBytes(),
+		Clauses:  u.stats.ClausesAdded,
+		Literals: u.literals,
+		Bytes:    cnf.SizeBytes(u.stats.ClausesAdded, u.literals),
 	}
 }
 

@@ -440,8 +440,10 @@ func Factorizer(w int, target uint64) *model.System {
 // WithNoise appends `bits` capture registers fed by fresh free inputs to
 // the system's circuit (mutating it). The property is untouched, but
 // every state gains a factor of 2^bits distinct successors — the
-// wide-but-irrelevant input branching of realistic designs. Symbolic
-// engines shrug it off; explicit successor enumeration does not.
+// wide-but-irrelevant input branching of realistic designs. The
+// registers lie outside the bad predicate's cone of influence, which
+// is all the BMC engines encode, so only the explicit-state oracle
+// still enumerates them.
 func WithNoise(sys *model.System, bits int) *model.System {
 	g := sys.Circ
 	for i := 0; i < bits; i++ {

@@ -101,9 +101,13 @@ func (f *Formula) NumLiterals() int {
 // SizeBytes estimates the memory footprint of the clause database in
 // bytes (4 bytes per literal plus slice headers). It is the size measure
 // used by the formula-growth experiments (E2).
-func (f *Formula) SizeBytes() int {
+func (f *Formula) SizeBytes() int { return SizeBytes(len(f.Clauses), f.NumLiterals()) }
+
+// SizeBytes is Formula.SizeBytes for a clause database known only by its
+// clause and literal counts.
+func SizeBytes(clauses, literals int) int {
 	const sliceHeader = 24
-	return f.NumLiterals()*4 + len(f.Clauses)*sliceHeader
+	return literals*4 + clauses*sliceHeader
 }
 
 // String renders a compact summary, not the full clause list.

@@ -59,16 +59,22 @@ type Result struct {
 	Status  Status
 	K       int          // depth at which the proof or refutation closed
 	Witness *bmc.Witness // populated on Falsified
-	// System is the transition system the witness validates against —
-	// the self-loop transform, since base cases run at-most-k.
+	// System is the transition system the witness validates against:
+	// the cone of influence of the caller's model, self-looped because
+	// base cases run at-most-k. bmc.Lift carries both back to the
+	// caller's model.
 	System *model.System
 }
 
-// Prove runs the k-induction loop for k = 0..maxK.
+// Prove runs the k-induction loop for k = 0..maxK. Base and step cases
+// both encode the cone of influence of the bad predicate (bmc.Prepare):
+// whatever lies outside it cannot change whether a bad state is
+// reachable, nor whether the property is k-inductive.
 func Prove(sys *model.System, maxK int, opts Options) Result {
+	red := bmc.Prepare(sys, bmc.Exact)
 	for k := 0; k <= maxK; k++ {
 		// Base case: counterexample of length ≤ k?
-		base := bmc.SolveUnroll(sys, k, bmc.UnrollOptions{
+		base := bmc.SolveUnroll(red, k, bmc.UnrollOptions{
 			Semantics: bmc.AtMost,
 			Mode:      opts.Mode,
 			SAT:       opts.SAT,
@@ -80,7 +86,7 @@ func Prove(sys *model.System, maxK int, opts Options) Result {
 			return Result{Status: Unknown, K: k}
 		}
 		// Step case.
-		switch stepCase(sys, k, opts) {
+		switch stepCase(red, k, opts) {
 		case sat.Unsat:
 			return Result{Status: Proved, K: k}
 		case sat.Unknown:

@@ -81,7 +81,7 @@ type Solver struct {
 	opts  Options
 	Stats Stats
 
-	sys *model.System // prepared (self-looped under AtMost)
+	sys *model.System // prepared: the cone of influence, self-looped under AtMost
 
 	// step solver: TR(U,V) ∧ (actF → F(V)).
 	step   *sat.Solver
@@ -183,7 +183,8 @@ func (s *Solver) SetCancel(c *cancel.Flag) {
 	s.init.SetCancel(c)
 }
 
-// System returns the system actually searched (post-transform).
+// System returns the system actually searched: the cone of influence,
+// self-looped under AtMost (bmc.Prepare). Witnesses validate against it.
 func (s *Solver) System() *model.System { return s.sys }
 
 func (s *Solver) buildStepSolver() {

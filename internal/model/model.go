@@ -40,22 +40,21 @@ func (s *System) String() string {
 }
 
 // Reduce returns a copy of the system restricted to the cone of
-// influence of the bad predicate.
+// influence of the bad predicate, rebuilt in canonical node order with
+// the bad predicate as its only output. It only reads s, so systems
+// may be reduced concurrently.
 func (s *System) Reduce() *System {
-	idx := -1
-	for i := 0; i < s.Circ.NumOutputs(); i++ {
-		if s.Circ.Output(i).L == s.Bad {
-			idx = i
+	// The output takes the name of the first output carrying Bad, or
+	// "__bad" when none does. ModelHash hashes the rebuilt circuit and
+	// cluster peers compare those hashes, so these names must not change.
+	bad := aig.Output{Name: "__bad", L: s.Bad}
+	for _, o := range s.Circ.Outputs() {
+		if o.L == s.Bad {
+			bad = o
 			break
 		}
 	}
-	if idx < 0 {
-		// Expose Bad as an output so COI can root at it; the extra
-		// output on the source graph is harmless (append-only).
-		s.Circ.AddOutput("__bad", s.Bad)
-		idx = s.Circ.NumOutputs() - 1
-	}
-	red, _ := aig.ConeOfInfluence(s.Circ, idx)
+	red, _ := aig.ConeOfInfluence(s.Circ, bad)
 	return &System{
 		Name: s.Name + "/coi",
 		Circ: red,

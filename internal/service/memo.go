@@ -3,11 +3,10 @@ package service
 // The model memo: a model's digest → its content hash, so a request for
 // a model this shard has already parsed costs a digest and a map lookup
 // instead of a parse and a ModelHash. Only the hash is memoized, never
-// the parsed System: Reduce appends to the source graph, and sessions
-// and the replication queue hold System pointers, so a shared System
-// would be mutable state crossing jobs. A job whose hash came from the
-// memo is parsed by its worker only if the verdict cache cannot answer
-// it.
+// the parsed System: sessions and the replication queue hold System
+// pointers, so a shared System would be state crossing jobs. A job
+// whose hash came from the memo is parsed by its worker only if the
+// verdict cache cannot answer it.
 //
 // A model has a key per form the shard meets it in. Replica adoption
 // and /v1/batch items key its text (modelDigest). A /v1/check keys the

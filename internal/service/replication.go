@@ -479,11 +479,13 @@ func (s *Server) adoptAll(entries []replicaEntry, withModel bool) int {
 
 // replayAny replays a pushed witness on each system its trace may have
 // been recorded against, and returns the plain replay's error if none
-// takes it. The push ships the model as submitted: a bounded engine
-// records its trace against that model, interpolation against its
-// cone-of-influence reduction, and an at-most-k run (or a deepening
-// schedule, which forces that semantics) against the self-looped
-// transform of either, with one extra input selecting the stutter step.
+// takes it. The push ships the model as submitted, and every engine
+// lifts its trace onto that model — or onto its self-looped transform,
+// with one extra input selecting the stutter step, for an at-most-k run
+// or a deepening schedule, which forces that semantics. The
+// cone-of-influence reduction, plain and self-looped, is still tried:
+// peers running an older build recorded interpolation traces against
+// it, and they may push during a rolling restart.
 func replayAny(wit *sebmc.Witness, sys *sebmc.System) error {
 	err := wit.Validate(sys)
 	if err == nil || wit.Validate(sebmc.AddSelfLoop(sys)) == nil {

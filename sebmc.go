@@ -125,7 +125,8 @@ const (
 // step, so reachability in exactly k steps of the result equals
 // reachability in at most k steps of the original. Witnesses produced
 // under AtMost semantics — and by the deepening schedules that force it
-// internally — replay against this transform, not the plain system.
+// internally — replay against this transform of the caller's model,
+// not the plain system.
 func AddSelfLoop(sys *System) *System { return model.AddSelfLoop(sys) }
 
 // Engine selects the decision procedure.
@@ -291,12 +292,15 @@ func (o Options) incremental() bmc.IncrementalOptions {
 
 // Check runs one bounded reachability query. The result is tagged with
 // the engine that decided it (Result.DecidedBy) — under EnginePortfolio,
-// the race winner.
+// the race winner. The engine encodes only the bad predicate's cone of
+// influence, but Result.System is sys itself (self-looped under AtMost)
+// and a witness replays on it.
 func Check(sys *System, k int, engine Engine, opts Options) Result {
 	if engine == EnginePortfolio {
 		return checkPortfolio(sys, k, opts)
 	}
 	r := checkSingle(sys, k, engine, opts)
+	r.System, r.Witness = bmc.Lift(sys, r.System, r.Witness)
 	r.DecidedBy = engine.String()
 	return r
 }
@@ -412,7 +416,9 @@ type DeepenResult = bmc.DeepenResult
 // encodes only the newest time frame and keeps all learned clauses —
 // under the geometric schedule the same solver also serves the jumps
 // and the refinement probes. EnginePortfolio races whole deepening runs
-// and keeps the first that completes.
+// and keeps the first that completes. As with Check, the run encodes
+// only the cone of influence, and DeepenResult.System and Witness name
+// sys itself (self-looped under at-most-k).
 func Deepen(sys *System, maxBound int, engine Engine, opts Options) DeepenResult {
 	if engine == EnginePortfolio {
 		return deepenPortfolio(sys, maxBound, opts)
@@ -423,24 +429,27 @@ func Deepen(sys *System, maxBound int, engine Engine, opts Options) DeepenResult
 }
 
 func deepenSingle(sys *System, maxBound int, engine Engine, opts Options) DeepenResult {
-	if engine == EngineQBFSquaring {
+	if engine == EngineQBFSquaring || opts.Schedule == ScheduleGeometric {
 		opts.Semantics = AtMost
-		check := func(m *System, k int) Result { return Check(m, k, engine, opts) }
-		return bmc.DeepenSquaring(sys, maxBound, check)
 	}
-	if opts.Schedule == ScheduleGeometric {
-		opts.Semantics = AtMost
-		if engine == EngineSATIncr {
-			return bmc.DeepenGeometricIncremental(sys, maxBound, opts.GeometricRatio, opts.incremental())
-		}
-		check := func(m *System, k int) Result { return Check(m, k, engine, opts) }
-		return bmc.DeepenGeometric(sys, maxBound, opts.GeometricRatio, check)
+	// The run answers on the engine's cone of influence; the result is
+	// lifted back to sys once, at the end.
+	check := func(m *System, k int) Result { return checkSingle(m, k, engine, opts) }
+	var d DeepenResult
+	switch {
+	case engine == EngineQBFSquaring:
+		d = bmc.DeepenSquaring(sys, maxBound, check)
+	case opts.Schedule == ScheduleGeometric && engine == EngineSATIncr:
+		d = bmc.DeepenGeometricIncremental(sys, maxBound, opts.GeometricRatio, opts.incremental())
+	case opts.Schedule == ScheduleGeometric:
+		d = bmc.DeepenGeometric(sys, maxBound, opts.GeometricRatio, check)
+	case engine == EngineSATIncr:
+		d = bmc.DeepenIncremental(sys, maxBound, opts.incremental())
+	default:
+		d = bmc.DeepenLinear(sys, maxBound, check)
 	}
-	if engine == EngineSATIncr {
-		return bmc.DeepenIncremental(sys, maxBound, opts.incremental())
-	}
-	check := func(m *System, k int) Result { return Check(m, k, engine, opts) }
-	return bmc.DeepenLinear(sys, maxBound, check)
+	d.System, d.Witness = bmc.Lift(sys, d.System, d.Witness)
+	return d
 }
 
 // LoadMSL elaborates a Model Specification Language source text.

@@ -65,6 +65,10 @@ type Session struct {
 	engine Engine
 	opts   Options
 	sys    *System
+	// full is sys as its answers name it: sys itself, self-looped under
+	// AtMost. The warm engine encodes only the cone of influence;
+	// checkLocked lifts its witnesses onto full.
+	full *System
 
 	incr *bmc.IncrementalUnroller // EngineSATIncr
 	js   *jsat.Solver             // EngineJSAT
@@ -90,6 +94,9 @@ type Session struct {
 // Options.Timeout applies per request (re-armed on every Check/Deepen
 // call); Options.Cancel, when set, is the session-wide default signal,
 // overridable per call via CheckWith/DeepenWith.
+//
+// The warm engine encodes only sys's cone of influence; answers name
+// sys itself (self-looped under at-most-k) and witnesses replay on it.
 //
 // Options.ScheduleGeometric forces at-most-k semantics for the whole
 // session — the solver is prepared once, at construction, and skipping
@@ -119,6 +126,7 @@ func NewSession(sys *System, engine Engine, opts Options) (*Session, error) {
 	default:
 		return nil, fmt.Errorf("sebmc: engine %v cannot run as a session (want sat-incr or jsat)", engine)
 	}
+	s.full, _ = bmc.Lift(sys, s.encoded(), nil)
 	return s, nil
 }
 
@@ -218,6 +226,10 @@ func (s *Session) checkLocked(k int) Result {
 	}
 	s.stats.BoundsRun++
 	s.noteLocked(k, r.Status)
+	r.System = s.full
+	if r.Witness != nil {
+		r.System, r.Witness = bmc.Lift(s.sys, s.encoded(), r.Witness)
+	}
 	r.DecidedBy = s.engine.String()
 	return r
 }
@@ -267,7 +279,7 @@ func (s *Session) CheckWith(k int, c *CancelFlag) (res Result) {
 		// Already proven unreachable at this bound (for Exact, the
 		// prefix proof at bound k is exactly the earlier bound-k query).
 		s.stats.BoundsSaved++
-		return Result{Status: Unreachable, K: k, System: s.system(), DecidedBy: s.engine.String()}
+		return Result{Status: Unreachable, K: k, System: s.full, DecidedBy: s.engine.String()}
 	}
 	s.arm(c)
 	defer s.disarm()
@@ -315,7 +327,7 @@ func (s *Session) DeepenWith(maxBound int, c *CancelFlag) (out DeepenResult) {
 	}
 	d.DecidedBy = s.engine.String()
 	if d.Status == Unreachable {
-		d.System = s.system()
+		d.System = s.full
 	}
 	return d
 }
@@ -338,9 +350,9 @@ func (s *Session) SeedProven(k int) {
 	}
 }
 
-// system returns the encoded (post-transform) system, the one witnesses
-// validate against.
-func (s *Session) system() *System {
+// encoded returns the system the warm engine encodes: the cone of
+// influence of s.sys, self-looped under AtMost.
+func (s *Session) encoded() *System {
 	if s.incr != nil {
 		return s.incr.System()
 	}

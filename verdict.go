@@ -151,8 +151,10 @@ type Verdict struct {
 	// Safe. May be nil (k-induction proves without an artifact).
 	Certificate *Certificate
 	// System is the transition system the certificate validates
-	// against: the COI-reduced plain model for invariants, the encoded
-	// (possibly self-looped) model for witnesses.
+	// against: the COI-reduced plain model for invariants, whose
+	// latches any party reducing the same model agrees on; for
+	// witnesses, the caller's model itself, self-looped when the
+	// engine ran at-most-k (k-induction's base case always does).
 	System    *System
 	DecidedBy string
 	Conflicts int64
@@ -294,7 +296,9 @@ func proveInterp(sys *System, maxK int, opts Options, flag *CancelFlag) (v Verdi
 	case ir.Invariant != nil:
 		v.Certificate = &Certificate{Kind: CertInvariant, Invariant: ir.Invariant}
 	case ir.Witness != nil:
-		v.Certificate = &Certificate{Kind: CertWitness, Witness: ir.Witness}
+		var w *Witness
+		v.System, w = bmc.Lift(sys, ir.System, ir.Witness)
+		v.Certificate = &Certificate{Kind: CertWitness, Witness: w}
 	}
 	return v
 }
@@ -316,8 +320,9 @@ func proveInduction(sys *System, maxK int, opts Options, flag *CancelFlag) (v Ve
 		v.Terminal = true
 	case induction.Falsified:
 		v.Status = Reachable
-		if pr.Witness != nil {
-			v.Certificate = &Certificate{Kind: CertWitness, Witness: pr.Witness}
+		var w *Witness
+		if v.System, w = bmc.Lift(sys, pr.System, pr.Witness); w != nil {
+			v.Certificate = &Certificate{Kind: CertWitness, Witness: w}
 		}
 	default:
 		v.Status = Unknown
