@@ -87,6 +87,12 @@ func (g *Graph) WriteAAG(w io.Writer) error {
 	return bw.Flush()
 }
 
+// headerHint caps how many entries a count in an AIGER header may
+// preallocate. Past it a collection grows as its lines arrive, so a
+// header cannot make ParseAAG allocate for lines that never come, while
+// typical models still parse with every collection sized once.
+const headerHint = 1 << 12
+
 type aagLatch struct {
 	lit, next uint32
 	init      Init
@@ -115,13 +121,15 @@ func ParseAAG(r io.Reader) (*Graph, error) {
 	if len(hf) != 6 || hf[0] != "aag" {
 		return nil, fmt.Errorf("aig: bad header %q", header)
 	}
+	// A literal 2v+1 must fit in uint32, so no count or variable index
+	// exceeds 2^31-1, and no sum of three overflows int.
 	nums := make([]int, 5)
 	for i := range nums {
-		v, err := strconv.Atoi(hf[i+1])
-		if err != nil || v < 0 {
+		v, err := strconv.ParseUint(hf[i+1], 10, 31)
+		if err != nil {
 			return nil, fmt.Errorf("aig: bad header field %q", hf[i+1])
 		}
-		nums[i] = v
+		nums[i] = int(v)
 	}
 	maxVar, nIn, nLatch, nOut, nAnd := nums[0], nums[1], nums[2], nums[3], nums[4]
 	if nIn+nLatch+nAnd > maxVar {
@@ -148,8 +156,8 @@ func ParseAAG(r io.Reader) (*Graph, error) {
 		return out, nil
 	}
 
-	inputLits := make([]uint32, nIn)
-	for i := range inputLits {
+	inputLits := make([]uint32, 0, min(nIn, headerHint))
+	for range nIn {
 		fs, err := parseFields("input", 1)
 		if err != nil {
 			return nil, err
@@ -157,10 +165,10 @@ func ParseAAG(r io.Reader) (*Graph, error) {
 		if fs[0]&1 == 1 || fs[0] == 0 {
 			return nil, fmt.Errorf("aig: input literal %d must be positive and non-constant", fs[0])
 		}
-		inputLits[i] = fs[0]
+		inputLits = append(inputLits, fs[0])
 	}
-	latchDefs := make([]aagLatch, nLatch)
-	for i := range latchDefs {
+	latchDefs := make([]aagLatch, 0, min(nLatch, headerHint))
+	for range nLatch {
 		fs, err := parseFields("latch", 2)
 		if err != nil {
 			return nil, err
@@ -181,19 +189,19 @@ func ParseAAG(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("aig: latch %d has invalid reset %d", fs[0], fs[2])
 			}
 		}
-		latchDefs[i] = ld
+		latchDefs = append(latchDefs, ld)
 	}
-	outputLits := make([]uint32, nOut)
-	for i := range outputLits {
+	outputLits := make([]uint32, 0, min(nOut, headerHint))
+	for range nOut {
 		fs, err := parseFields("output", 1)
 		if err != nil {
 			return nil, err
 		}
-		outputLits[i] = fs[0]
+		outputLits = append(outputLits, fs[0])
 	}
 	type andDef struct{ lhs, a, b uint32 }
-	andByVar := make(map[uint32]andDef, nAnd)
-	for i := 0; i < nAnd; i++ {
+	andByVar := make(map[uint32]andDef, min(nAnd, headerHint))
+	for range nAnd {
 		fs, err := parseFields("and", 3)
 		if err != nil {
 			return nil, err
@@ -253,7 +261,7 @@ func ParseAAG(r io.Reader) (*Graph, error) {
 
 	// Build the graph: inputs, latches, then ANDs resolved on demand.
 	g := New()
-	litOf := make(map[uint32]Lit, maxVar+1) // aiger var -> our literal
+	litOf := make(map[uint32]Lit, nIn+nLatch+nAnd) // aiger var -> our literal
 	for i, al := range inputLits {
 		litOf[al>>1] = g.AddInput(inNames[i])
 	}
@@ -263,9 +271,12 @@ func ParseAAG(r io.Reader) (*Graph, error) {
 		litOf[ld.lit>>1] = latchLits[i]
 	}
 
+	// An acyclic definition nests at most one level per AND line, so
+	// deeper recursion is a cycle. (Bounding it by the header's M would
+	// let a cycle under a huge M recurse until the stack ran out.)
 	var resolve func(al uint32, depth int) (Lit, error)
 	resolve = func(al uint32, depth int) (Lit, error) {
-		if depth > maxVar+1 {
+		if depth > len(andByVar) {
 			return 0, fmt.Errorf("aig: cyclic combinational definition near literal %d", al)
 		}
 		v := al >> 1

@@ -2,6 +2,8 @@ package aig
 
 import (
 	"bytes"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -181,4 +183,84 @@ func TestSymbolTableRoundtrip(t *testing.T) {
 	if back.Latches()[0].Init != Init1 {
 		t.Fatalf("latch init lost")
 	}
+}
+
+// TestParseAAGHeaderBounds parses headers whose counts are far larger
+// than the text behind them. Nothing is sized from the header, so each
+// parses or fails on a few kilobytes: a 2e8 M with one constant output,
+// 1e8 inputs that never arrive, counts whose sum overflows int, and a
+// cyclic AND under a huge M, which once recursed until the stack ran
+// out.
+func TestParseAAGHeaderBounds(t *testing.T) {
+	for _, tc := range []struct {
+		text string
+		ok   bool
+	}{
+		{"aag 200000000 0 0 1 0\n0\n", true},
+		{"aag 100000000 100000000 0 0 0\n", false},
+		{"aag 4611686018427387904 4611686018427387904 4611686018427387904 0 0\n", false},
+		{"aag 2147483647 0 0 1 1\n2\n2 2 2\n", false},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ParseAAG(strings.NewReader(tc.text))
+		runtime.ReadMemStats(&after)
+		if (err == nil) != tc.ok {
+			t.Errorf("%q: err = %v, want ok=%v", tc.text, err, tc.ok)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b >= 1<<20 {
+			t.Errorf("%q: %d bytes allocated, want under 1 MiB", tc.text, b)
+		}
+	}
+}
+
+// FuzzParseAAG: ParseAAG never panics, and a graph it accepts survives
+// WriteAAG → ParseAAG with the same inputs, latches (names and resets
+// too), outputs and simulated behaviour.
+func FuzzParseAAG(f *testing.F) {
+	for _, s := range []string{
+		"aag 1 0 1 1 0\n2 3\n2\n",
+		"aag 3 2 0 1 1\n2\n4\n6\n6 2 4\ni0 a\ni1 b\no0 y\n",
+		"aag 2 1 1 1 0\n2\n4 2 4\n4\nl0 r\nc\ncomment\n",
+		"aag 200000000 0 0 1 0\n0\n",
+		"aag 2147483647 0 0 1 1\n2\n2 2 2\n",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		g, err := ParseAAG(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		b, err := encodeAAG(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := parseAAGBytes(b)
+		if err != nil {
+			t.Fatalf("written graph does not parse: %v\n%s", err, b)
+		}
+		if back.NumInputs() != g.NumInputs() || back.NumLatches() != g.NumLatches() || back.NumOutputs() != g.NumOutputs() {
+			t.Fatalf("round trip changed the interface: %d/%d/%d inputs/latches/outputs, want %d/%d/%d",
+				back.NumInputs(), back.NumLatches(), back.NumOutputs(), g.NumInputs(), g.NumLatches(), g.NumOutputs())
+		}
+		for i, il := range g.Inputs() {
+			if back.NameOf(back.Inputs()[i].Node()) != g.NameOf(il.Node()) {
+				t.Fatalf("input %d renamed", i)
+			}
+		}
+		for i, l := range g.Latches() {
+			if bl := back.Latches()[i]; bl.Name != l.Name || bl.Init != l.Init {
+				t.Fatalf("latch %d: %q/%v, want %q/%v", i, bl.Name, bl.Init, l.Name, l.Init)
+			}
+		}
+		for i, o := range g.Outputs() {
+			if back.Outputs()[i].Name != o.Name {
+				t.Fatalf("output %d renamed", i)
+			}
+		}
+		if simulate(t, g, 8, rand.New(rand.NewSource(1))) != simulate(t, back, 8, rand.New(rand.NewSource(1))) {
+			t.Fatal("behaviour differs after the round trip")
+		}
+	})
 }

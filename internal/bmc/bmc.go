@@ -11,6 +11,13 @@
 //     alternation depth grows with log k (EncodeSquaring /
 //     SolveSquaring).
 //
+// The formulations differ only in how they instantiate one transition
+// relation, and every one of them — like jSAT, the k-induction step
+// case and the invariant check outside this package — encodes a time
+// step through Frame: NewFrame binds a step's state and input
+// variables, Step emits one TR copy, Bad the bad cone, and EmitInit
+// the reset units.
+//
 // All encoders answer "is a bad state reachable in exactly k steps?".
 // The ≤k variant is obtained by adding a self-loop to every state
 // (model.AddSelfLoop), exactly as the paper suggests.

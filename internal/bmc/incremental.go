@@ -31,7 +31,6 @@ type IncrementalOptions struct {
 type IncrStats struct {
 	Bounds       int   // CheckBound queries answered
 	ClausesAdded int   // problem clauses pushed into the solver, total
-	VarsAdded    int   // solver variables created, total
 	Conflicts    int64 // CDCL conflicts, total
 	PeakBytes    int   // solver clause-database high water (ClauseDBBytes)
 }
@@ -58,7 +57,7 @@ type IncrementalUnroller struct {
 	runDeadline  time.Time // the construction-time SAT.Deadline, if any
 
 	literals int     // literal occurrences of every clause flushed so far
-	frames   []frame // frames[t] is time step t
+	frames   []Frame // frames[t] is time step t
 	acts     []cnf.Lit
 	stats    IncrStats
 }
@@ -107,7 +106,6 @@ func (u *IncrementalUnroller) NumFrames() int { return len(u.frames) }
 func (u *IncrementalUnroller) flush() {
 	for u.s.NumVars() < u.f.NumVars() {
 		u.s.NewVar()
-		u.stats.VarsAdded++
 	}
 	for _, c := range u.f.Clauses {
 		u.stats.ClausesAdded++
@@ -127,11 +125,11 @@ func (u *IncrementalUnroller) flush() {
 func (u *IncrementalUnroller) extendTo(k int) {
 	for len(u.frames) <= k {
 		t := len(u.frames)
-		fr := newFrame(u.sys, u.f, u.mode)
+		fr := NewFrame(u.sys, u.f, u.mode, nil, nil)
 		if t == 0 {
-			emitInit(u.sys, u.f, fr)
+			EmitInit(u.sys, u.f, fr.state)
 		} else {
-			emitTransition(u.sys, u.f, u.frames[t-1], fr)
+			u.frames[t-1].Step(fr.state, cnf.NoLit)
 		}
 		u.frames = append(u.frames, fr)
 	}
@@ -144,7 +142,7 @@ func (u *IncrementalUnroller) activation(k int) cnf.Lit {
 		u.acts = append(u.acts, cnf.NoLit)
 	}
 	if u.acts[k] == cnf.NoLit {
-		bad := emitBad(u.sys, u.frames[k])
+		bad := u.frames[k].Bad()
 		act := cnf.PosLit(u.f.NewVar())
 		u.f.Add(act.Neg(), bad)
 		u.acts[k] = act
@@ -217,7 +215,7 @@ func (u *IncrementalUnroller) witness(k int) *Witness {
 		stateVars[t] = u.frames[t].state
 		inputVars[t] = u.frames[t].inputs
 	}
-	return readWitness(stateVars, inputVars, k, u.s)
+	return ReadWitness(stateVars, inputVars, k, u.s)
 }
 
 // SolveIncremental runs one bounded check through a fresh incremental

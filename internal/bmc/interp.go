@@ -49,44 +49,34 @@ func EncodeInterp(sys *model.System, k int, mode tseitin.Mode, emitR func(f *cnf
 	f := &cnf.Formula{}
 	e := &InterpEncoding{F: f, K: k}
 
-	frames := make([]frame, k+1)
+	frames := make([]Frame, k+1)
 	for t := 0; t <= k; t++ {
-		frames[t] = newFrame(sys, f, mode)
+		frames[t] = NewFrame(sys, f, mode, nil, nil)
 		e.StateVars = append(e.StateVars, frames[t].state)
 		e.InputVars = append(e.InputVars, frames[t].inputs)
 	}
 
-	// A partition. newFrame emits no clauses, so every clause up to NumA
+	// A partition. NewFrame emits no clauses, so every clause up to NumA
 	// comes from R and the first transition.
 	if emitR == nil {
-		emitInit(sys, f, frames[0])
+		EmitInit(sys, f, frames[0].state)
 	} else {
 		emitR(f, frames[0].state)
 	}
-	emitTransition(sys, f, frames[0], frames[1])
+	frames[0].Step(frames[1].state, cnf.NoLit)
 	e.NumA = f.NumClauses()
 
 	// B partition.
 	for t := 1; t < k; t++ {
-		emitTransition(sys, f, frames[t], frames[t+1])
+		frames[t].Step(frames[t+1].state, cnf.NoLit)
 	}
 	bads := make([]cnf.Lit, 0, k)
 	for t := 1; t <= k; t++ {
-		bads = append(bads, emitBad(sys, frames[t]))
+		bads = append(bads, frames[t].Bad())
 	}
 	e.BadLits = bads
 	f.AddClause(bads)
 	return e
-}
-
-// Stats returns the size of the encoded formula.
-func (e *InterpEncoding) Stats() FormulaStats {
-	return FormulaStats{
-		Vars:     e.F.NumVars(),
-		Clauses:  e.F.NumClauses(),
-		Literals: e.F.NumLiterals(),
-		Bytes:    e.F.SizeBytes(),
-	}
 }
 
 // ReadWitness assembles the trace of frames 0..k from a satisfying
@@ -112,34 +102,4 @@ func ReadWitness(stateVars, inputVars [][]cnf.Var, k int, s ValueSource) *Witnes
 // a satisfiable answer.
 type ValueSource interface {
 	Value(v cnf.Var) cnf.Value
-}
-
-// TwoFrameEncoding is a single transition TR(Z0, Z1) — the skeleton of
-// an inductiveness obligation inv(Z0) ∧ TR ∧ ¬inv(Z1).
-type TwoFrameEncoding struct {
-	State0, State1 []cnf.Var
-	Input0         []cnf.Var
-}
-
-// EncodeTwoFrames emits one copy of the transition relation into f and
-// returns the two state-variable vectors it connects.
-func EncodeTwoFrames(sys *model.System, f *cnf.Formula) TwoFrameEncoding {
-	fr0 := newFrame(sys, f, tseitin.Full)
-	fr1 := newFrame(sys, f, tseitin.Full)
-	emitTransition(sys, f, fr0, fr1)
-	return TwoFrameEncoding{State0: fr0.state, State1: fr1.state, Input0: fr0.inputs}
-}
-
-// BadAtEncoding is the bad predicate over one free frame — the skeleton
-// of a separation obligation inv(Z) ∧ Bad(Z).
-type BadAtEncoding struct {
-	State  []cnf.Var
-	Inputs []cnf.Var
-	Bad    cnf.Lit
-}
-
-// EncodeBadAt emits the bad cone over a single fresh frame into f.
-func EncodeBadAt(sys *model.System, f *cnf.Formula) BadAtEncoding {
-	fr := newFrame(sys, f, tseitin.Full)
-	return BadAtEncoding{State: fr.state, Inputs: fr.inputs, Bad: emitBad(sys, fr)}
 }

@@ -26,8 +26,7 @@ type LinearEncoding struct {
 // EncodeLinear builds formula (2) at bound k. For k = 0 the formula
 // degenerates to the purely existential I(Z0) ∧ F(Z0).
 func EncodeLinear(sys *model.System, k int, mode tseitin.Mode) *LinearEncoding {
-	g := sys.Circ
-	n := g.NumLatches()
+	n := sys.NumStateVars()
 	p := cnf.NewPCNF()
 	f := p.Matrix
 
@@ -51,42 +50,14 @@ func EncodeLinear(sys *model.System, k int, mode tseitin.Mode) *LinearEncoding {
 	}
 	innerStart := cnf.Var(f.NumVars() + 1)
 
-	// I(Z0).
-	for i, iv := range sys.InitValues() {
-		if iv.Constrained {
-			f.AddUnit(cnf.MkLit(le.StateVars[0][i], !iv.Value))
-		}
-	}
-
+	EmitInit(sys, f, le.StateVars[0])
 	// F(Zk): bad cone over Z_k with its own (inner-existential) inputs.
-	{
-		enc := tseitin.New(g, f, mode)
-		for i := 0; i < n; i++ {
-			enc.BindLit(g.LatchLit(i), le.StateVars[k][i])
-		}
-		for _, il := range g.Inputs() {
-			enc.BindLit(il, f.NewVar())
-		}
-		f.AddUnit(enc.LitAssert(sys.Bad))
-	}
+	f.AddUnit(NewFrame(sys, f, mode, le.StateVars[k], nil).Bad())
 
 	if k >= 1 {
 		// TR(U,V), guarded by trOK: trOK → (v_i ↔ next_i(U,W)).
-		trOK := f.NewVar()
-		enc := tseitin.New(g, f, mode)
-		for i := 0; i < n; i++ {
-			enc.BindLit(g.LatchLit(i), le.UVars[i])
-		}
-		for _, il := range g.Inputs() {
-			enc.BindLit(il, f.NewVar())
-		}
-		latches := g.Latches()
-		for i := range latches {
-			nl := enc.Lit(latches[i].Next)
-			v := cnf.PosLit(le.VVars[i])
-			f.Add(cnf.NegLit(trOK), v.Neg(), nl)
-			f.Add(cnf.NegLit(trOK), v, nl.Neg())
-		}
+		trOK := cnf.PosLit(f.NewVar())
+		NewFrame(sys, f, mode, le.UVars, nil).Step(le.VVars, trOK)
 
 		// Selector terms: for each t, (U↔Z_t ∧ V↔Z_{t+1}) → trOK.
 		for t := 0; t < k; t++ {
@@ -96,7 +67,7 @@ func EncodeLinear(sys *model.System, k int, mode tseitin.Mode) *LinearEncoding {
 				b := matchVar(f, le.VVars[i], le.StateVars[t+1][i])
 				sel = append(sel, cnf.NegLit(a), cnf.NegLit(b))
 			}
-			sel = append(sel, cnf.PosLit(trOK))
+			sel = append(sel, trOK)
 			f.AddClause(cnf.Clause(sel))
 		}
 	}

@@ -35,16 +35,13 @@ func EncodeSquaring(sys *model.System, k int, mode tseitin.Mode) (*SquaringEncod
 	if k < 0 || (k != 0 && k&(k-1) != 0) {
 		return nil, fmt.Errorf("bmc: squaring bound %d is not a power of two", k)
 	}
-	g := sys.Circ
-	n := g.NumLatches()
+	n := sys.NumStateVars()
 	p := cnf.NewPCNF()
 	f := p.Matrix
 	se := &SquaringEncoding{P: p, K: k}
 
-	newVec := func() []cnf.Var { return f.NewVars(n) }
-
-	se.Z0Vars = newVec()
-	se.ZkVars = newVec()
+	se.Z0Vars = f.NewVars(n)
+	se.ZkVars = f.NewVars(n)
 	type level struct {
 		mid, a, b []cnf.Var
 	}
@@ -52,32 +49,18 @@ func EncodeSquaring(sys *model.System, k int, mode tseitin.Mode) (*SquaringEncod
 	if k >= 2 {
 		se.Levels = bits.Len(uint(k)) - 1
 		for l := 0; l < se.Levels; l++ {
-			levels = append(levels, level{mid: newVec(), a: newVec(), b: newVec()})
+			levels = append(levels, level{mid: f.NewVars(n), a: f.NewVars(n), b: f.NewVars(n)})
 		}
 	}
 	prefixEnd := cnf.Var(f.NumVars())
 
-	// I(Z0).
-	for i, iv := range sys.InitValues() {
-		if iv.Constrained {
-			f.AddUnit(cnf.MkLit(se.Z0Vars[i], !iv.Value))
-		}
-	}
+	EmitInit(sys, f, se.Z0Vars)
 	// F(Zk) — for k=0 the endpoint coincides with Z0.
-	{
-		end := se.ZkVars
-		if k == 0 {
-			end = se.Z0Vars
-		}
-		enc := tseitin.New(g, f, mode)
-		for i := 0; i < n; i++ {
-			enc.BindLit(g.LatchLit(i), end[i])
-		}
-		for _, il := range g.Inputs() {
-			enc.BindLit(il, f.NewVar())
-		}
-		f.AddUnit(enc.LitAssert(sys.Bad))
+	end := se.ZkVars
+	if k == 0 {
+		end = se.Z0Vars
 	}
+	f.AddUnit(NewFrame(sys, f, mode, end, nil).Bad())
 
 	if k >= 1 {
 		// Innermost endpoints of the recursion: the segment whose
@@ -91,24 +74,11 @@ func EncodeSquaring(sys *model.System, k int, mode tseitin.Mode) (*SquaringEncod
 		}
 
 		// TR(trFrom, trTo), guarded by trOK (top-level asserted when k=1).
-		trOK := f.NewVar()
-		enc := tseitin.New(g, f, mode)
-		for i := 0; i < n; i++ {
-			enc.BindLit(g.LatchLit(i), trFrom[i])
-		}
-		for _, il := range g.Inputs() {
-			enc.BindLit(il, f.NewVar())
-		}
-		latches := g.Latches()
-		for i := range latches {
-			nl := enc.Lit(latches[i].Next)
-			v := cnf.PosLit(trTo[i])
-			f.Add(cnf.NegLit(trOK), v.Neg(), nl)
-			f.Add(cnf.NegLit(trOK), v, nl.Neg())
-		}
+		trOK := cnf.PosLit(f.NewVar())
+		NewFrame(sys, f, mode, trFrom, nil).Step(trTo, trOK)
 
 		if k == 1 {
-			f.AddUnit(cnf.PosLit(trOK))
+			f.AddUnit(trOK)
 		} else {
 			// Selection chain: for each level, c_l is forced true when
 			// (A_l,B_l) matches one of the two half-segments of level l.
@@ -121,7 +91,7 @@ func EncodeSquaring(sys *model.System, k int, mode tseitin.Mode) (*SquaringEncod
 				chain = append(chain, cnf.NegLit(c))
 				from, to = lv.a, lv.b
 			}
-			chain = append(chain, cnf.PosLit(trOK))
+			chain = append(chain, trOK)
 			f.AddClause(cnf.Clause(chain))
 		}
 	}

@@ -32,14 +32,6 @@ type Status struct {
 	// full queue means new work would 503; routing sheds it instead.
 	QueueDepth    int `json:"queue_depth"`
 	QueueCapacity int `json:"queue_capacity"`
-	// QuarantineOpen counts open (model, engine) circuit breakers — a
-	// shard drowning in poison pills advertises it.
-	QuarantineOpen int `json:"quarantine_open"`
-	// RetainedBytes is sessions+cache, the memory-watermark quantity.
-	RetainedBytes int `json:"retained_bytes"`
-	// Sessions is the live warm-session count, for operators reading
-	// locality off the gossip view.
-	Sessions int `json:"sessions"`
 	// Dropped counts, per peer ID, the replicate pushes this shard has
 	// dropped for that peer since it started. A peer that sees its count
 	// change pulls this shard's verdict cache via /v1/cluster/repair.

@@ -96,45 +96,38 @@ func Prove(sys *model.System, maxK int, opts Options) Result {
 	return Result{Status: Unknown, K: maxK}
 }
 
-// stepCase checks satisfiability of
+// stepCase checks satisfiability of stepFormula. Unsat means the
+// property is k-inductive.
+func stepCase(sys *model.System, k int, opts Options) sat.Status {
+	s := sat.New(opts.SAT)
+	if !s.AddFormula(stepFormula(sys, k, opts.Mode)) {
+		return sat.Unsat
+	}
+	return s.Solve()
+}
+
+// stepFormula builds the k-induction step case
 //
 //	path(Z0..Zk+1) ∧ ¬bad(Z0..Zk) ∧ bad(Zk+1) ∧ Z0..Zk pairwise distinct
 //
-// without the initial-state constraint. Unsat means the property is
-// k-inductive.
-func stepCase(sys *model.System, k int, opts Options) sat.Status {
-	g := sys.Circ
-	n := g.NumLatches()
-	ni := g.NumInputs()
+// without the initial-state constraint: k+2 bmc.Frames chained by Step,
+// with the bad cone encoded in both polarities at every frame.
+func stepFormula(sys *model.System, k int, mode tseitin.Mode) *cnf.Formula {
 	f := &cnf.Formula{}
-
 	steps := k + 1 // transitions in the step case
 	stateVars := make([][]cnf.Var, steps+1)
-	inputVars := make([][]cnf.Var, steps+1)
+	frames := make([]bmc.Frame, steps+1)
 	for t := 0; t <= steps; t++ {
-		stateVars[t] = f.NewVars(n)
-		inputVars[t] = f.NewVars(ni)
+		stateVars[t] = f.NewVars(sys.NumStateVars())
+		frames[t] = bmc.NewFrame(sys, f, mode, stateVars[t], nil)
 	}
 
-	latches := g.Latches()
 	badLits := make([]cnf.Lit, steps+1)
-	for t := 0; t <= steps; t++ {
-		enc := tseitin.New(g, f, opts.Mode)
-		for i := 0; i < n; i++ {
-			enc.BindLit(g.LatchLit(i), stateVars[t][i])
-		}
-		for j, il := range g.Inputs() {
-			enc.BindLit(il, inputVars[t][j])
-		}
+	for t, fr := range frames {
 		if t < steps {
-			for i := range latches {
-				nl := enc.Lit(latches[i].Next)
-				v := cnf.PosLit(stateVars[t+1][i])
-				f.Add(v.Neg(), nl)
-				f.Add(v, nl.Neg())
-			}
+			fr.Step(stateVars[t+1], cnf.NoLit)
 		}
-		badLits[t] = enc.Lit(sys.Bad)
+		badLits[t] = fr.Lit(sys.Bad)
 	}
 	// Bad-free prefix, bad at the end.
 	for t := 0; t < steps; t++ {
@@ -143,12 +136,7 @@ func stepCase(sys *model.System, k int, opts Options) sat.Status {
 	f.AddUnit(badLits[steps])
 
 	addSimplePath(f, stateVars[:steps]) // states 0..k pairwise distinct
-
-	s := sat.New(opts.SAT)
-	if !s.AddFormula(f) {
-		return sat.Unsat
-	}
-	return s.Solve()
+	return f
 }
 
 // addSimplePath constrains every pair of state vectors to differ in at

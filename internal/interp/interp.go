@@ -253,7 +253,9 @@ func newSolver(opts sat.Options, f *cnf.Formula) *sat.Solver {
 	return s
 }
 
-// bindR encodes predicate root of rG over the given state variables.
+// bindR encodes predicate root of rG — the R iterate, an interpolant or
+// a certificate — over the given state variables. It is the one encoder
+// of latch predicates; time steps go through bmc.Frame.
 func bindR(rG *aig.Graph, root aig.Lit, f *cnf.Formula, state []cnf.Var) cnf.Lit {
 	e := tseitin.New(rG, f, tseitin.Full)
 	for i, il := range rG.Inputs() {

@@ -1,5 +1,7 @@
 // Package interp implements McMillan-style interpolation-based unbounded
-// model checking over the shared BMC frame-emission core: a fixpoint
+// model checking over the shared frame core, bmc.Frame (the partitioned
+// unrolling comes from bmc.EncodeInterp, and the certificate check's
+// obligations build their time steps from frames too): a fixpoint
 // loop that iterates the post-image operator obtained as the interpolant
 // of a refuted partitioned unrolling, terminating either with a genuine
 // counterexample or with an inductive invariant — a terminal SAFE
@@ -55,16 +57,6 @@ func (inv *Invariant) validateShape() error {
 	return nil
 }
 
-// bindTo encodes the invariant predicate over the given per-latch state
-// variables of f, returning the CNF literal equivalent to it.
-func (inv *Invariant) bindTo(f *cnf.Formula, state []cnf.Var) cnf.Lit {
-	e := tseitin.New(inv.G, f, tseitin.Full)
-	for i, il := range inv.G.Inputs() {
-		e.BindLit(il, state[i])
-	}
-	return e.Lit(inv.Root())
-}
-
 // Check replays the certificate against a transition system by
 // substitution alone — no prover state, no trust in how the invariant
 // was produced. The three obligations, each one plain SAT call:
@@ -87,44 +79,50 @@ func (inv *Invariant) Check(sys *model.System, opts sat.Options) error {
 		return fmt.Errorf("interp: invariant is over %d latches, system has %d", got, want)
 	}
 
-	// Obligation 1: I ∧ ¬inv.
-	{
-		f := &cnf.Formula{}
-		state := f.NewVars(sys.NumStateVars())
-		for i, iv := range sys.InitValues() {
-			if iv.Constrained {
-				f.AddUnit(cnf.MkLit(state[i], !iv.Value))
-			}
-		}
-		f.AddUnit(inv.bindTo(f, state).Neg())
-		if err := expectUnsat(f, opts, "init ⊆ inv"); err != nil {
-			return err
-		}
-	}
-
-	// Obligations 2 and 3 need the circuit cones; reuse the partitioned
-	// encoder at window 1 with inv as R — its A side is exactly
-	// inv(Z0) ∧ TR(Z0,Z1) — and swap the bad disjunction for ¬inv(Z1)
-	// by building the instance directly.
-	{
-		f := &cnf.Formula{}
-		enc := bmc.EncodeTwoFrames(sys, f)
-		f.AddUnit(inv.bindTo(f, enc.State0))
-		f.AddUnit(inv.bindTo(f, enc.State1).Neg())
-		if err := expectUnsat(f, opts, "inv inductive"); err != nil {
-			return err
-		}
-	}
-	{
-		f := &cnf.Formula{}
-		enc := bmc.EncodeBadAt(sys, f)
-		f.AddUnit(inv.bindTo(f, enc.State))
-		f.AddUnit(enc.Bad)
-		if err := expectUnsat(f, opts, "inv ∩ bad = ∅"); err != nil {
+	for i, f := range inv.obligations(sys) {
+		if err := expectUnsat(f, opts, obligationNames[i]); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// obligationNames name Check's obligations, in order, for its errors.
+var obligationNames = [3]string{"init ⊆ inv", "inv inductive", "inv ∩ bad = ∅"}
+
+// obligations builds Check's three formulas over sys, each of which
+// must be UNSAT. The circuit cones come from bmc.Frame, the
+// invariant's from bindR.
+func (inv *Invariant) obligations(sys *model.System) [3]*cnf.Formula {
+	n := sys.NumStateVars()
+	bind := func(f *cnf.Formula, state []cnf.Var) cnf.Lit {
+		return bindR(inv.G, inv.Root(), f, state)
+	}
+
+	// 1. I(Z) ∧ ¬inv(Z).
+	initF := &cnf.Formula{}
+	z := initF.NewVars(n)
+	bmc.EmitInit(sys, initF, z)
+	initF.AddUnit(bind(initF, z).Neg())
+
+	// 2. inv(Z0) ∧ TR(Z0,Z1) ∧ ¬inv(Z1). Frame 1's inputs are
+	// allocated, as in every unrolling, though nothing reads them.
+	stepF := &cnf.Formula{}
+	z0 := stepF.NewVars(n)
+	fr := bmc.NewFrame(sys, stepF, tseitin.Full, z0, nil)
+	z1 := stepF.NewVars(n)
+	stepF.NewVars(sys.NumInputs())
+	fr.Step(z1, cnf.NoLit)
+	stepF.AddUnit(bind(stepF, z0))
+	stepF.AddUnit(bind(stepF, z1).Neg())
+
+	// 3. inv(Z) ∧ Bad(Z).
+	badF := &cnf.Formula{}
+	z = badF.NewVars(n)
+	bad := bmc.NewFrame(sys, badF, tseitin.Full, z, nil).Bad()
+	badF.AddUnit(bind(badF, z))
+	badF.AddUnit(bad)
+	return [3]*cnf.Formula{initF, stepF, badF}
 }
 
 // expectUnsat loads f into a fresh solver and demands a refutation.

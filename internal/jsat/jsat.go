@@ -13,12 +13,14 @@
 // Realization: one incremental CDCL solver holds a single copy of
 // TR(U,V) plus F(V) behind an activation literal; a second small solver
 // holds I(Z) plus F(Z) for enumerating initial states (and for the k=0
-// corner). Successor candidates of the current state are enumerated by
-// solving under assumptions U = s; blocking clauses are guarded by
-// per-frame activation literals that are retired when a frame is popped.
-// States proven unable to reach F within their remaining budget are
-// cached ("hopeless states"), pruning re-exploration across the search —
-// the cache is the subject of ablation E5.
+// corner). Both formulas are built from bmc.Frame, the time-step
+// encoder every engine shares. Successor candidates of the current
+// state are enumerated by solving under assumptions U = s; blocking
+// clauses are guarded by per-frame activation literals that are retired
+// when a frame is popped. States proven unable to reach F within their
+// remaining budget are cached ("hopeless states"), pruning
+// re-exploration across the search — the cache is the subject of
+// ablation E5.
 package jsat
 
 import (
@@ -61,11 +63,9 @@ type Options struct {
 
 // Stats summarize a run.
 type Stats struct {
-	Queries      int64 // incremental SAT calls
-	FramesPushed int64
-	CacheHits    int64
-	CacheSize    int
-	PeakBytes    int // high-water estimate of solver memory
+	Queries   int64 // incremental SAT calls
+	CacheHits int64
+	PeakBytes int // high-water estimate of solver memory
 	// AssumptionsGiven / AssumptionsReused mirror the underlying CDCL
 	// solvers' trail-reuse counters (step + init), refreshed after every
 	// Check: the fraction reused is the share of assumption levels the
@@ -155,8 +155,10 @@ func New(sys *model.System, opts Options) *Solver {
 		sys:  prepared,
 	}
 	s.cache = newStateCache(prepared.Circ.NumLatches())
-	s.buildStepSolver()
-	s.buildInitSolver()
+	s.step = sat.New(opts.SAT)
+	s.step.AddFormula(s.stepFormula())
+	s.init = sat.New(opts.SAT)
+	s.init.AddFormula(s.initFormula())
 	return s
 }
 
@@ -187,72 +189,34 @@ func (s *Solver) SetCancel(c *cancel.Flag) {
 // self-looped under AtMost (bmc.Prepare). Witnesses validate against it.
 func (s *Solver) System() *model.System { return s.sys }
 
-func (s *Solver) buildStepSolver() {
-	g := s.sys.Circ
-	n := g.NumLatches()
+// stepFormula builds the step solver's formula TR(U,V) ∧ (actF → F(V)):
+// one bmc.Frame over (U, W) takes the single transition step to V, and
+// a second frame over V, with its own inputs, encodes the bad cone.
+func (s *Solver) stepFormula() *cnf.Formula {
+	sys, mode := s.sys, s.opts.Mode
 	f := &cnf.Formula{}
+	s.uVars = f.NewVars(sys.NumStateVars())
+	s.vVars = f.NewVars(sys.NumStateVars())
+	s.wVars = f.NewVars(sys.NumInputs())
+	bmc.NewFrame(sys, f, mode, s.uVars, s.wVars).Step(s.vVars, cnf.NoLit)
 
-	s.uVars = f.NewVars(n)
-	s.vVars = f.NewVars(n)
-	s.wVars = f.NewVars(g.NumInputs())
-
-	// TR(U,V): V bits equal the next-state functions over (U, W).
-	enc := tseitin.New(g, f, s.opts.Mode)
-	for i := 0; i < n; i++ {
-		enc.BindLit(g.LatchLit(i), s.uVars[i])
-	}
-	for j, il := range g.Inputs() {
-		enc.BindLit(il, s.wVars[j])
-	}
-	latches := g.Latches()
-	for i := range latches {
-		nl := enc.Lit(latches[i].Next)
-		v := cnf.PosLit(s.vVars[i])
-		f.Add(v.Neg(), nl)
-		f.Add(v, nl.Neg())
-	}
-
-	// F(V) behind the activation literal actF.
 	s.actF = f.NewVar()
-	encF := tseitin.New(g, f, s.opts.Mode)
-	for i := 0; i < n; i++ {
-		encF.BindLit(g.LatchLit(i), s.vVars[i])
-	}
-	s.fwVars = f.NewVars(g.NumInputs())
-	for j, il := range g.Inputs() {
-		encF.BindLit(il, s.fwVars[j])
-	}
-	bad := encF.LitAssert(s.sys.Bad)
-	f.Add(cnf.NegLit(s.actF), bad)
-
-	s.step = sat.New(s.opts.SAT)
-	s.step.AddFormula(f)
+	s.fwVars = f.NewVars(sys.NumInputs())
+	f.Add(cnf.NegLit(s.actF), bmc.NewFrame(sys, f, mode, s.vVars, s.fwVars).Bad())
+	return f
 }
 
-func (s *Solver) buildInitSolver() {
-	g := s.sys.Circ
-	n := g.NumLatches()
+// initFormula builds the init solver's formula I(Z) ∧ (actBad → F(Z))
+// over one bmc.Frame.
+func (s *Solver) initFormula() *cnf.Formula {
+	sys := s.sys
 	f := &cnf.Formula{}
-	s.zVars = f.NewVars(n)
-	for i, iv := range s.sys.InitValues() {
-		if iv.Constrained {
-			f.AddUnit(cnf.MkLit(s.zVars[i], !iv.Value))
-		}
-	}
+	s.zVars = f.NewVars(sys.NumStateVars())
+	bmc.EmitInit(sys, f, s.zVars)
 	s.actBad = f.NewVar()
-	enc := tseitin.New(g, f, s.opts.Mode)
-	for i := 0; i < n; i++ {
-		enc.BindLit(g.LatchLit(i), s.zVars[i])
-	}
-	s.izVars = f.NewVars(g.NumInputs())
-	for j, il := range g.Inputs() {
-		enc.BindLit(il, s.izVars[j])
-	}
-	bad := enc.LitAssert(s.sys.Bad)
-	f.Add(cnf.NegLit(s.actBad), bad)
-
-	s.init = sat.New(s.opts.SAT)
-	s.init.AddFormula(f)
+	s.izVars = f.NewVars(sys.NumInputs())
+	f.Add(cnf.NegLit(s.actBad), bmc.NewFrame(sys, f, s.opts.Mode, s.zVars, s.izVars).Bad())
+	return f
 }
 
 // MemBytes reports the solver's live formula memory: the single TR
@@ -296,7 +260,6 @@ func (s *Solver) markHopeless(state []bool, remaining int) {
 	} else {
 		s.cache.markExact(state, remaining)
 	}
-	s.Stats.CacheSize = s.cache.size()
 }
 
 // budgetExceeded polls every search budget. It is called before every
@@ -353,7 +316,7 @@ func (s *Solver) ensureFrames(k int) {
 // hopeless cache itself — so clauses guarded by the pooled variable
 // stay sound across frames at the same depth, acting as a SAT-level
 // mirror of the cache while keeping the step solver's variable table
-// from growing with every frame push (FramesPushed can dwarf k). The
+// from growing with every frame push (pushes can dwarf k). The
 // pool is retired wholesale at the next Check's entry: still-active
 // blocking clauses would keep shuffling watch lists on every later
 // query, so bounding their lifetime to one Check keeps propagation

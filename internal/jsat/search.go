@@ -111,7 +111,6 @@ func (s *Solver) dfs(remaining int, path *[]frameRec) bmc.Status {
 	if s.isHopeless(fr.state, remaining) {
 		return bmc.Unreachable
 	}
-	s.Stats.FramesPushed++
 
 	if remaining == 1 {
 		// Final step: successor must satisfy F. The bad state lands in

@@ -113,8 +113,9 @@ func Load(src string) (*model.System, error) {
 }
 
 type elaborator struct {
-	g    *aig.Graph
-	syms map[string]*symbol
+	g     *aig.Graph
+	syms  map[string]*symbol
+	depth int // evalHint recursion depth, bounded by maxNesting
 }
 
 // eval elaborates e, coercing it to wantWidth (0 = any width). Numeric
@@ -151,6 +152,12 @@ func (el *elaborator) evalAny(e Expr) (signal, int, error) { return el.evalHint(
 // which lets literal-only ternary arms and operands adopt the expected
 // width (hint 0 = no expectation).
 func (el *elaborator) evalHint(e Expr, hint int) (signal, int, error) {
+	el.depth++
+	defer func() { el.depth-- }()
+	if el.depth > maxNesting {
+		line, col := e.Pos()
+		return nil, 0, errAt(line, col, "expression nested deeper than %d levels", maxNesting)
+	}
 	g := el.g
 	switch n := e.(type) {
 	case *Num:

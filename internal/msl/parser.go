@@ -1,8 +1,16 @@
 package msl
 
+// maxNesting bounds how deep an expression nests: parentheses, prefix
+// operators, ternary arms and operator chains all count. The parser and
+// the elaborator recurse once per level, and running out of goroutine
+// stack kills the process, so a deeper expression is a positioned
+// error instead. A level costs a few KB of stack.
+const maxNesting = 1000
+
 type parser struct {
-	lx  *lexer
-	tok token
+	lx    *lexer
+	tok   token
+	depth int // expression nesting at the current token
 }
 
 // Parse parses MSL source text into a File.
@@ -20,6 +28,15 @@ func (p *parser) advance() error {
 		return err
 	}
 	p.tok = t
+	return nil
+}
+
+// nest enters one more level of expression nesting, failing past
+// maxNesting; callers restore p.depth when they return.
+func (p *parser) nest() error {
+	if p.depth++; p.depth > maxNesting {
+		return errAt(p.tok.line, p.tok.col, "expression nested deeper than %d levels", maxNesting)
+	}
 	return nil
 }
 
@@ -203,7 +220,13 @@ func (p *parser) parseBad() (*BadStmt, error) {
 //	shift   := unary (('<<'|'>>') NUMBER)*
 //	unary   := ('~'|'!')* primary
 //	primary := NUMBER | IDENT ('[' NUMBER ']')? | '(' expr ')'
-func (p *parser) parseExpr() (Expr, error) { return p.parseTernary() }
+func (p *parser) parseExpr() (Expr, error) {
+	defer func(d int) { p.depth = d }(p.depth)
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	return p.parseTernary()
+}
 
 func (p *parser) parseTernary() (Expr, error) {
 	c, err := p.parseOr()
@@ -236,12 +259,17 @@ func (p *parser) parseBinaryChain(sub func() (Expr, error), ops map[tokenKind]st
 	if err != nil {
 		return nil, err
 	}
+	defer func(d int) { p.depth = d }(p.depth)
 	for {
 		op, ok := ops[p.tok.kind]
 		if !ok {
 			return x, nil
 		}
 		line, col := p.tok.line, p.tok.col
+		// Each link nests the chain's left operand one level deeper.
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -324,10 +352,14 @@ func (p *parser) parseUnary() (Expr, error) {
 			op = "!"
 		}
 		line, col := p.tok.line, p.tok.col
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
 		x, err := p.parseUnary()
+		p.depth--
 		if err != nil {
 			return nil, err
 		}

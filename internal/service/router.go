@@ -270,15 +270,11 @@ func (s *Server) clusterHealth() cluster.Status {
 		Draining:      s.Draining(),
 		QueueDepth:    len(s.queue),
 		QueueCapacity: s.cfg.QueueDepth,
-		RetainedBytes: s.retainedBytes(),
 	}
 	if cs := s.clusterView(); cs != nil {
 		st.ID = cs.self.ID
 		st.Dropped = cs.repl.droppedCounts()
 	}
-	st.QuarantineOpen, _, _ = s.quar.stats()
-	live, _, _ := s.sessions.stats()
-	st.Sessions = live
 	return st
 }
 

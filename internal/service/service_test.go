@@ -970,6 +970,35 @@ func TestServiceSessionSeedWalkStopsOnTimeout(t *testing.T) {
 	}
 }
 
+// TestServiceModelsPastParserLimits posts models that used to take a
+// shard down: an MSL expression nested a million parentheses deep, whose
+// parse overflowed the goroutine stack (fatal, past any recover), and
+// AIGER headers whose counts the parser once allocated for up front or
+// overflowed int with (a makeslice panic that dropped the connection).
+// Each answers on its own connection, and the shard keeps serving.
+func TestServiceModelsPastParserLimits(t *testing.T) {
+	_, url := newTestServer(t, Config{Workers: 1})
+
+	const n = 1_000_000
+	deep := "model m\nvar x : 1 = 0;\nnext x = " + strings.Repeat("(", n) + "x" + strings.Repeat(")", n) + ";\nbad x == 1;\n"
+	for _, tc := range []struct {
+		req  CheckRequest
+		want int
+	}{
+		{CheckRequest{Model: deep, Format: "msl", Bound: 1}, http.StatusBadRequest},
+		{CheckRequest{Model: "aag 4611686018427387904 4611686018427387904 4611686018427387904 0 0\n", Format: "aag", Bound: 1}, http.StatusBadRequest},
+		{CheckRequest{Model: "aag 100000000 100000000 0 0 0\n", Format: "aag", Bound: 1}, http.StatusBadRequest},
+		{CheckRequest{Model: "aag 200000000 0 0 1 0\n0\n", Format: "aag", Bound: 1}, http.StatusOK},
+	} {
+		if code := postJSON(t, url+"/v1/check", tc.req, nil); code != tc.want {
+			t.Errorf("%.40q: HTTP %d, want %d", tc.req.Model, code, tc.want)
+		}
+	}
+	if code := getJSON(t, url+"/healthz", nil); code != http.StatusOK {
+		t.Fatalf("/healthz after the oversized models: HTTP %d", code)
+	}
+}
+
 func TestServiceBadRequests(t *testing.T) {
 	_, url := newTestServer(t, Config{Workers: 1})
 
