@@ -13,6 +13,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	sebmc "repro"
 )
 
 var bmcBin string
@@ -92,5 +94,18 @@ func TestExitCodes(t *testing.T) {
 				t.Fatalf("bmc %v: output missing %q:\n%s", tc.args, tc.wantOut, out)
 			}
 		})
+	}
+}
+
+// TestLFSR2048Depth pins the explicit-state shortest counterexample of
+// testdata/lfsr2048.aag, the deep LFSR the CI deep-bug smoke deepens
+// geometrically and expects to find at bound 2048.
+func TestLFSR2048Depth(t *testing.T) {
+	sys, err := sebmc.LoadAIGERFile("testdata/lfsr2048.aag", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sebmc.ShortestCounterexample(sys); got != 2048 {
+		t.Fatalf("lfsr2048.aag: shortest counterexample at %d, want 2048", got)
 	}
 }

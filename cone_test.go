@@ -221,8 +221,8 @@ func TestConeProveArmsLiftWitnesses(t *testing.T) {
 				if v.Status != sebmc.Safe {
 					t.Fatalf("induction: %v, want SAFE", v.Status)
 				}
-			case v.Status != sebmc.Reachable || v.K < o.depth || v.Certificate == nil:
-				t.Fatalf("induction: %v at %d (certificate %v), want REACHABLE at ≥ %d", v.Status, v.K, v.Certificate, o.depth)
+			case v.Status != sebmc.Reachable || v.K != o.depth || v.Certificate == nil:
+				t.Fatalf("induction: %v at %d (certificate %v), want REACHABLE at %d", v.Status, v.K, v.Certificate, o.depth)
 			default:
 				checkOnCaller(t, "induction", sys, v.System, sebmc.AtMost, v.Certificate.Witness)
 			}
@@ -236,8 +236,8 @@ func TestConeProveArmsLiftWitnesses(t *testing.T) {
 				if err := v.Certificate.Validate(sys.Reduce()); err != nil {
 					t.Errorf("interp invariant: %v", err)
 				}
-			case v.Status != sebmc.Reachable || v.K < o.depth || v.Certificate == nil:
-				t.Fatalf("interp: %v at %d (certificate %v), want REACHABLE at ≥ %d", v.Status, v.K, v.Certificate, o.depth)
+			case v.Status != sebmc.Reachable || v.K != o.depth || v.Certificate == nil:
+				t.Fatalf("interp: %v at %d (certificate %v), want REACHABLE at %d", v.Status, v.K, v.Certificate, o.depth)
 			default:
 				checkOnCaller(t, "interp", sys, v.System, sebmc.Exact, v.Certificate.Witness)
 			}

@@ -9,13 +9,18 @@ package bench
 //   - linear: the warm incremental engine stepping k → k+1 (exact-k);
 //   - geometric: the same warm engine under at-most-k, doubling the
 //     bound and binary-searching the last interval — the same FoundAt
-//     in O(log depth) invocations;
+//     in O(log depth) invocations. Each probe asks for a bad state at
+//     some frame of the plain unrolling (no self-loop), so on these
+//     deterministic families it decides by propagation, as linear's
+//     exact-k queries do;
 //   - squaring: the paper's formula (3) on the QBF engine, bounds
 //     0,1,2,4,8,… under at-most-k. O(log depth) bounds too, but each
 //     handed to a general-purpose QBF solver — the wall the paper's
 //     evaluation documents, reproduced here at depth.
 //
-// BENCH_6.json records the crossover the three columns draw.
+// BENCH_6.json records the crossover the three columns draw, measured
+// when the geometric arm still ran on the self-looped unrolling and
+// paid for its skipped bounds with harder queries.
 
 import (
 	"fmt"

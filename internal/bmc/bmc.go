@@ -19,8 +19,13 @@
 // the reset units.
 //
 // All encoders answer "is a bad state reachable in exactly k steps?".
-// The ≤k variant is obtained by adding a self-loop to every state
-// (model.AddSelfLoop), exactly as the paper suggests.
+// The formulas that hold a single transition-relation copy get the ≤k
+// variant by adding a self-loop to every state (model.AddSelfLoop),
+// exactly as the paper suggests. The incremental unroller, which holds
+// every frame, asks for "bad at some frame ≤ k" instead (Biere et al.'s
+// bounded eventually-bad) and keeps a deterministic model
+// deterministic; its ≤k witnesses are padded with self-loop steps, so
+// every ≤k answer names the same self-looped system.
 //
 // The engines encode Prepare's output, not the caller's model: the cone
 // of influence of the bad predicate, self-looped under ≤k. Their
@@ -70,7 +75,8 @@ const (
 	// Exact asks for paths of exactly k transitions.
 	Exact Semantics = iota
 	// AtMost asks for paths of at most k transitions, realized by the
-	// paper's self-loop transformation.
+	// paper's self-loop transformation, or by the incremental
+	// unroller's "bad at some frame ≤ k".
 	AtMost
 )
 

@@ -141,10 +141,11 @@ const DefaultGeometricRatio = 2.0
 // deepening gives, in O(log maxBound) instead of O(maxBound) solver
 // invocations.
 //
-// The check function must implement at-most-k semantics (self-loop
-// transform): an Unreachable answer at bound k must cover every bound
-// ≤ k, and reachability must be monotone in k — both are what make
-// skipping bounds and bisecting the last interval sound.
+// The check function must implement at-most-k semantics (the self-loop
+// transform, or the incremental unroller's "bad at some frame ≤ k"): an
+// Unreachable answer at bound k must cover every bound ≤ k, and
+// reachability must be monotone in k — both are what make skipping
+// bounds and bisecting the last interval sound.
 func DeepenGeometric(sys *model.System, maxBound int, ratio float64, check CheckFunc) DeepenResult {
 	return DeepenGeometricFrom(-1, maxBound, ratio, func(k int) Result { return check(sys, k) })
 }

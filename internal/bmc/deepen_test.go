@@ -195,15 +195,13 @@ func TestDeepenGeometricRatioAndProvenPrefix(t *testing.T) {
 	}
 }
 
-// TestDeepenGeometricDepth512 is the issue's acceptance criterion: on
-// the depth-512 deep-bug family, the geometric schedule over the warm
-// incremental engine must report the oracle's exact shortest depth in
-// at most 25 solver invocations (11 doublings + 8 bisection probes
-// here), where linear deepening would need 513.
+// TestDeepenGeometricDepth512: on the depth-512 deep-bug family, the
+// geometric schedule over the warm incremental engine must report the
+// oracle's exact shortest depth in at most 25 solver invocations (11
+// doublings + 8 bisection probes here), where linear deepening would
+// need 513. Its at-most probes decide by propagation, so it runs in
+// short mode too.
 func TestDeepenGeometricDepth512(t *testing.T) {
-	if testing.Short() {
-		t.Skip("depth-512 solve: covered by the CI deep-bug smoke in short mode")
-	}
 	sys := circuits.DeepCounter(512)
 	if got := explicit.New(sys).ShortestCounterexample(); got != 512 {
 		t.Fatalf("oracle: shortest counterexample at %d, want 512", got)

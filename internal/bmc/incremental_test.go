@@ -1,6 +1,9 @@
 package bmc_test
 
 import (
+	"fmt"
+	"hash"
+	"io"
 	"testing"
 	"time"
 
@@ -233,4 +236,46 @@ func TestIncrementalReusesSolverAcrossBounds(t *testing.T) {
 			t.Fatalf("per-bound clause cost not constant: deltas %v", deltas)
 		}
 	}
+}
+
+// TestIncrementalExactPinned pins what an exact-k unroller reports at
+// every bound of a fixed matrix — eight models, both CNF modes, bounds
+// 0–20 checked in order on one unroller: the formula sizes, conflicts
+// and clause-database peak of each answer. The values were recorded
+// before the at-most answer stopped self-looping the unrolling; an
+// exact-k run must not notice that change.
+func TestIncrementalExactPinned(t *testing.T) {
+	want := map[string]string{
+		"arbiter/incr-exact":   "fa3155ea5a68a159",
+		"counter/incr-exact":   "06e9ded67c4c9aa5",
+		"counteren/incr-exact": "37d23f00df835898",
+		"deeplfsr/incr-exact":  "02f29d26f1ec880e",
+		"fifo/incr-exact":      "8e81e48a6a357849",
+		"noisyfifo/incr-exact": "f8349cdfb596dc00",
+		"random/incr-exact":    "916fbbb427d0a44d",
+		"xreg/incr-exact":      "9e24733ac11dd280",
+	}
+	fams := pinnedFamilies(t)
+	fams = append(fams, []struct {
+		name string
+		sys  *model.System
+	}{
+		{"counteren", circuits.CounterEnable(3, 5)},
+		{"noisyfifo", circuits.WithNoise(circuits.FIFO(3), 2)},
+		{"deeplfsr", circuits.DeepLFSR(10, 0x204, 16)},
+	}...)
+	got := map[string]hash.Hash{}
+	for _, fam := range fams {
+		for _, mode := range []tseitin.Mode{tseitin.Full, tseitin.PlaistedGreenbaum} {
+			u := bmc.NewIncrementalUnroller(fam.sys, bmc.IncrementalOptions{Mode: mode})
+			for k := 0; k <= 20; k++ {
+				r := u.CheckBound(k)
+				addDigest(t, got, fam.name+"/incr-exact", func(w io.Writer) error {
+					_, err := fmt.Fprintf(w, "%d %v %+v %d %d\n", k, r.Status, r.Formula, r.Conflicts, r.PeakBytes)
+					return err
+				})
+			}
+		}
+	}
+	checkDigests(t, want, got)
 }

@@ -61,27 +61,31 @@ type Result struct {
 	Witness *bmc.Witness // populated on Falsified
 	// System is the transition system the witness validates against:
 	// the cone of influence of the caller's model, self-looped because
-	// base cases run at-most-k. bmc.Lift carries both back to the
-	// caller's model.
+	// base cases answer at-most-k (bmc.IncrementalUnroller.System).
+	// bmc.Lift carries both back to the caller's model.
 	System *model.System
 }
 
 // Prove runs the k-induction loop for k = 0..maxK. Base and step cases
 // both encode the cone of influence of the bad predicate (bmc.Prepare):
 // whatever lies outside it cannot change whether a bad state is
-// reachable, nor whether the property is k-inductive.
+// reachable, nor whether the property is k-inductive. Every base case
+// runs on one warm at-most-k unroller, which has refuted and retired
+// the bounds below k by then, so base(k) adds one frame and asks about
+// that frame alone.
 func Prove(sys *model.System, maxK int, opts Options) Result {
 	red := bmc.Prepare(sys, bmc.Exact)
+	base := bmc.NewIncrementalUnroller(red, bmc.IncrementalOptions{
+		Semantics: bmc.AtMost,
+		Mode:      opts.Mode,
+		SAT:       opts.SAT,
+	})
 	for k := 0; k <= maxK; k++ {
 		// Base case: counterexample of length ≤ k?
-		base := bmc.SolveUnroll(red, k, bmc.UnrollOptions{
-			Semantics: bmc.AtMost,
-			Mode:      opts.Mode,
-			SAT:       opts.SAT,
-		})
-		switch base.Status {
+		b := base.CheckBound(k)
+		switch b.Status {
 		case bmc.Reachable:
-			return Result{Status: Falsified, K: k, Witness: base.Witness, System: base.System}
+			return Result{Status: Falsified, K: k, Witness: b.Witness, System: b.System}
 		case bmc.Unknown:
 			return Result{Status: Unknown, K: k}
 		}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/circuits"
 	"repro/internal/explicit"
 	"repro/internal/induction"
+	"repro/internal/model"
 	"repro/internal/msl"
 	"repro/internal/tseitin"
 )
@@ -57,6 +58,45 @@ func TestFalsifiedWithWitness(t *testing.T) {
 	}
 	if err := r.Witness.Validate(bmc.Prepare(sys, bmc.AtMost)); err != nil {
 		t.Fatalf("witness invalid: %v", err)
+	}
+}
+
+// TestFalsifiedAtShortestDepth runs Prove on zoo families and random
+// AIGs, whose bad predicates read inputs too, against the explicit-state
+// oracle: no safe model is falsified, and an unsafe one is falsified at
+// its shortest depth with a witness of that many steps of the
+// self-looped cone that replays on it.
+func TestFalsifiedAtShortestDepth(t *testing.T) {
+	systems := []*model.System{
+		circuits.Counter(4, 9),
+		circuits.CounterEnable(3, 5),
+		circuits.TokenRing(6),
+		circuits.FIFO(3),
+		circuits.WithNoise(circuits.CounterEnable(2, 3), 2),
+	}
+	for seed := int64(600); seed < 624; seed++ {
+		systems = append(systems, circuits.RandomAIG(seed, 1+int(seed%3), 2+int(seed%4), 4+int(seed%17), 2))
+	}
+	for _, mode := range []tseitin.Mode{tseitin.Full, tseitin.PlaistedGreenbaum} {
+		for _, sys := range systems {
+			depth := explicit.New(sys).ShortestCounterexample()
+			r := induction.Prove(sys, 20, induction.Options{Mode: mode})
+			if depth < 0 {
+				if r.Status == induction.Falsified {
+					t.Fatalf("%s mode=%d: falsified at %d, oracle says safe", sys.Name, mode, r.K)
+				}
+				continue
+			}
+			if r.Status != induction.Falsified || r.K != depth || r.Witness == nil || r.Witness.K != depth {
+				t.Fatalf("%s mode=%d: %v at %d (witness %v), oracle says falsified at %d", sys.Name, mode, r.Status, r.K, r.Witness, depth)
+			}
+			if r.System.NumInputs() != bmc.Prepare(sys, bmc.Exact).NumInputs()+1 {
+				t.Fatalf("%s mode=%d: witness system is not the self-looped cone", sys.Name, mode)
+			}
+			if err := r.Witness.Validate(r.System); err != nil {
+				t.Fatalf("%s mode=%d: witness does not replay: %v", sys.Name, mode, err)
+			}
+		}
 	}
 }
 

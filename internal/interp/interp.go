@@ -155,6 +155,9 @@ func Solve(sys *model.System, opts Options) Result {
 				if wit == nil || wit.Validate(red) != nil {
 					return res.conclude(provenDepth)
 				}
+				if wit.K > provenDepth+1 {
+					wit = res.shortest(red, provenDepth, wit, opts)
+				}
 				res.Status = bmc.Reachable
 				res.K = wit.K
 				res.Witness = wit
@@ -234,6 +237,24 @@ func (r Result) conclude(provenDepth int) Result {
 		r.Status = bmc.Unknown
 	}
 	return r
+}
+
+// shortest returns the shallowest counterexample of red, given wit, a
+// validated one, and that no bad state lies within provenDepth steps.
+// wit's first bad frame need not be the shallowest of any trace, so an
+// exact incremental unroller walks the bounds in between. If the walk
+// decides nothing, wit stands: a genuine counterexample, if not the
+// shortest.
+func (r *Result) shortest(red *model.System, provenDepth int, wit *bmc.Witness, opts Options) *bmc.Witness {
+	u := bmc.NewIncrementalUnroller(red, bmc.IncrementalOptions{Mode: opts.Mode, SAT: opts.SAT})
+	d := bmc.DeepenLinearFrom(provenDepth, wit.K-1, u.CheckBound)
+	st := u.Stats()
+	r.Conflicts += st.Conflicts
+	r.PeakBytes = max(r.PeakBytes, st.PeakBytes)
+	if d.Status == bmc.Reachable {
+		return d.Witness
+	}
+	return wit
 }
 
 // note folds one solver's memory high-water into the result.

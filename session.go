@@ -101,7 +101,10 @@ type Session struct {
 // Options.ScheduleGeometric forces at-most-k semantics for the whole
 // session — the solver is prepared once, at construction, and skipping
 // bounds is unsound under exact-k — so Check answers on such a session
-// are at-most-k answers too.
+// are at-most-k answers too. A sat-incr session answers them on the
+// plain unrolling of the cone, asking for a bad state at any frame its
+// own solver has not refuted; a SeedProven prefix skips probes but
+// never becomes a clause.
 func NewSession(sys *System, engine Engine, opts Options) (*Session, error) {
 	if opts.Schedule == ScheduleGeometric {
 		opts.Semantics = AtMost

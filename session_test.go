@@ -165,6 +165,58 @@ func TestSessionGeometricDeepenResumes(t *testing.T) {
 	}
 }
 
+// TestSessionGeometricAfterSeed seeds a geometric sat-incr session with
+// a proven prefix it never solved, as bmcd does from its verdict cache,
+// and deepens: the schedule starts past the seed, the unroller still
+// asks about every frame up to each probe (a seed is bookkeeping, never
+// a clause), and FoundAt and a replaying witness match linear deepening.
+// A wrong seed, past the bug, costs FoundAt its exactness but never the
+// counterexample.
+func TestSessionGeometricAfterSeed(t *testing.T) {
+	for _, sys := range []*sebmc.System{
+		circuits.Counter(4, 9),
+		circuits.TokenRing(6),
+		circuits.FIFO(3),
+		circuits.WithNoise(circuits.CounterEnable(3, 6), 2),
+		circuits.DeepLFSR(10, 0x204, 40),
+	} {
+		lin := sebmc.Deepen(sys, 48, sebmc.EngineSATIncr, sebmc.Options{})
+		if lin.Status != sebmc.Reachable {
+			t.Fatalf("%s: linear deepening %v, want REACHABLE", sys.Name, lin.Status)
+		}
+		for _, seed := range []int{0, lin.FoundAt / 2, lin.FoundAt - 1} {
+			sess, err := sebmc.NewSession(sys, sebmc.EngineSATIncr, sebmc.Options{Schedule: sebmc.ScheduleGeometric})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess.SeedProven(seed)
+			d := sess.Deepen(48)
+			if d.Status != sebmc.Reachable || d.FoundAt != lin.FoundAt {
+				t.Fatalf("%s seeded at %d: %v at %d (bounds %v), linear found %d", sys.Name, seed, d.Status, d.FoundAt, d.BoundsTried, lin.FoundAt)
+			}
+			if d.Witness == nil || d.Witness.K != d.FoundAt {
+				t.Fatalf("%s seeded at %d: witness %v, want one of %d steps", sys.Name, seed, d.Witness, d.FoundAt)
+			}
+			if err := d.Witness.Validate(sebmc.AddSelfLoop(sys)); err != nil {
+				t.Fatalf("%s seeded at %d: witness does not replay on the caller's model: %v", sys.Name, seed, err)
+			}
+		}
+		sess, err := sebmc.NewSession(sys, sebmc.EngineSATIncr, sebmc.Options{Schedule: sebmc.ScheduleGeometric})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrong := lin.FoundAt + 3
+		sess.SeedProven(wrong)
+		d := sess.Deepen(48)
+		if d.Status != sebmc.Reachable || d.FoundAt <= wrong || d.Witness == nil {
+			t.Fatalf("%s wrongly seeded at %d: %v at %d, want REACHABLE past the seed", sys.Name, wrong, d.Status, d.FoundAt)
+		}
+		if err := d.Witness.Validate(sebmc.AddSelfLoop(sys)); err != nil {
+			t.Fatalf("%s wrongly seeded at %d: witness does not replay: %v", sys.Name, wrong, err)
+		}
+	}
+}
+
 func TestSessionCheckMatchesFreshCheck(t *testing.T) {
 	for _, engine := range []sebmc.Engine{sebmc.EngineSATIncr, sebmc.EngineJSAT} {
 		t.Run(engine.String(), func(t *testing.T) {
