@@ -12,27 +12,46 @@ import (
 	"repro/internal/circuits"
 	"repro/internal/model"
 	"repro/internal/msl"
+	"repro/internal/sat"
 	"repro/internal/tseitin"
 )
 
-// TestFormulasPinned pins the step-case formula at depths 0–8, on both
-// CNF modes and on the plain and self-looped system, to digests
-// recorded before the step case was built from bmc.Frame.
+// TestFormulasPinned pins, on both CNF modes and on the plain and
+// self-looped system, what the stepper loads into its solver while it
+// answers step(0)..step(8) in order: frames, bad-free units and the
+// simple-path pairs its models repeat. The eager reference formula at
+// depths 0–8 is pinned as well, to the digests the engine's step case
+// had before it became the stepper.
 func TestFormulasPinned(t *testing.T) {
 	want := map[string]string{
-		"arbiter/step": "487477b3cc2d98f6",
-		"counter/step": "2faa1d5704fd8bdf",
-		"fifo/step":    "3a32c7cedc328d44",
-		"random/step":  "cd592e58b9afb25e",
-		"xreg/step":    "fa423df58b5602de",
+		"arbiter/eager": "487477b3cc2d98f6",
+		"arbiter/step":  "eab469bb25b29f9d",
+		"counter/eager": "2faa1d5704fd8bdf",
+		"counter/step":  "93b1cf612b8c8394",
+		"fifo/eager":    "3a32c7cedc328d44",
+		"fifo/step":     "e89d7d0a0c32039b",
+		"random/eager":  "cd592e58b9afb25e",
+		"random/step":   "ef7297b235a88c46",
+		"xreg/eager":    "fa423df58b5602de",
+		"xreg/step":     "d7b02412c75ffc68",
 	}
 	got := map[string]hash.Hash{}
 	for _, fam := range pinnedFamilies(t) {
 		for _, mode := range []tseitin.Mode{tseitin.Full, tseitin.PlaistedGreenbaum} {
 			for _, sem := range []bmc.Semantics{bmc.Exact, bmc.AtMost} {
 				sys := bmc.Prepare(fam.sys, sem)
+				st := newStepper(sys, Options{Mode: mode})
 				for k := 0; k <= 8; k++ {
-					addDigest(t, got, fam.name+"/step", stepFormula(sys, k, mode).WriteDIMACS)
+					addDigest(t, got, fam.name+"/eager", stepFormula(sys, k, mode).WriteDIMACS)
+					// check's loop, hashing each batch before it loads.
+					st.extend(k)
+					for {
+						addDigest(t, got, fam.name+"/step", st.f.WriteDIMACS)
+						st.flush()
+						if st.s.Solve(st.bads[k+1]) != sat.Sat || !st.separateRepeats(k) {
+							break
+						}
+					}
 				}
 			}
 		}
@@ -40,12 +59,15 @@ func TestFormulasPinned(t *testing.T) {
 	checkDigests(t, want, got)
 }
 
-// pinnedFamilies are the models whose formulas TestFormulasPinned
-// hashes, the same matrix internal/bmc's encoders are pinned on.
-func pinnedFamilies(t *testing.T) []struct {
+// family is a named model of a test matrix.
+type family struct {
 	name string
 	sys  *model.System
-} {
+}
+
+// pinnedFamilies are the models whose formulas TestFormulasPinned
+// hashes, the same matrix internal/bmc's encoders are pinned on.
+func pinnedFamilies(t *testing.T) []family {
 	xreg, err := msl.Load(`model xreg
 input go;
 var r : 2 = x;
@@ -59,10 +81,7 @@ bad c == 6 & r == 2;
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []struct {
-		name string
-		sys  *model.System
-	}{
+	return []family{
 		{"counter", circuits.Counter(3, 5)},
 		{"fifo", circuits.FIFO(2)},
 		{"arbiter", circuits.Arbiter(3)},

@@ -15,6 +15,12 @@
 // here, is the simple-path (uniqueness) constraint: all states on the
 // step-case path must be pairwise distinct, which bounds the induction
 // depth by the recurrence diameter.
+//
+// Both cases run on persistent solvers that grow by one frame per k.
+// The step case adds the simple-path constraint lazily, as Eén and
+// Sörensson's temporal induction does ("Temporal Induction by
+// Incremental SAT Solving", 2003): only a pair of states that a
+// satisfying assignment repeats gets its distinctness clauses.
 package induction
 
 import (
@@ -50,7 +56,8 @@ func (s Status) String() string {
 type Options struct {
 	// Mode is the CNF transformation.
 	Mode tseitin.Mode
-	// SAT configures every solver call.
+	// SAT configures both solvers; a ConflictBudget applies to each
+	// Solve call.
 	SAT sat.Options
 }
 
@@ -64,6 +71,13 @@ type Result struct {
 	// base cases answer at-most-k (bmc.IncrementalUnroller.System).
 	// bmc.Lift carries both back to the caller's model.
 	System *model.System
+	// Conflicts counts the CDCL conflicts of the base and the step
+	// solver together.
+	Conflicts int64
+	// PeakBytes is the sum of the two solvers' clause-database high
+	// waters (sat.Solver.ClauseDBBytes): both are live for the whole
+	// attempt.
+	PeakBytes int
 }
 
 // Prove runs the k-induction loop for k = 0..maxK. Base and step cases
@@ -72,7 +86,10 @@ type Result struct {
 // reachable, nor whether the property is k-inductive. Every base case
 // runs on one warm at-most-k unroller, which has refuted and retired
 // the bounds below k by then, so base(k) adds one frame and asks about
-// that frame alone.
+// that frame alone. Every step case runs on one warm stepper, which
+// adds one frame per k and only the simple-path pairs its models
+// repeat; its verdicts are those of the eager step formula, so Status
+// and K are too.
 func Prove(sys *model.System, maxK int, opts Options) Result {
 	red := bmc.Prepare(sys, bmc.Exact)
 	base := bmc.NewIncrementalUnroller(red, bmc.IncrementalOptions{
@@ -80,87 +97,155 @@ func Prove(sys *model.System, maxK int, opts Options) Result {
 		Mode:      opts.Mode,
 		SAT:       opts.SAT,
 	})
+	step := newStepper(red, opts)
+	result := func(st Status, k int) Result {
+		bs := base.Stats()
+		return Result{
+			Status:    st,
+			K:         k,
+			Conflicts: bs.Conflicts + step.s.Stats.Conflicts,
+			PeakBytes: bs.PeakBytes + step.peak,
+		}
+	}
 	for k := 0; k <= maxK; k++ {
 		// Base case: counterexample of length ≤ k?
 		b := base.CheckBound(k)
 		switch b.Status {
 		case bmc.Reachable:
-			return Result{Status: Falsified, K: k, Witness: b.Witness, System: b.System}
+			r := result(Falsified, k)
+			r.Witness, r.System = b.Witness, b.System
+			return r
 		case bmc.Unknown:
-			return Result{Status: Unknown, K: k}
+			return result(Unknown, k)
 		}
-		// Step case.
-		switch stepCase(red, k, opts) {
+		switch step.check(k) {
 		case sat.Unsat:
-			return Result{Status: Proved, K: k}
+			return result(Proved, k)
 		case sat.Unknown:
-			return Result{Status: Unknown, K: k}
+			return result(Unknown, k)
 		}
 	}
-	return Result{Status: Unknown, K: maxK}
+	return result(Unknown, maxK)
 }
 
-// stepCase checks satisfiability of stepFormula. Unsat means the
-// property is k-inductive.
-func stepCase(sys *model.System, k int, opts Options) sat.Status {
-	s := sat.New(opts.SAT)
-	if !s.AddFormula(stepFormula(sys, k, opts.Mode)) {
-		return sat.Unsat
-	}
-	return s.Solve()
+// stepper is the k-induction step case on one persistent solver. At
+// bound k it holds frames Z0..Zk+1 of the cone, chained by
+// bmc.Frame.Step, and the units ¬bad(Zt) for t ≤ k, which stay valid
+// at every larger bound; bad(Zk+1) is the query's only assumption.
+// Simple-path pairs are loaded lazily: when a model repeats a state
+// among Z0..Zk, that pair's distinctness clauses are added and the
+// query is solved again. A model whose states are pairwise distinct
+// satisfies the eager step formula, and a query refuted under some of
+// the pairs is refuted under all of them, so every answer is the eager
+// formula's.
+type stepper struct {
+	sys  *model.System
+	mode tseitin.Mode
+	s    *sat.Solver
+	// f stages the clauses frames and pairs emit until flush loads
+	// them into the solver; only its variable counter keeps growing.
+	f       *cnf.Formula
+	frames  []bmc.Frame
+	states  [][]cnf.Var // states[t] is Zt's latch vector
+	bads    []cnf.Lit   // bads[t] is bad(Zt), encoded in both polarities
+	retired int         // ¬bad(Zt) is a unit for every t ≤ retired
+	pairs   int         // simple-path pairs loaded so far
+	peak    int         // the solver's ClauseDBBytes high water
+	// seen and key are separateRepeats' scratch: the latest frame of
+	// each state of the model, keyed by its bits.
+	seen map[string]int
+	key  []byte
 }
 
-// stepFormula builds the k-induction step case
-//
-//	path(Z0..Zk+1) ∧ ¬bad(Z0..Zk) ∧ bad(Zk+1) ∧ Z0..Zk pairwise distinct
-//
-// without the initial-state constraint: k+2 bmc.Frames chained by Step,
-// with the bad cone encoded in both polarities at every frame.
-func stepFormula(sys *model.System, k int, mode tseitin.Mode) *cnf.Formula {
-	f := &cnf.Formula{}
-	steps := k + 1 // transitions in the step case
-	stateVars := make([][]cnf.Var, steps+1)
-	frames := make([]bmc.Frame, steps+1)
-	for t := 0; t <= steps; t++ {
-		stateVars[t] = f.NewVars(sys.NumStateVars())
-		frames[t] = bmc.NewFrame(sys, f, mode, stateVars[t], nil)
+// newStepper returns a stepper for sys with no frames yet.
+func newStepper(sys *model.System, opts Options) *stepper {
+	return &stepper{
+		sys:     sys,
+		mode:    opts.Mode,
+		s:       sat.New(opts.SAT),
+		f:       &cnf.Formula{},
+		retired: -1,
+		seen:    map[string]int{},
+		key:     make([]byte, sys.NumStateVars()),
 	}
-
-	badLits := make([]cnf.Lit, steps+1)
-	for t, fr := range frames {
-		if t < steps {
-			fr.Step(stateVars[t+1], cnf.NoLit)
-		}
-		badLits[t] = fr.Lit(sys.Bad)
-	}
-	// Bad-free prefix, bad at the end.
-	for t := 0; t < steps; t++ {
-		f.AddUnit(badLits[t].Neg())
-	}
-	f.AddUnit(badLits[steps])
-
-	addSimplePath(f, stateVars[:steps]) // states 0..k pairwise distinct
-	return f
 }
 
-// addSimplePath constrains every pair of state vectors to differ in at
-// least one bit.
-func addSimplePath(f *cnf.Formula, states [][]cnf.Var) {
-	for i := 0; i < len(states); i++ {
-		for j := i + 1; j < len(states); j++ {
-			diff := make([]cnf.Lit, 0, len(states[i]))
-			for b := range states[i] {
-				d := f.NewVar()
-				zi, zj := states[i][b], states[j][b]
-				// (zi ≠ zj) → d
-				f.Add(cnf.PosLit(d), cnf.NegLit(zi), cnf.PosLit(zj))
-				f.Add(cnf.PosLit(d), cnf.PosLit(zi), cnf.NegLit(zj))
-				// d → (zi ≠ zj), so d cannot be set spuriously
-				f.Add(cnf.NegLit(d), cnf.PosLit(zi), cnf.PosLit(zj))
-				f.Add(cnf.NegLit(d), cnf.NegLit(zi), cnf.NegLit(zj))
-				diff = append(diff, cnf.PosLit(d))
-			}
-			f.AddClause(cnf.Clause(diff))
+// check answers step(k): Unsat means the property is k-inductive. k
+// must not decrease from one call to the next; Prove asks 0, 1, 2, …
+func (st *stepper) check(k int) sat.Status {
+	st.extend(k)
+	for {
+		st.flush()
+		res := st.s.Solve(st.bads[k+1])
+		st.peak = max(st.peak, st.s.ClauseDBBytes())
+		if res != sat.Sat || !st.separateRepeats(k) {
+			return res
 		}
 	}
+}
+
+// extend stages frames up to Zk+1 and the units ¬bad(Zt) for t ≤ k.
+func (st *stepper) extend(k int) {
+	for t := len(st.frames); t <= k+1; t++ {
+		state := st.f.NewVars(st.sys.NumStateVars())
+		fr := bmc.NewFrame(st.sys, st.f, st.mode, state, nil)
+		if t > 0 {
+			st.frames[t-1].Step(state, cnf.NoLit)
+		}
+		st.frames = append(st.frames, fr)
+		st.states = append(st.states, state)
+		st.bads = append(st.bads, fr.Lit(st.sys.Bad))
+	}
+	for ; st.retired < k; st.retired++ {
+		st.f.AddUnit(st.bads[st.retired+1].Neg())
+	}
+}
+
+// flush loads everything staged in f into the solver and drops the
+// staged clauses.
+func (st *stepper) flush() {
+	st.s.AddFormula(st.f)
+	clear(st.f.Clauses)
+	st.f.Clauses = st.f.Clauses[:0]
+	st.peak = max(st.peak, st.s.ClauseDBBytes())
+}
+
+// separateRepeats reads states Z0..Zk from the last model and stages
+// the distinctness clauses of every state with the latest earlier state
+// it repeats. It reports whether it found a repeat; a pair once loaded
+// is never repeated again.
+func (st *stepper) separateRepeats(k int) bool {
+	clear(st.seen)
+	found := false
+	for t := 0; t <= k; t++ {
+		for b, v := range st.states[t] {
+			st.key[b] = byte(st.s.Value(v))
+		}
+		if i, ok := st.seen[string(st.key)]; ok {
+			addDistinct(st.f, st.states[i], st.states[t])
+			st.pairs++
+			found = true
+		}
+		st.seen[string(st.key)] = t
+	}
+	return found
+}
+
+// addDistinct constrains two state vectors to differ in at least one
+// bit: one fresh variable per bit, defined as the bits' inequality,
+// and one clause over them.
+func addDistinct(f *cnf.Formula, a, b []cnf.Var) {
+	diff := make(cnf.Clause, 0, len(a))
+	for i := range a {
+		d := f.NewVar()
+		za, zb := a[i], b[i]
+		// (za ≠ zb) → d
+		f.Add(cnf.PosLit(d), cnf.NegLit(za), cnf.PosLit(zb))
+		f.Add(cnf.PosLit(d), cnf.PosLit(za), cnf.NegLit(zb))
+		// d → (za ≠ zb), so d cannot be set spuriously
+		f.Add(cnf.NegLit(d), cnf.PosLit(za), cnf.PosLit(zb))
+		f.Add(cnf.NegLit(d), cnf.NegLit(za), cnf.NegLit(zb))
+		diff = append(diff, cnf.PosLit(d))
+	}
+	f.AddClause(diff)
 }

@@ -100,25 +100,8 @@ func TestFalsifiedAtShortestDepth(t *testing.T) {
 	}
 }
 
-// loopySrc has an unreachable good 2-cycle (states 4,5) adjacent to the
-// bad state 6: plain induction fails at every depth, the simple-path
-// constraint closes the proof.
-const loopySrc = `
-model loopy
-input go;
-var s : 3 = 0;
-next s = s == 0 ? 1
-       : s == 1 ? 2
-       : s == 2 ? 0
-       : s == 4 ? 5
-       : s == 5 ? (go ? 6 : 4)
-       : s == 6 ? 6
-       : 0;
-bad s == 6;
-`
-
 func TestSimplePathNeeded(t *testing.T) {
-	sys, err := msl.Load(loopySrc)
+	sys, err := msl.Load(induction.LoopySrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +130,7 @@ func TestProveWithPlaistedGreenbaum(t *testing.T) {
 func TestUnknownOnDepthExhaustion(t *testing.T) {
 	// A safe system whose proof needs more depth than allowed:
 	// simple-path induction closes loopy at k=2, so maxK=1 is too shallow.
-	sys, err := msl.Load(loopySrc)
+	sys, err := msl.Load(induction.LoopySrc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	sebmc "repro"
 	"repro/internal/circuits"
+	"repro/internal/induction"
 )
 
 const counterMSL = `
@@ -267,6 +268,24 @@ func TestFacadeProve(t *testing.T) {
 	}
 	if err := pr.Certificate.Validate(pr.System); err != nil {
 		t.Fatalf("witness replay: %v", err)
+	}
+}
+
+// TestProveInductionReportsSolverWork checks that the k-induction arm
+// hands its solvers' work on to the verdict, as the interpolation arm
+// does: bmcd's JobResult reports conflicts and peak_bytes from it.
+func TestProveInductionReportsSolverWork(t *testing.T) {
+	for _, sys := range []*sebmc.System{
+		circuits.WithNoise(circuits.FIFO(4), 6),
+		circuits.Counter(8, 12),
+		circuits.ParityGuard(10),
+	} {
+		v := sebmc.ProveInduction(sys, 0, sebmc.Options{}, nil)
+		r := induction.Prove(sys, 64, induction.Options{})
+		if v.Conflicts != r.Conflicts || v.PeakBytes != r.PeakBytes || v.PeakBytes == 0 {
+			t.Errorf("%s: verdict reports %d conflicts and %d peak bytes, the arm %d and %d",
+				sys.Name, v.Conflicts, v.PeakBytes, r.Conflicts, r.PeakBytes)
+		}
 	}
 }
 

@@ -313,7 +313,7 @@ func proveInduction(sys *System, maxK int, opts Options, flag *CancelFlag) (v Ve
 		Mode: opts.mode(),
 		SAT:  sat.Options{ConflictBudget: opts.ConflictBudget, Deadline: opts.deadline(), Cancel: flag},
 	})
-	v = Verdict{K: pr.K, System: pr.System}
+	v = Verdict{K: pr.K, System: pr.System, Conflicts: pr.Conflicts, PeakBytes: pr.PeakBytes}
 	switch pr.Status {
 	case induction.Proved:
 		v.Status = Safe
